@@ -5,7 +5,9 @@ q of the minimal polynomial, the multiset of companion-power blocks q^k
 together with an explicit similarity transform.  Polynomials are plain
 coefficient lists (index = power); irreducible factorization over Q and GF(p)
 is delegated to sympy, everything else is done here so pivoting stays
-deterministic.
+deterministic.  sympy is imported on the first factorization only: real
+targets never factor a polynomial, and the import would dominate their
+start-up.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
-
-import sympy
 
 from .field import Field, PrimeField, Scalar
 from .matrix import Mat, block_diag
@@ -90,7 +90,8 @@ def poly_lcm(field: Field, a: Poly, b: Poly) -> Poly:
         return []
     g = poly_gcd(field, a, b)
     q, r = poly_divmod(field, poly_mul(field, a, b), g)
-    assert not r
+    if r:
+        raise CanonicalFormError("gcd does not divide the product")
     return poly_monic(field, q)
 
 
@@ -159,9 +160,6 @@ def minimal_polynomial(A: Mat) -> Poly:
     return mp
 
 
-_T = sympy.symbols("t")
-
-
 def factor_poly(field: Field, p: Poly) -> List[Tuple[Poly, int]]:
     """Irreducible factorization of a monic polynomial, sorted deterministically.
 
@@ -171,9 +169,12 @@ def factor_poly(field: Field, p: Poly) -> List[Tuple[Poly, int]]:
     p = poly_monic(field, p)
     if poly_deg(p) <= 0:
         return []
+    import sympy
+
+    t = sympy.symbols("t")
     high_to_low = list(reversed(p))
     if isinstance(field, PrimeField):
-        sp = sympy.Poly([int(c) for c in high_to_low], _T, domain=sympy.GF(field.p))
+        sp = sympy.Poly([int(c) for c in high_to_low], t, domain=sympy.GF(field.p))
         _, raw = sp.factor_list()
         out = []
         for f, k in raw:
@@ -181,7 +182,7 @@ def factor_poly(field: Field, p: Poly) -> List[Tuple[Poly, int]]:
             out.append((poly_monic(field, coeffs), int(k)))
     else:
         sp = sympy.Poly(
-            [sympy.Rational(c.numerator, c.denominator) for c in high_to_low], _T, domain=sympy.QQ
+            [sympy.Rational(c.numerator, c.denominator) for c in high_to_low], t, domain=sympy.QQ
         )
         _, raw = sp.factor_list()
         out = []

@@ -545,6 +545,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, text = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except IdentityCheckFailure as e:
         sys.stderr.write(_dumps({"ok": False, "error": type(e).__name__,
                                  "failures": e.failures}))
@@ -557,10 +560,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(_dumps({"ok": False, "error": type(e).__name__,
                                  "detail": str(e)}))
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

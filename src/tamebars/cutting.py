@@ -11,10 +11,15 @@ the union over all simplices is again a simplicial complex.
 Circle-valued maps are cut per simplex through the lift given by the winding
 cocycle; every integer translate of every level that crosses the lift window
 is cut, and the refined complex carries a refined winding cocycle.
+
+Once cut, the complex is indexed by level: values become integer ranks and
+simplices are bucketed by the range of ranks they span, so a fiber or slab
+is read off the buckets instead of comparing every simplex against its ends.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import ceil, floor
@@ -27,6 +32,10 @@ from .matrix import Mat
 
 class LevelNotCut(ValueError):
     """Raised when a fiber or slab is requested at a level that was not cut."""
+
+
+class CutInconsistency(RuntimeError):
+    """Internal failure while cutting or unrolling (indicates a bug)."""
 
 
 CutId = Tuple[str, int, int, Fraction]
@@ -134,6 +143,70 @@ def _triangulate(desc: _Desc, memo: Dict[frozenset, List[tuple]]) -> List[tuple]
     return result
 
 
+class LevelIndex:
+    """Simplices of a cut complex bucketed by the integer ranks they span.
+
+    The rank of a value is 2k+1 at the k-th cut level and 2k strictly between
+    levels k-1 and k (0 below all of them), so comparing a value with a cut
+    level is comparing ranks.  For circle maps ranks live on the lift: one
+    turn adds ``period`` = 2 * len(levels).  A simplex spans the lowest and
+    highest rank of its lifted vertices; circle spans are shifted by whole
+    turns so that the low end lies in [0, period).
+    """
+
+    def __init__(self, levels: List[Fraction], circular: bool):
+        self.levels = levels
+        self.circular = circular
+        self.period = 2 * len(levels)
+        self.buckets: Dict[Tuple[int, int], List[int]] = {}
+        self.highs: Dict[int, List[int]] = {}  # low end -> sorted high ends
+
+    def rank(self, x: Fraction) -> int:
+        turns = floor(x) if self.circular else 0
+        x = x - turns
+        k = bisect_left(self.levels, x)
+        on_level = k < len(self.levels) and self.levels[k] == x
+        return 2 * k + on_level + self.period * turns
+
+    def level_rank(self, x: Fraction) -> Optional[int]:
+        """The rank of a cut level, or None when x is not cut."""
+        r = self.rank(x)
+        return r if r % 2 else None
+
+    def add(self, idx: int, ranks: Sequence[int]) -> None:
+        lo, hi = min(ranks), max(ranks)
+        if self.circular:
+            shift = lo - lo % self.period
+            lo, hi = lo - shift, hi - shift
+        bucket = self.buckets.get((lo, hi))
+        if bucket is None:
+            bucket = self.buckets[(lo, hi)] = []
+            insort(self.highs.setdefault(lo, []), hi)
+        bucket.append(idx)
+
+    def at(self, r: int) -> List[int]:
+        """Simplices lying on the level of rank r, in ascending index order."""
+        if self.circular:
+            r %= self.period
+        return list(self.buckets.get((r, r), ()))
+
+    def within(self, lo: int, hi: int) -> List[int]:
+        """Simplices whose span fits in [lo, hi] (up to whole turns on a
+        circle), in ascending index order."""
+        out: List[int] = []
+        # on a circle one turn of low ends visits every bucket; the first
+        # turn that fits a bucket's low end leaves the most room above it
+        top = min(hi, lo + self.period - 1) if self.circular else hi
+        for p in range(lo, top + 1):
+            shift = p - p % self.period if self.circular else 0
+            for h in self.highs.get(p - shift, ()):
+                if h + shift > hi:
+                    break
+                out.extend(self.buckets[(p - shift, h)])
+        out.sort()
+        return out
+
+
 @dataclass
 class CutComplex:
     """A refined complex in which every cut level's fiber is a subcomplex."""
@@ -145,6 +218,20 @@ class CutComplex:
     circular: bool
     windings: Dict[Tuple[int, int], int] = dc_field(default_factory=dict)
     provenance: List[tuple] = dc_field(default_factory=list)
+    index: LevelIndex = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.index = LevelIndex(self.levels, self.circular)
+        vrank = [self.index.rank(x) for x in self.values]
+        period = self.index.period
+        for i, s in enumerate(self.table.simplices):
+            if self.circular:
+                # ranks of simplex_lift(s): a winding of w turns adds w periods
+                base = s[0]
+                self.index.add(i, [vrank[v] + period * self.windings.get((base, v), 0)
+                                   for v in s])
+            else:
+                self.index.add(i, [vrank[v] for v in s])
 
     def refined_map(self):
         if self.circular:
@@ -232,7 +319,8 @@ def cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> CutComp
                             w = (plift[j] - plift[j] % 1) - (plift[i] - plift[i] % 1)
                             ww = int(w)
                             prev = winding_acc.setdefault((piece[i], piece[j]), ww)
-                            assert prev == ww, "inconsistent refined winding"
+                            if prev != ww:
+                                raise CutInconsistency("inconsistent refined winding")
 
     ids = sorted({v for s in simplex_set for v in s}, key=_order_key)
     pos = {vid: i for i, vid in enumerate(ids)}
@@ -274,38 +362,19 @@ class SubcomplexHandle:
 
 
 def fiber(cc: CutComplex, c: Fraction) -> SubcomplexHandle:
-    cls = Fraction(c) % 1 if cc.circular else Fraction(c)
-    if cls not in cc.levels:
+    r = cc.index.level_rank(Fraction(c))
+    if r is None:
         raise LevelNotCut(f"level {c} was not cut")
-    members = []
-    for i, s in enumerate(cc.table.simplices):
-        if any(cc.values[v] != cls for v in s):
-            continue
-        if cc.circular and any(cc.windings.get((s[0], v), 0) != 0 for v in s[1:]):
-            continue
-        members.append(i)
-    return SubcomplexHandle(cc, members)
+    return SubcomplexHandle(cc, cc.index.at(r))
 
 
 def slab(cc: CutComplex, a: Fraction, b: Fraction) -> SubcomplexHandle:
     """Simplices whose values lie in [a, b]; circle case up to a deck shift."""
     a, b = Fraction(a), Fraction(b)
-    if cc.circular:
-        if a % 1 not in cc.levels or b % 1 not in cc.levels:
-            raise LevelNotCut(f"slab ends {a}, {b} were not cut")
-    else:
-        if a not in cc.levels or b not in cc.levels:
-            raise LevelNotCut(f"slab ends {a}, {b} were not cut")
-    members = []
-    for i, s in enumerate(cc.table.simplices):
-        if cc.circular:
-            lift = cc.simplex_lift(s)
-            if ceil(a - min(lift)) <= floor(b - max(lift)):
-                members.append(i)
-        else:
-            if all(a <= cc.values[v] <= b for v in s):
-                members.append(i)
-    return SubcomplexHandle(cc, members)
+    ra, rb = cc.index.level_rank(a), cc.index.level_rank(b)
+    if ra is None or rb is None:
+        raise LevelNotCut(f"slab ends {a}, {b} were not cut")
+    return SubcomplexHandle(cc, cc.index.within(ra, rb))
 
 
 @dataclass
@@ -332,7 +401,8 @@ def unroll_cover(table: SimplexTable, f: CircleMap, a: Fraction, b: Fraction) ->
     for sigma in table.simplices:
         g = f.lift(sigma)
         off = [gv - f.angles[v] for v, gv in zip(sigma, g)]
-        assert all(o.denominator == 1 for o in off)
+        if any(o.denominator != 1 for o in off):
+            raise CutInconsistency(f"lift of {sigma} is not an integer shift of its angles")
         lo_g, hi_g = min(g), max(g)
         for t in range(ceil(a - hi_g), floor(b - lo_g) + 1):
             copy = tuple((v, int(o) + t) for v, o in zip(sigma, off))

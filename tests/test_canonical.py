@@ -3,7 +3,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
+from tamebars import canonical
 from tamebars.canonical import (
+    CanonicalFormError,
     Cell,
     companion,
     factor_poly,
@@ -145,3 +149,10 @@ def test_primary_components_random_reconstruction():
             Nq = poly_eval_mat(field, q, A)
             Nq0 = poly_eval_mat(field, q, A0)
             assert Nq.kernel_basis().ncols == Nq0.kernel_basis().ncols
+
+
+def test_poly_lcm_remainder_raises_typed_error(monkeypatch):
+    # a "gcd" that divides neither input leaves a remainder
+    monkeypatch.setattr(canonical, "poly_gcd", lambda field, a, b: _q(-3, 1))
+    with pytest.raises(CanonicalFormError):
+        poly_lcm(QQ, _q(-1, 1), _q(-2, 1))

@@ -1,6 +1,10 @@
 """End-to-end command line tests: exit codes, JSON output, SVG, errors."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,33 @@ def test_out_flag_writes_file_only(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["ok"] is True
+
+
+def test_unwritable_out_is_an_input_error(tmp_path, capsys):
+    path = write(tmp_path, "h.json", HEIGHT_DOC)
+    target = tmp_path / "missing-dir" / "report.json"
+    code, out, err = run(capsys, "compute", path, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+def test_sympy_is_imported_only_to_factor(tmp_path):
+    # a fresh interpreter: this test process may already hold sympy
+    real = write(tmp_path, "h.json", HEIGHT_DOC)
+    rep = write(tmp_path, "r.json", EQ2_REP)
+    script = (
+        "import sys, tamebars.cli as cli\n"
+        f"print(cli.main(['compute', {real!r}, '--out', {real!r} + '.out']))\n"
+        "print('sympy' in sys.modules)\n"
+        f"print(cli.main(['decompose', {rep!r}, '--out', {rep!r} + '.out']))\n"
+        "print('sympy' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False", "0", "True"]
 
 
 # -- decompose ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from tamebars.complexes import CircleMap, RealMap, SimplexTable
 from tamebars.cutting import (
+    CutInconsistency,
     LevelNotCut,
     cut_at_levels,
     fiber,
@@ -202,3 +203,13 @@ def test_cover_deck_map_shifts_boundary_fibers():
     assert {cs.deck_vertex[v] for v in lo if v in cs.deck_vertex} <= hi
     moved = [v for v in lo if v in cs.deck_vertex]
     assert len(moved) == len(lo)
+
+
+def test_cover_rejects_a_lift_off_the_angles():
+    class HalfTurnLift(CircleMap):
+        def lift(self, s):
+            return [g + F(1, 2) for g in super().lift(s)]
+
+    t, cmap = degree_one_triangle()
+    with pytest.raises(CutInconsistency):
+        unroll_cover(t, HalfTurnLift(cmap.angles, cmap.windings), F(0), F(1))
