@@ -113,25 +113,18 @@ def poly_eval_mat(field: Field, p: Poly, A: Mat) -> Mat:
     return out
 
 
-def poly_to_str(field: Field, p: Poly) -> str:
-    if not p:
-        return "0"
-    terms = []
-    for i in range(len(p) - 1, -1, -1):
-        c = p[i]
-        if c == field.zero:
-            continue
-        cs = field.to_str(c)
-        if i == 0:
-            terms.append(cs)
-        elif i == 1:
-            terms.append("t" if cs == "1" else f"{cs}*t")
-        else:
-            terms.append(f"t^{i}" if cs == "1" else f"{cs}*t^{i}")
-    return " + ".join(terms) if terms else "0"
-
-
 # -- minimal polynomial and factorization ------------------------------------
+
+
+def annihilates_basis_vector(A: Mat, p: Poly, i: int) -> bool:
+    """Is p(A) e_i zero?  Horner's rule on the vector: deg(p) products."""
+    field = A.field
+    w = [field.zero] * A.nrows
+    w[i] = p[-1]
+    for c in reversed(p[:-1]):
+        w = A.matvec(w)
+        w[i] = field.add(w[i], c)
+    return not any(w)
 
 
 def minimal_polynomial(A: Mat) -> Poly:
@@ -142,11 +135,11 @@ def minimal_polynomial(A: Mat) -> Poly:
     for i in range(n):
         if poly_deg(mp) == n:
             break
+        # skip basis vectors already annihilated by the current candidate
+        if annihilates_basis_vector(A, mp, i):
+            continue
         v = [field.zero] * n
         v[i] = field.one
-        # skip basis vectors already annihilated by the current candidate
-        if all(x == field.zero for x in poly_eval_mat(field, mp, A).matvec(v)):
-            continue
         krylov = [v]
         while True:
             w = A.matvec(krylov[-1])

@@ -151,7 +151,7 @@ def cmd_validate(args) -> Tuple[int, str]:
 
     table = loaded.table
     pos = {vid: i for i, vid in enumerate(table.vertices)}
-    listed = {tuple(pos[v] for v in s) for s in doc["simplices"]}
+    listed = {tuple(sorted(pos[v] for v in s)) for s in doc["simplices"]}
     synthesized = [s for s in table.simplices if s not in listed]
     isolated = [vid for i, vid in enumerate(table.vertices)
                 if not any(i in s for s in table.simplices)]

@@ -255,6 +255,10 @@ def load_document(doc: dict) -> LoadedInput:
         if not isinstance(entry, dict) or "id" not in entry or "value" not in entry:
             raise MalformedInput(f"bad vertex entry {entry!r}")
         vid = entry["id"]
+        try:
+            hash(vid)
+        except TypeError:
+            raise MalformedInput(f"vertex id {vid!r} is not a string or number") from None
         if vid in pos:
             raise MalformedInput(f"duplicate vertex id {vid!r}")
         pos[vid] = len(ids)
@@ -265,7 +269,7 @@ def load_document(doc: dict) -> LoadedInput:
     seen = set()
     for listed in doc["simplices"]:
         try:
-            s = tuple(pos[v] for v in listed)
+            s = tuple(sorted(pos[v] for v in listed))
         except (KeyError, TypeError):
             raise MalformedInput(f"simplex {listed!r} uses unknown vertex") from None
         if s in seen:
@@ -291,9 +295,12 @@ def load_document(doc: dict) -> LoadedInput:
         w = entry["w"]
         if not isinstance(w, int) or isinstance(w, bool):
             raise MalformedInput(f"winding must be an integer, got {w!r}")
-        if len(edge) != 2 or edge[0] not in pos or edge[1] not in pos:
+        if not isinstance(edge, list) or len(edge) != 2:
             raise MalformedInput(f"winding on unknown edge {edge!r}")
-        u, v = pos[edge[0]], pos[edge[1]]
+        try:
+            u, v = pos[edge[0]], pos[edge[1]]
+        except (KeyError, TypeError):
+            raise MalformedInput(f"winding on unknown edge {edge!r}") from None
         if u > v:
             u, v, w = v, u, -w
         if u == v or (u, v) in windings:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import ClassVar, Union
 
 Scalar = Union[Fraction, int]
 
@@ -39,14 +39,8 @@ class Rationals:
     """The field Q with `fractions.Fraction` elements."""
 
     name: str = "Q"
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero: ClassVar[Fraction] = Fraction(0)
+    one: ClassVar[Fraction] = Fraction(1)
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
@@ -86,6 +80,8 @@ class PrimeField:
     """GF(p) for a prime p < 2**31, elements stored as ints in [0, p)."""
 
     p: int
+    zero: ClassVar[int] = 0
+    one: ClassVar[int] = 1
 
     def __post_init__(self):
         if not (2 <= self.p < MAX_PRIME) or not _is_prime(self.p):
@@ -94,14 +90,6 @@ class PrimeField:
     @property
     def name(self) -> str:
         return f"GF({self.p})"
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def from_int(self, n: int) -> int:
         return n % self.p

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import CriticalData, SimplexTable, faces_with_signs
 from .cutting import CutComplex, SubcomplexHandle, fiber, slab
-from .field import Field
+from .field import Field, PrimeField
 from .matrix import Mat
 from .quiver import CircleRep, ZigzagRep, circle_rep_from_lists
 
@@ -39,27 +39,26 @@ class _Reducer:
 
     def reduce(self, col: Chain, tag: Chain) -> Tuple[Chain, Chain]:
         F = self.field
+        p = F.p if isinstance(F, PrimeField) else None
+        by_low = self.by_low
         col = dict(col)
         tag = dict(tag)
         while col:
             low = max(col)
-            hit = self.by_low.get(low)
+            hit = by_low.get(low)
             if hit is None:
                 break
             rcol, rtag = hit
             c = F.div(col[low], rcol[low])
-            for r, x in rcol.items():
-                nv = F.sub(col.get(r, F.zero), F.mul(c, x))
-                if nv == F.zero:
-                    col.pop(r, None)
-                else:
-                    col[r] = nv
-            for r, x in rtag.items():
-                nv = F.sub(tag.get(r, F.zero), F.mul(c, x))
-                if nv == F.zero:
-                    tag.pop(r, None)
-                else:
-                    tag[r] = nv
+            for chain, rchain in ((col, rcol), (tag, rtag)):
+                for r, x in rchain.items():
+                    nv = chain[r] - c * x if r in chain else -c * x
+                    if p:
+                        nv %= p
+                    if nv:
+                        chain[r] = nv
+                    else:
+                        chain.pop(r, None)
         return col, tag
 
     def insert(self, col: Chain, tag: Chain) -> Optional[int]:

@@ -21,6 +21,16 @@ class LinearSolveError(ValueError):
     """Raised when an exact linear system admits no solution."""
 
 
+def _as_integers(xs: Sequence[Scalar]) -> tuple[List[int], int]:
+    """Rationals written as integers over their least common denominator."""
+    from math import lcm
+
+    den = lcm(*[x.denominator for x in xs])
+    if den == 1:
+        return [x.numerator for x in xs], 1
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 class Mat:
     __slots__ = ("field", "rows", "nrows", "ncols")
 
@@ -102,23 +112,34 @@ class Mat:
     def mul(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        p = self.field.p if isinstance(self.field, PrimeField) else None
         ocols = list(zip(*other.rows)) if other.rows else []
+        p = self.field.p if isinstance(self.field, PrimeField) else None
+        if p:
+            out = [[sum(a * b for a, b in zip(row, c)) % p for c in ocols] for row in self.rows]
+            return Mat(self.field, out, other.ncols)
+        from fractions import Fraction
+
+        icols = [_as_integers(c) for c in ocols]
         out = []
         for row in self.rows:
-            new = []
-            for c in ocols:
-                acc = sum(a * b for a, b in zip(row, c))
-                new.append(acc % p if p else acc)
-            out.append(new)
+            irow, rden = _as_integers(row)
+            out.append([Fraction(sum([a * b for a, b in zip(irow, ic)]), rden * cden)
+                        for ic, cden in icols])
         return Mat(self.field, out, other.ncols)
 
     def matvec(self, v: Sequence[Scalar]) -> List[Scalar]:
         p = self.field.p if isinstance(self.field, PrimeField) else None
+        if p:
+            return [sum(a * b for a, b in zip(row, v)) % p for row in self.rows]
+        if not self.ncols:
+            return [0] * self.nrows  # sums of no terms: the int 0, as over GF(p)
+        from fractions import Fraction
+
+        iv, vden = _as_integers(v)
         out = []
         for row in self.rows:
-            acc = sum(a * b for a, b in zip(row, v))
-            out.append(acc % p if p else acc)
+            irow, rden = _as_integers(row)
+            out.append(Fraction(sum([a * b for a, b in zip(irow, iv)]), rden * vden))
         return out
 
     def add(self, other: "Mat") -> "Mat":
@@ -150,18 +171,14 @@ class Mat:
             raise ValueError("hstack row mismatch")
         return Mat(self.field, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)], self.ncols + other.ncols)
 
-    def vstack(self, other: "Mat") -> "Mat":
-        if self.ncols != other.ncols:
-            raise ValueError("vstack column mismatch")
-        return Mat(self.field, [r[:] for r in self.rows] + [r[:] for r in other.rows], self.ncols)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
-        return Mat(self.field, [[self.rows[i][j] for j in col_idx] for i in row_idx], len(col_idx))
-
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["Mat", List[int]]:
         """Reduced row echelon form with deterministic first-nonzero pivoting.
+
+        Each pivot row is read once for its nonzero entries, and the other
+        rows are updated in place at those columns only: an update at a zero
+        of the pivot row could not change a value.
 
         Returns
         -------
@@ -170,7 +187,6 @@ class Mat:
         """
         field = self.field
         p = field.p if isinstance(field, PrimeField) else None
-        zero = field.zero
         rows = [row[:] for row in self.rows]
         nr, nc = self.nrows, self.ncols
         pivots: List[int] = []
@@ -178,7 +194,7 @@ class Mat:
         for c in range(nc):
             pr = None
             for i in range(r, nr):
-                if rows[i][c] != zero:
+                if rows[i][c]:
                     pr = i
                     break
             if pr is None:
@@ -188,17 +204,20 @@ class Mat:
             if pv != field.one:
                 ipv = field.inv(pv)
                 rows[r] = [(ipv * x) % p if p else ipv * x for x in rows[r]]
-            prow = rows[r]
+            # entries left of c are zero in every row from r down
+            nonzeros = [(j, b) for j, b in enumerate(rows[r][c:], c) if b]
             for i in range(nr):
                 if i == r:
                     continue
-                f = rows[i][c]
-                if f != zero:
-                    ri = rows[i]
+                ri = rows[i]
+                f = ri[c]
+                if f:
                     if p:
-                        rows[i] = [(a - f * b) % p for a, b in zip(ri, prow)]
+                        for j, b in nonzeros:
+                            ri[j] = (ri[j] - f * b) % p
                     else:
-                        rows[i] = [a - f * b for a, b in zip(ri, prow)]
+                        for j, b in nonzeros:
+                            ri[j] = ri[j] - f * b
             pivots.append(c)
             r += 1
             if r == nr:

@@ -99,19 +99,39 @@ def _cylinder_metric(p: Point, q: Point) -> Fraction:
 
 
 def _has_perfect_matching(allowed: List[List[bool]]) -> bool:
+    """Kuhn's augmenting-path test, with an explicit stack instead of
+    recursion, so a path may be as long as the input."""
     n = len(allowed)
+    adj = [[j for j in range(n) if row[j]] for row in allowed]
     match_of: List[Optional[int]] = [None] * n
-
-    def augment(i: int, seen: List[bool]) -> bool:
-        for j in range(n):
-            if allowed[i][j] and not seen[j]:
-                seen[j] = True
-                if match_of[j] is None or augment(match_of[j], seen):
-                    match_of[j] = i
-                    return True
-        return False
-
-    return all(augment(i, [False] * n) for i in range(n))
+    for root in range(n):
+        seen = [False] * n
+        # path[k] is (row, index of its next column to try); cols[k] is the
+        # column row path[k] took to reach path[k + 1]
+        path = [[root, 0]]
+        cols: List[int] = []
+        while path:
+            top = path[-1]
+            i, t = top
+            while t < len(adj[i]) and seen[adj[i][t]]:
+                t += 1
+            if t == len(adj[i]):
+                path.pop()
+                if cols:
+                    cols.pop()
+                continue
+            j = adj[i][t]
+            top[1] = t + 1
+            seen[j] = True
+            cols.append(j)
+            if match_of[j] is None:
+                for (row, _), col in zip(path, cols):
+                    match_of[col] = row
+                break
+            path.append([match_of[j], 0])
+        else:
+            return False
+    return True
 
 
 def matching_distance(c1: Configuration, c2: Configuration) -> MatchingDistance:

@@ -1,0 +1,156 @@
+"""Dense reference versions of the exact kernels, kept as test oracles.
+
+These are the straightforward kernels the package used before its
+elimination, products and sparse reduction learned to skip zeros: every
+entry of every row is touched and every operation goes through the field
+object.  They are slow and obviously right; `test_kernels.py` checks that
+the fast kernels in `tamebars` return the same values, of the same types,
+in the same order.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Tuple
+
+from tamebars.canonical import Poly, poly_deg, poly_eval_mat, poly_lcm
+from tamebars.field import PrimeField
+from tamebars.matrix import Mat
+
+
+def dense_rref(M: Mat) -> Tuple[Mat, List[int]]:
+    """Gauss-Jordan over whole rows with first-nonzero pivoting."""
+    field = M.field
+    p = field.p if isinstance(field, PrimeField) else None
+    zero = field.zero
+    rows = [row[:] for row in M.rows]
+    nr, nc = M.nrows, M.ncols
+    pivots: List[int] = []
+    r = 0
+    for c in range(nc):
+        pr = None
+        for i in range(r, nr):
+            if rows[i][c] != zero:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        if pv != field.one:
+            ipv = field.inv(pv)
+            rows[r] = [(ipv * x) % p if p else ipv * x for x in rows[r]]
+        prow = rows[r]
+        for i in range(nr):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f != zero:
+                ri = rows[i]
+                if p:
+                    rows[i] = [(a - f * b) % p for a, b in zip(ri, prow)]
+                else:
+                    rows[i] = [a - f * b for a, b in zip(ri, prow)]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return Mat(field, rows, nc), pivots
+
+
+def dense_mul(A: Mat, B: Mat) -> Mat:
+    """Row-by-column products summed term by term in the field."""
+    if A.ncols != B.nrows:
+        raise ValueError("shape mismatch")
+    p = A.field.p if isinstance(A.field, PrimeField) else None
+    bcols = list(zip(*B.rows)) if B.rows else []
+    out = []
+    for row in A.rows:
+        new = []
+        for c in bcols:
+            acc = sum(a * b for a, b in zip(row, c))
+            new.append(acc % p if p else acc)
+        out.append(new)
+    return Mat(A.field, out, B.ncols)
+
+
+def dense_matvec(A: Mat, v) -> list:
+    p = A.field.p if isinstance(A.field, PrimeField) else None
+    out = []
+    for row in A.rows:
+        acc = sum(a * b for a, b in zip(row, v))
+        out.append(acc % p if p else acc)
+    return out
+
+
+class DenseReducer:
+    """Sparse column reduction doing every step through the field object."""
+
+    def __init__(self, field):
+        self.field = field
+        self.by_low: Dict[int, Tuple[dict, dict]] = {}
+
+    def reduce(self, col: dict, tag: dict) -> Tuple[dict, dict]:
+        F = self.field
+        col = dict(col)
+        tag = dict(tag)
+        while col:
+            low = max(col)
+            hit = self.by_low.get(low)
+            if hit is None:
+                break
+            rcol, rtag = hit
+            c = F.div(col[low], rcol[low])
+            for r, x in rcol.items():
+                nv = F.sub(col.get(r, F.zero), F.mul(c, x))
+                if nv == F.zero:
+                    col.pop(r, None)
+                else:
+                    col[r] = nv
+            for r, x in rtag.items():
+                nv = F.sub(tag.get(r, F.zero), F.mul(c, x))
+                if nv == F.zero:
+                    tag.pop(r, None)
+                else:
+                    tag[r] = nv
+        return col, tag
+
+    def insert(self, col: dict, tag: dict):
+        col, tag = self.reduce(col, tag)
+        if not col:
+            return None
+        low = max(col)
+        self.by_low[low] = (col, tag)
+        return low
+
+
+def annihilates(mp: Poly, A: Mat, i: int) -> bool:
+    """Is the i-th standard basis vector killed by mp(A)?  Builds mp(A)."""
+    field = A.field
+    v = [field.zero] * A.nrows
+    v[i] = field.one
+    return all(x == field.zero for x in dense_matvec(poly_eval_mat(field, mp, A), v))
+
+
+def minimal_polynomial(A: Mat) -> Poly:
+    """Minimal polynomial with the annihilation test done on mp(A)."""
+    field = A.field
+    n = A.nrows
+    mp: Poly = [field.one]
+    for i in range(n):
+        if poly_deg(mp) == n:
+            break
+        if annihilates(mp, A, i):
+            continue
+        v = [field.zero] * n
+        v[i] = field.one
+        krylov = [v]
+        while True:
+            w = A.matvec(krylov[-1])
+            cur = Mat.from_cols(field, krylov, n)
+            sol = cur.try_solve(Mat.from_cols(field, [w], n))
+            if sol is not None:
+                rel = [field.neg(sol.rows[j][0]) for j in range(len(krylov))] + [field.one]
+                mp = poly_lcm(field, mp, rel)
+                break
+            krylov.append(w)
+    return mp

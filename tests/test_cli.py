@@ -151,6 +151,35 @@ def test_compute_check_passes(tmp_path, capsys, doc):
     assert json.loads(out)["checked"] is True
 
 
+def _with(doc, **changes):
+    out = json.loads(json.dumps(doc))
+    out.update(changes)
+    return out
+
+
+def test_compute_accepts_simplices_in_any_vertex_order(tmp_path, capsys):
+    flipped = _with(HEIGHT_DOC, simplices=[["b", "a"], ["c", "a"], ["c", "b"]])
+    code, out, _ = run(capsys, "compute", write(tmp_path, "f.json", flipped))
+    assert code == 0
+    assert out == run(capsys, "compute", write(tmp_path, "h.json", HEIGHT_DOC))[1]
+    code, out, _ = run(capsys, "validate", write(tmp_path, "f.json", flipped))
+    assert code == 0
+    assert json.loads(out)["synthesized_faces"] == [["a"], ["b"], ["c"]]
+
+
+@pytest.mark.parametrize("doc", [
+    _with(HEIGHT_DOC, simplices=[["a", "b"], ["b", "a"]]),
+    _with(HEIGHT_DOC, vertices=HEIGHT_DOC["vertices"] + [{"id": ["a"], "value": "2"}]),
+    _with(WRAP_DOC, windings=[{"edge": [["a"], "b"], "w": 1}]),
+    _with(WRAP_DOC, windings=[{"edge": 5, "w": 1}]),
+], ids=["reordered-duplicate", "list-vertex-id", "list-in-winding-edge", "number-as-winding-edge"])
+def test_compute_malformed_documents_exit_2(tmp_path, capsys, doc):
+    code, out, err = run(capsys, "compute", write(tmp_path, "bad.json", doc))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "MalformedInput"
+
+
 def test_compute_check_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_identity_failures", lambda loaded, bundle: ["forced"])
     code, out, err = run(capsys, "compute",

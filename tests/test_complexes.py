@@ -229,3 +229,35 @@ def test_load_document_rejects_bool_winding():
     }
     with pytest.raises(MalformedInput):
         load_document(doc)
+
+
+def test_load_document_sorts_listed_simplices():
+    doc = real_doc()
+    doc["simplices"] = [["b", "a"], ["c", "b"]]
+    assert load_document(doc).table.simplices == load_document(real_doc()).table.simplices
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["simplices"].append(["b", "a"]),
+    lambda d: d["simplices"].append(["a", "a"]),
+    lambda d: d["vertices"].append({"id": ["a"], "value": "3"}),
+])
+def test_load_document_rejects_reordered_duplicates_and_bad_ids(mutate):
+    doc = real_doc()
+    mutate(doc)
+    with pytest.raises(MalformedInput):
+        load_document(doc)
+
+
+@pytest.mark.parametrize("edge", [[["a"], "b"], 5, ["a"], ["a", "b", "b"], {"a": 0, "b": 1}])
+def test_load_document_rejects_bad_winding_edges(edge):
+    doc = {
+        "field": "Q",
+        "target": "S1",
+        "vertices": [{"id": "a", "value": {"angle": "0"}},
+                     {"id": "b", "value": {"angle": "1/2"}}],
+        "simplices": [["a", "b"]],
+        "windings": [{"edge": edge, "w": 1}],
+    }
+    with pytest.raises(MalformedInput):
+        load_document(doc)

@@ -1,0 +1,194 @@
+"""The exact kernels against their dense oracles in `kernel_oracles.py`.
+
+Matrices are drawn over Q, GF(2) and GF(2^31 - 1), sparse and dense, with
+zero rows and columns, rank deficiency and empty shapes.  Every comparison is
+on entries, entry types and order, never on values alone, because the
+kernels promise byte-identical results downstream.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kernel_oracles as oracle
+from tamebars.canonical import annihilates_basis_vector, minimal_polynomial, poly_mul, poly_trim
+from tamebars.field import GF2, QQ, PrimeField
+from tamebars.homology import _Reducer
+from tamebars.matrix import Mat
+
+BIG = PrimeField(2**31 - 1)
+FIELDS = [QQ, GF2, BIG]
+
+settings.register_profile("kernels", max_examples=100, deadline=None, derandomize=True)
+settings.load_profile("kernels")
+
+
+def scalars(field):
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    return st.one_of(st.integers(0, 2), st.integers(0, field.p - 1),
+                     st.just(field.p - 1)).map(field.from_int)
+
+
+@st.composite
+def matrices(draw, field=None, nrows=None, ncols=None):
+    field = draw(st.sampled_from(FIELDS)) if field is None else field
+    nr = draw(st.integers(0, 6)) if nrows is None else nrows
+    nc = draw(st.integers(0, 6)) if ncols is None else ncols
+    entries = scalars(field)
+    if draw(st.booleans()):  # sparse: most entries are zero
+        entries = st.one_of(st.just(field.zero), st.just(field.zero), entries)
+    rows = [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+    for i in draw(st.sets(st.integers(0, max(nr - 1, 0)), max_size=2)):
+        if i < nr:
+            rows[i] = [field.zero] * nc
+    for j in draw(st.sets(st.integers(0, max(nc - 1, 0)), max_size=2)):
+        for row in rows:
+            if j < nc:
+                row[j] = field.zero
+    M = Mat(field, rows, nc)
+    if nr and nc and draw(st.booleans()):  # rank deficient: a thin product
+        k = draw(st.integers(1, max(min(nr, nc) - 1, 1)))
+        L = draw(matrices(field, nr, k))
+        Rt = draw(matrices(field, k, nc))
+        M = oracle.dense_mul(L, Rt)
+    return M
+
+
+def same(A: Mat, B: Mat) -> bool:
+    return (
+        (A.nrows, A.ncols) == (B.nrows, B.ncols)
+        and A.rows == B.rows
+        and [[type(x) for x in row] for row in A.rows]
+        == [[type(x) for x in row] for row in B.rows]
+    )
+
+
+@given(matrices())
+def test_rref_matches_dense_oracle(M):
+    R, pivots = M.rref()
+    R0, pivots0 = oracle.dense_rref(M)
+    assert pivots == pivots0
+    assert same(R, R0)
+
+
+@given(matrices())
+def test_rref_leaves_its_input_alone(M):
+    before = [row[:] for row in M.rows]
+    M.rref()
+    assert M.rows == before
+
+
+@st.composite
+def products(draw):
+    field = draw(st.sampled_from(FIELDS))
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(matrices(field, n, k)), draw(matrices(field, k, m))
+
+
+@given(products())
+def test_mul_matches_dense_oracle(AB):
+    A, B = AB
+    assert same(A.mul(B), oracle.dense_mul(A, B))
+
+
+@given(products())
+def test_matvec_matches_dense_oracle(AB):
+    A, B = AB
+    for v in B.cols():
+        out, out0 = A.matvec(v), oracle.dense_matvec(A, v)
+        assert out == out0
+        assert [type(x) for x in out] == [type(x) for x in out0]
+    v = [A.field.zero] * A.ncols
+    assert A.matvec(v) == oracle.dense_matvec(A, v)
+
+
+def test_empty_products_keep_their_shapes_and_types():
+    for field in FIELDS:
+        A = Mat.zeros(field, 3, 0)
+        assert same(A.mul(Mat.zeros(field, 0, 2)), oracle.dense_mul(A, Mat.zeros(field, 0, 2)))
+        assert A.matvec([]) == oracle.dense_matvec(A, []) == [0, 0, 0]
+        assert [type(x) for x in A.matvec([])] == [int] * 3
+        Z = Mat.zeros(field, 0, 4)
+        assert same(Z.mul(Mat.zeros(field, 4, 3)), oracle.dense_mul(Z, Mat.zeros(field, 4, 3)))
+
+
+@st.composite
+def chain_streams(draw):
+    """A field and a list of (column, tag) chains on a few keys."""
+    field = draw(st.sampled_from(FIELDS))
+    keys = st.integers(0, 9)
+    chain = st.dictionaries(keys, scalars(field).filter(bool), max_size=5)
+    return field, draw(st.lists(st.tuples(chain, chain), max_size=12))
+
+
+def items_and_types(d):
+    return [(k, v, type(v)) for k, v in d.items()]
+
+
+@given(chain_streams())
+def test_reducer_matches_dense_oracle(stream):
+    field, chains = stream
+    fast, slow = _Reducer(field), oracle.DenseReducer(field)
+    for col, tag in chains:
+        (got_col, got_tag), (col0, tag0) = fast.reduce(col, tag), slow.reduce(col, tag)
+        assert items_and_types(got_col) == items_and_types(col0)
+        assert items_and_types(got_tag) == items_and_types(tag0)
+        assert fast.insert(col, tag) == slow.insert(col, tag)
+    assert list(fast.by_low) == list(slow.by_low)
+    for low, (col, tag) in fast.by_low.items():
+        col0, tag0 = slow.by_low[low]
+        assert items_and_types(col) == items_and_types(col0)
+        assert items_and_types(tag) == items_and_types(tag0)
+
+
+@st.composite
+def square_matrices(draw):
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):  # diagonal with repeats: many annihilated vectors
+        diag = draw(st.lists(st.sampled_from([field.zero, field.one, field.from_int(2)]),
+                             min_size=n, max_size=n))
+        return Mat(field, [[diag[i] if i == j else field.zero for j in range(n)]
+                           for i in range(n)], n)
+    return draw(matrices(field, n, n))
+
+
+@st.composite
+def polynomial_tests(draw):
+    """A square matrix, a polynomial that often kills some of e_0 .. e_n-1,
+    and the index of one basis vector."""
+    A = draw(square_matrices().filter(lambda M: M.nrows > 0))
+    field = A.field
+    p = poly_trim(field, draw(st.lists(scalars(field), max_size=4)))
+    if draw(st.booleans()):  # a multiple of the minimal polynomial of A
+        p = poly_mul(field, oracle.minimal_polynomial(A), p or [field.one])
+    elif draw(st.booleans()):  # a factor of it: t - a diagonal entry
+        p = [field.neg(A.rows[0][0]), field.one]
+    if not p:
+        p = [field.one]
+    return A, p, draw(st.integers(0, A.nrows - 1))
+
+
+@given(polynomial_tests())
+def test_annihilation_test_matches_dense_oracle(case):
+    A, p, i = case
+    assert annihilates_basis_vector(A, p, i) is oracle.annihilates(p, A, i)
+
+
+@given(square_matrices())
+def test_minimal_polynomial_matches_dense_annihilation_test(A):
+    mp, mp0 = minimal_polynomial(A), oracle.minimal_polynomial(A)
+    assert mp == mp0
+    assert [type(c) for c in mp] == [type(c) for c in mp0]
+
+
+def test_minimal_polynomial_skips_annihilated_vectors():
+    # diag(1, 1, 2): e_1 is killed by t - 1 once e_0 has been seen
+    A = Mat.from_int_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    assert oracle.annihilates([Fraction(-1), Fraction(1)], A, 1)
+    assert minimal_polynomial(A) == oracle.minimal_polynomial(A) == [
+        Fraction(2), Fraction(-3), Fraction(1)]

@@ -1,6 +1,7 @@
 """Perturbation, bottleneck matching distance, and the drift experiment."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from tamebars.invariants import Configuration, compute_invariants, configuration
 from tamebars.stability import (
     CardinalityMismatch,
     MatchingDistance,
+    _has_perfect_matching,
     matching_distance,
     perturb,
     stability_experiment,
@@ -248,3 +250,30 @@ def test_experiment_report_shape():
                         "mean_distance", "jordan_violations"}
     float(row["max_distance"])
     float(row["mean_distance"])
+
+
+def test_matching_follows_augmenting_paths_longer_than_the_stack():
+    # point i may match only i-1 or i: trying i-1 first walks back to point 0
+    n = 300
+    chain = [[j in (i - 1, i) for j in range(n)] for i in range(n)]
+    stuck = [row[:] for row in chain]
+    stuck[n - 1] = [j == n - 2 for j in range(n)]  # two points want only n-2
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        found, missing = _has_perfect_matching(chain), _has_perfect_matching(stuck)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found is True
+    assert missing is False
+
+
+def test_matching_agrees_with_brute_force():
+    from itertools import permutations
+
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        allowed = [[rng.random() < 0.4 for _ in range(n)] for _ in range(n)]
+        brute = any(all(allowed[i][s[i]] for i in range(n)) for s in permutations(range(n)))
+        assert _has_perfect_matching(allowed) is brute
