@@ -313,6 +313,6 @@ def primary_components(A: Mat) -> Tuple[List[Cell], Mat]:
     if not P.is_invertible():
         raise CanonicalFormError("canonical basis is singular")
     expected = block_diag(field, [c.block(field) for c, _ in cells])
-    if P.inverse().mul(A).mul(P) != expected:
+    if A.mul(P) != P.mul(expected):
         raise CanonicalFormError("canonical form verification failed")
     return [c for c, _ in cells], P

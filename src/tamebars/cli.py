@@ -18,15 +18,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import CocycleViolation, MalformedInput, load_document
+from .complexes import CocycleViolation, MalformedInput, _parse_fraction, load_document
 from .cutting import LevelNotCut, fiber, unroll_cover
 from .field import FieldError, field_from_spec
 from .homology import NotTame, betti_numbers, homology, homology_of, induced_map
 from .invariants import (
+    BeyondFloatRange,
     IndexOutOfRange,
     bundle_to_json,
     canonical_check,
@@ -36,15 +38,16 @@ from .invariants import (
     fiber_betti_at,
     global_betti,
     image_dim_at,
+    to_float,
 )
 from .matrix import Mat
 from .quiver import (
-    CircleRep,
     RepresentationError,
-    ZigzagRep,
     decompose_circle,
     decompose_zigzag,
     verify_certificate,
+    zero_circle,
+    zero_zigzag,
 )
 from .stability import CardinalityMismatch, stability_experiment
 
@@ -71,6 +74,7 @@ _INPUT_ERRORS = (
     MissingDegree,
     CardinalityMismatch,
     NotTame,
+    BeyondFloatRange,
     OSError,
     UnicodeDecodeError,
     json.JSONDecodeError,
@@ -94,21 +98,19 @@ def _field_spec(text: str):
     raise FieldError(f"field must be 'Q' or 'F<p>', got {text!r}")
 
 
-def _load(path: str, field_flag: Optional[str]):
+def _read_doc(path: str, field_flag: Optional[str]):
+    """A map document as read, with its field replaced by `--field`."""
     doc = _read_json(path)
     if field_flag:
         if not isinstance(doc, dict):
             raise MalformedInput("document must be a JSON object")
         doc = dict(doc)
         doc["field"] = _field_spec(field_flag)
-    return load_document(doc)
+    return doc
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise MalformedInput(f"bad fraction {text!r}") from None
+def _load(path: str, field_flag: Optional[str]):
+    return load_document(_read_doc(path, field_flag))
 
 
 def _parse_degrees(text: str, rmax: int) -> List[int]:
@@ -131,12 +133,7 @@ def _parse_degrees(text: str, rmax: int) -> List[int]:
 
 def cmd_validate(args) -> Tuple[int, str]:
     try:
-        doc = _read_json(args.input)
-        if args.field:
-            if not isinstance(doc, dict):
-                raise MalformedInput("document must be a JSON object")
-            doc = dict(doc)
-            doc["field"] = _field_spec(args.field)
+        doc = _read_doc(args.input, args.field)
         loaded = load_document(doc)
     except CocycleViolation as e:
         report = {"ok": False, "error": type(e).__name__, "detail": str(e)}
@@ -236,12 +233,13 @@ def _mat_from_json(field, rows, nrows: int, ncols: int, where: str) -> Mat:
             raise MalformedInput(f"arrow {where}: expected {ncols} columns per row")
         out = []
         for e in row:
-            if isinstance(e, str):
-                out.append(field.parse(e))
-            elif isinstance(e, int) and not isinstance(e, bool):
+            if isinstance(e, int) and not isinstance(e, bool):
                 out.append(field.from_int(e))
-            else:
-                raise MalformedInput(f"arrow {where}: bad entry {e!r}")
+                continue
+            try:
+                out.append(field.from_fraction(_parse_fraction(e)))
+            except MalformedInput as err:
+                raise MalformedInput(f"arrow {where}: {err}") from None
         parsed.append(out)
     return Mat(field, parsed, ncols)
 
@@ -262,6 +260,8 @@ def rep_from_json(doc):
         raise MalformedInput("dims must map integer vertices to integers") from None
     if any(v < 0 for v in dims.values()):
         raise MalformedInput("dimensions must be nonnegative")
+    if not isinstance(doc["arrows"], list):
+        raise MalformedInput("arrows must be a list")
     arrows: Dict[Tuple[int, int], list] = {}
     for entry in doc["arrows"]:
         if not isinstance(entry, dict) or not {"at", "dir", "matrix"} <= set(entry):
@@ -278,22 +278,22 @@ def rep_from_json(doc):
         m = doc.get("m")
         if not isinstance(m, int) or m < 1:
             raise MalformedInput("cyclic shape needs an integer m >= 1")
-        full = {x: dims.get(x, 0) for x in range(1, 2 * m + 1)}
-        maps = {}
-        for (o, d), rows in arrows.items():
-            t = (o + d - 1) % (2 * m) + 1
-            maps[(o, d)] = _mat_from_json(
-                field, rows, full.get(t, 0), full.get(o, 0), f"({o}, {d:+d})")
-        return CircleRep(field, m, full, maps)
-    if shape == "line":
+        zero = zero_circle(field, m)
+    elif shape == "line":
         lo, hi = doc.get("lo"), doc.get("hi")
         if not isinstance(lo, int) or not isinstance(hi, int):
             raise MalformedInput("line shape needs integer lo and hi")
-        maps = {(o, d): _mat_from_json(field, rows, dims.get(o + d, 0),
-                                       dims.get(o, 0), f"({o}, {d:+d})")
-                for (o, d), rows in arrows.items()}
-        return ZigzagRep(field, lo, hi, dims, maps)
-    raise MalformedInput(f"shape must be 'line' or 'cyclic', got {shape!r}")
+        zero = zero_zigzag(field, lo, hi)
+    else:
+        raise MalformedInput(f"shape must be 'line' or 'cyclic', got {shape!r}")
+    full = {x: dims.get(x, 0) for x in zero.dims}
+    maps = {}
+    for (o, d), rows in arrows.items():
+        t = zero.slots.get((o, d))
+        if t is None:
+            raise RepresentationError(f"unexpected arrow key ({o}, {d:+d})")
+        maps[(o, d)] = _mat_from_json(field, rows, full[t], full[o], f"({o}, {d:+d})")
+    return zero.like(full, maps)
 
 
 def cmd_decompose(args) -> Tuple[int, str]:
@@ -344,13 +344,15 @@ def _svg_header(parts: List[str], size: int) -> None:
 
 def _render_plane(points, degree: int) -> str:
     size, margin = 420, 50
-    coords = [float(c) for p in points for c in p]
+    coords = [to_float(c) for p in points for c in p]
     lo, hi = (min(coords), max(coords)) if coords else (0.0, 1.0)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     pad = (hi - lo) * 0.08
     lo, hi = lo - pad, hi + pad
     span = hi - lo
+    if not math.isfinite(span):
+        raise BeyondFloatRange("the configuration spans more than float range")
     inner = size - 2 * margin
 
     def sx(v: float) -> float:
@@ -389,6 +391,8 @@ def _render_cylinder(points, degree: int) -> str:
     size, margin = 420, 50
     embedded = [(p, cylinder_embed(p)) for p in points]
     radius = max([1.0] + [abs(z) for _, z in embedded]) * 1.25
+    if not math.isfinite(radius):
+        raise BeyondFloatRange("a configuration point is too far out for the cylinder chart")
     inner = size - 2 * margin
 
     def sx(v: float) -> float:
@@ -420,14 +424,17 @@ def _render_cylinder(points, degree: int) -> str:
 
 def cmd_render(args) -> Tuple[int, str]:
     doc = _read_json(args.input)
-    if not isinstance(doc, dict) or "degrees" not in doc:
-        raise MalformedInput("expected an invariants document with a 'degrees' key")
+    if not isinstance(doc, dict) or not isinstance(doc.get("degrees"), dict):
+        raise MalformedInput("expected an invariants document with a 'degrees' object")
     key = str(args.degree)
     if key not in doc["degrees"]:
         raise MissingDegree(f"degree {args.degree} is not present in the document")
     entry = doc["degrees"][key]
-    points = [(_parse_fraction(x), _parse_fraction(y))
-              for x, y in entry.get("configuration", [])]
+    config = entry.get("configuration", []) if isinstance(entry, dict) else None
+    if not isinstance(config, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in config):
+        raise MalformedInput(f"degree {key}: configuration must be a list of [x, y] pairs")
+    points = [(_parse_fraction(x), _parse_fraction(y)) for x, y in config]
     circular = doc.get("target") == "circle"
     if args.json:
         payload = {

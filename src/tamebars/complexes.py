@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .field import Field, field_from_spec
-from .matrix import Mat
 
 VertexId = Hashable
 Simplex = Tuple[int, ...]
@@ -72,9 +71,6 @@ class SimplexTable:
     def simplices_of_dim(self, r: int) -> List[Simplex]:
         return [s for s in self.simplices if len(s) == r + 1]
 
-    def euler_characteristic(self) -> int:
-        return sum(-1 if len(s) % 2 == 0 else 1 for s in self.simplices)
-
     def edges(self) -> List[Simplex]:
         return self.simplices_of_dim(1)
 
@@ -86,33 +82,6 @@ def faces_with_signs(s: Simplex) -> List[Tuple[Simplex, int]]:
         face = s[:j] + s[j + 1:]
         out.append((face, -1 if j % 2 else 1))
     return out
-
-
-def boundary_matrix(table: SimplexTable, field: Field) -> Mat:
-    """The full N x N incidence matrix, strictly upper triangular."""
-    n = len(table)
-    rows = [[field.zero] * n for _ in range(n)]
-    for j, s in enumerate(table.simplices):
-        if len(s) == 1:
-            continue
-        for face, sign in faces_with_signs(s):
-            rows[table.index[face]][j] = field.from_int(sign)
-    return Mat(field, rows, n)
-
-
-def boundary_block(table: SimplexTable, field: Field, r: int) -> Mat:
-    """Boundary of degree r: rows are (r-1)-simplices, columns r-simplices.
-
-    For r = 0 the block has zero rows; for r > dim it has zero columns.
-    """
-    rows_of = {s: i for i, s in enumerate(table.simplices_of_dim(r - 1))}
-    cols = table.simplices_of_dim(r)
-    rows = [[field.zero] * len(cols) for _ in rows_of]
-    if r > 0:
-        for j, s in enumerate(cols):
-            for face, sign in faces_with_signs(s):
-                rows[rows_of[face]][j] = field.from_int(sign)
-    return Mat(field, rows, len(cols))
 
 
 @dataclass
@@ -243,6 +212,9 @@ def load_document(doc: dict) -> LoadedInput:
     for key in ("field", "target", "vertices", "simplices"):
         if key not in doc:
             raise MalformedInput(f"missing key {key!r}")
+    for key in ("vertices", "simplices", "windings"):
+        if not isinstance(doc.get(key, []), list):
+            raise MalformedInput(f"{key} must be a list")
     field = field_from_spec(doc["field"])
     target = doc["target"]
     if target not in ("R", "S1"):
@@ -268,6 +240,8 @@ def load_document(doc: dict) -> LoadedInput:
     simplices: List[Simplex] = []
     seen = set()
     for listed in doc["simplices"]:
+        if not isinstance(listed, list):
+            raise MalformedInput(f"simplex {listed!r} is not a list of vertex ids")
         try:
             s = tuple(sorted(pos[v] for v in listed))
         except (KeyError, TypeError):

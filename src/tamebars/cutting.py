@@ -226,7 +226,7 @@ class CutComplex:
         period = self.index.period
         for i, s in enumerate(self.table.simplices):
             if self.circular:
-                # ranks of simplex_lift(s): a winding of w turns adds w periods
+                # ranks of the lift based at s[0]: a winding of w turns adds w periods
                 base = s[0]
                 self.index.add(i, [vrank[v] + period * self.windings.get((base, v), 0)
                                    for v in s])
@@ -237,17 +237,6 @@ class CutComplex:
         if self.circular:
             return CircleMap(self.values, dict(self.windings))
         return RealMap(list(self.values))
-
-    def simplex_lift(self, s: Simplex) -> List[Fraction]:
-        """Lift values of a refined simplex, based at its first vertex."""
-        if not self.circular:
-            return [self.values[v] for v in s]
-        base = s[0]
-        out = []
-        for v in s:
-            w = self.windings.get((base, v), 0) if base != v else 0
-            out.append(self.values[v] + w)
-        return out
 
 
 def _intervals_for(cuts: List[Fraction], lo_g: Fraction, hi_g: Fraction,

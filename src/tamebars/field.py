@@ -65,8 +65,8 @@ class Rationals:
     def div(self, a: Fraction, b: Fraction) -> Fraction:
         return a * self.inv(b)
 
-    def parse(self, text: str) -> Fraction:
-        return Fraction(text)
+    def from_fraction(self, q: Fraction) -> Fraction:
+        return q
 
     def to_str(self, a: Fraction) -> str:
         return str(a)
@@ -114,10 +114,9 @@ class PrimeField:
     def div(self, a: int, b: int) -> int:
         return (a * self.inv(b)) % self.p
 
-    def parse(self, text: str) -> int:
-        # fraction strings stay legal over GF(p): "p/q" means p * q^-1
-        frac = Fraction(text)
-        return self.div(self.from_int(frac.numerator), self.from_int(frac.denominator))
+    def from_fraction(self, q: Fraction) -> int:
+        # "p/q" means p * q^-1
+        return self.div(self.from_int(q.numerator), self.from_int(q.denominator))
 
     def to_str(self, a: int) -> str:
         return str(a % self.p)

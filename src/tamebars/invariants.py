@@ -38,6 +38,11 @@ class ShapeMismatch(RepresentationError):
     """Representation shape unsuitable for the requested assembly."""
 
 
+class BeyondFloatRange(ValueError):
+    """An exact value has no finite image in the floating-point chart of the
+    display polynomial and the drawings."""
+
+
 # -- valued bars ----------------------------------------------------------------
 
 
@@ -332,23 +337,38 @@ def cylinder_embed(point: Tuple[Fraction, Fraction]) -> complex:
     x, y = Fraction(point[0]), Fraction(point[1])
     k = floor(x)
     u, v = x - k, y - k
-    return cmath.exp(complex(_TURN * float(u - v), _TURN * float(u)))
+    try:
+        return cmath.exp(complex(_TURN * float(u - v), _TURN * float(u)))
+    except OverflowError:
+        raise BeyondFloatRange(f"point ({x}, {y}) is too far from the diagonal "
+                               "for the cylinder chart") from None
+
+
+def to_float(x: Fraction) -> float:
+    """`float(x)`, or BeyondFloatRange when x has no finite float image."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise BeyondFloatRange("an exact value is beyond float range") from None
 
 
 def polynomial(config: Configuration) -> List[complex]:
     """Monic polynomial with one root per configuration point, leading
     coefficient first.  Circle-valued points are embedded into C* first, so
-    the free coefficient stays nonzero."""
+    the free coefficient stays nonzero.  Raises BeyondFloatRange when a root
+    or a coefficient is not a finite float."""
     if config.circular:
         roots = [cylinder_embed(p) for p in config.points]
     else:
-        roots = [complex(float(x), float(y)) for x, y in config.points]
+        roots = [complex(to_float(x), to_float(y)) for x, y in config.points]
     roots.sort(key=lambda z: (z.real, z.imag))
     coeffs = [complex(1.0)]
     for root in roots:
         coeffs.append(complex(0.0))
         for i in range(len(coeffs) - 1, 0, -1):
             coeffs[i] -= root * coeffs[i - 1]
+    if not all(map(cmath.isfinite, coeffs)):
+        raise BeyondFloatRange("the display polynomial's coefficients are beyond float range")
     return coeffs
 
 
@@ -443,6 +463,10 @@ def bundle_to_json(bundle: InvariantBundle) -> dict:
     degrees = {}
     for r in range(bundle.rmax + 1):
         cfg = configuration(bundle, r)
+        try:
+            poly = [[z.real, z.imag] for z in polynomial(cfg)]
+        except BeyondFloatRange:
+            poly = None  # display only; the exact entries stand
         entry = {
             "bars": [{"lo": str(b.lo), "hi": str(b.hi),
                       "left_closed": b.left_closed,
@@ -450,7 +474,7 @@ def bundle_to_json(bundle: InvariantBundle) -> dict:
                      for b in bundle.degree_bars(r)],
             "betti": global_betti(bundle, r),
             "configuration": [[str(x), str(y)] for x, y in cfg.points],
-            "polynomial": [[z.real, z.imag] for z in polynomial(cfg)],
+            "polynomial": poly,
         }
         if bundle.circular:
             cells_r = bundle.degree_cells(r)

@@ -112,7 +112,8 @@ class Mat:
     def mul(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        ocols = list(zip(*other.rows)) if other.rows else []
+        # an inner dimension of 0 still gives other.ncols columns of zeros
+        ocols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
         p = self.field.p if isinstance(self.field, PrimeField) else None
         if p:
             out = [[sum(a * b for a, b in zip(row, c)) % p for c in ocols] for row in self.rows]
@@ -293,31 +294,6 @@ class Mat:
 
 # -- subspace helpers -------------------------------------------------------
 # A subspace of kappa^n is any Mat with n rows; its columns span the space.
-
-
-def span(field: Field, n: int, vectors: Sequence[Sequence[Scalar]]) -> Mat:
-    return Mat.from_cols(field, vectors, n).column_reduced()
-
-
-def subspace_sum(A: Mat, B: Mat) -> Mat:
-    return A.hstack(B).column_reduced()
-
-
-def subspace_dim(A: Mat) -> int:
-    return A.column_reduced().ncols
-
-
-def subspace_eq(A: Mat, B: Mat) -> bool:
-    return A.column_reduced() == B.column_reduced()
-
-
-def subspace_contains(A: Mat, v: Sequence[Scalar]) -> bool:
-    return A.try_solve(Mat.from_cols(A.field, [list(v)], A.nrows)) is not None
-
-
-def subspace_leq(A: Mat, B: Mat) -> bool:
-    """Is span(A) contained in span(B)?"""
-    return B.try_solve(A) is not None
 
 
 def image(M: Mat, S: Optional[Mat] = None) -> Mat:

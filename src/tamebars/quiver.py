@@ -73,11 +73,8 @@ class Bar:
         b = 2 * jj if self.right_closed else 2 * jj - 1
         return a, b
 
-    def crossings(self, vertex_of, a: Optional[int] = None, b: Optional[int] = None,
-                  m: Optional[int] = None) -> Dict[int, List[int]]:
-        """Positions of the support grouped by vertex, decreasing order."""
-        if a is None or b is None:
-            a, b = self.support(m)
+    def crossings(self, vertex_of, a: int, b: int) -> Dict[int, List[int]]:
+        """Positions a..b grouped by vertex, decreasing order."""
         out: Dict[int, List[int]] = {}
         for p in range(b, a - 1, -1):
             out.setdefault(vertex_of(p), []).append(p)
@@ -122,69 +119,97 @@ def summand_sort_key(s: Summand):
 # -- representations ----------------------------------------------------------
 
 
-def _check_maps(field: Field, dims, maps, slots) -> None:
-    for (o, d), (nr, nc) in slots.items():
-        M = maps.get((o, d))
-        if M is None:
-            raise RepresentationError(f"missing arrow matrix at ({o}, {d:+d})")
-        if M.nrows != nr or M.ncols != nc:
-            raise RepresentationError(
-                f"arrow ({o}, {d:+d}) has shape {M.nrows}x{M.ncols}, expected {nr}x{nc}"
-            )
-        if M.field != field:
-            raise RepresentationError("arrow matrix over the wrong field")
+class _Rep:
+    """Geometry and data shared by both shapes.
 
-
-class ZigzagRep:
-    """A representation of the linear shape on the vertex window lo..hi.
-
-    `dims[x]` is the dimension at vertex x; `maps[(o, d)]` for odd o and
-    d = +-1 is the matrix of the arrow x_o -> x_{o+d} whenever both ends lie
-    in the window.  Everything outside the window is the zero space.
+    `dims[x]` is the dimension at vertex x.  An arrow slot (o, d) is the
+    arrow from the odd vertex x_o to its neighbour in direction d = +-1;
+    `slots` maps each slot of the shape to its target vertex, in sorted slot
+    order, and `maps[(o, d)]` is its matrix; `maps` None builds the zero
+    arrows.  A subclass fixes the vertex set and `vertex_of`, which sends a
+    position on the (unrolled) path to its vertex, or to None off the shape.
     """
 
     is_cyclic = False
 
-    def __init__(self, field: Field, lo: int, hi: int, dims: Dict[int, int],
-                 maps: Dict[Tuple[int, int], Mat]):
-        if lo > hi:
-            raise RepresentationError("window is empty")
+    def _setup(self, field: Field, vertices: range, dims: Dict[int, int],
+               maps: Optional[Dict[Tuple[int, int], Mat]]) -> None:
         self.field = field
-        self.lo = lo
-        self.hi = hi
-        self.dims = {x: int(dims.get(x, 0)) for x in range(lo, hi + 1)}
+        self.dims = {x: int(dims.get(x, 0)) for x in vertices}
+        self.slots: Dict[Tuple[int, int], int] = {}
+        for o in vertices:
+            for d in (-1, +1):
+                t = self.vertex_of(o + d)
+                if o % 2 and t is not None:
+                    self.slots[(o, d)] = t
+        if maps is None:
+            maps = {(o, d): Mat.zeros(field, self.dims[t], self.dims[o])
+                    for (o, d), t in self.slots.items()}
         self.maps = dict(maps)
-        slots = {}
-        for o in range(lo if lo % 2 else lo + 1, hi + 1, 2):
-            for d in (+1, -1):
-                if lo <= o + d <= hi:
-                    slots[(o, d)] = (self.dims[o + d], self.dims[o])
-        _check_maps(field, self.dims, self.maps, slots)
-        extra = set(self.maps) - set(slots)
+        for (o, d), t in self.slots.items():
+            M = self.maps.get((o, d))
+            if M is None:
+                raise RepresentationError(f"missing arrow matrix at ({o}, {d:+d})")
+            nr, nc = self.dims[t], self.dims[o]
+            if M.nrows != nr or M.ncols != nc:
+                raise RepresentationError(
+                    f"arrow ({o}, {d:+d}) has shape {M.nrows}x{M.ncols}, expected {nr}x{nc}"
+                )
+            if M.field != field:
+                raise RepresentationError("arrow matrix over the wrong field")
+        extra = set(self.maps) - set(self.slots)
         if extra:
             raise RepresentationError(f"unexpected arrow keys: {sorted(extra)}")
 
     def vertex_of(self, pos: int) -> Optional[int]:
-        return pos if self.lo <= pos <= self.hi else None
+        raise NotImplementedError
+
+    def like(self, dims: Dict[int, int], maps: Dict[Tuple[int, int], Mat]):
+        """A representation of the same shape."""
+        raise NotImplementedError
+
+    def same_shape(self, other: "_Rep") -> bool:
+        return self.is_cyclic == other.is_cyclic and self.dims.keys() == other.dims.keys()
 
     def dim_at(self, pos: int) -> int:
-        return self.dims.get(pos, 0) if self.lo <= pos <= self.hi else 0
+        x = self.vertex_of(pos)
+        return 0 if x is None else self.dims[x]
 
     def arrow_at(self, pos: int, d: int) -> Mat:
-        """Matrix of the arrow from position pos to pos+d (zero off-window)."""
-        M = self.maps.get((pos, d))
+        """Matrix of the arrow from odd position pos to pos+d (zero off the shape)."""
+        M = self.maps.get((self.vertex_of(pos), d))
         if M is not None:
             return M
         return Mat.zeros(self.field, self.dim_at(pos + d), self.dim_at(pos))
-
-    def arrow_slots(self) -> List[Tuple[int, int]]:
-        return sorted(self.maps.keys())
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
 
-class CircleRep:
+class ZigzagRep(_Rep):
+    """A representation of the linear shape on the vertex window lo..hi.
+
+    `maps[(o, d)]` for odd o and d = +-1 is the matrix of the arrow
+    x_o -> x_{o+d} whenever both ends lie in the window.  Everything outside
+    the window is the zero space.
+    """
+
+    def __init__(self, field: Field, lo: int, hi: int, dims: Dict[int, int],
+                 maps: Optional[Dict[Tuple[int, int], Mat]]):
+        if lo > hi:
+            raise RepresentationError("window is empty")
+        self.lo = lo
+        self.hi = hi
+        self._setup(field, range(lo, hi + 1), dims, maps)
+
+    def vertex_of(self, pos: int) -> Optional[int]:
+        return pos if self.lo <= pos <= self.hi else None
+
+    def like(self, dims, maps) -> "ZigzagRep":
+        return ZigzagRep(self.field, self.lo, self.hi, dims, maps)
+
+
+class CircleRep(_Rep):
     """A representation of the cyclic shape G_2m.
 
     Vertices are 1..2m; `maps[(o, d)]` for odd o is the arrow x_o -> x_{o+d}
@@ -196,48 +221,23 @@ class CircleRep:
     is_cyclic = True
 
     def __init__(self, field: Field, m: int, dims: Dict[int, int],
-                 maps: Dict[Tuple[int, int], Mat]):
+                 maps: Optional[Dict[Tuple[int, int], Mat]]):
         if m < 1:
             raise RepresentationError("m must be at least 1")
-        self.field = field
         self.m = m
-        self.dims = {x: int(dims.get(x, 0)) for x in range(1, 2 * m + 1)}
-        self.maps = dict(maps)
-        slots = {}
-        for o in range(1, 2 * m + 1, 2):
-            for d in (+1, -1):
-                t = self._wrap(o + d)
-                slots[(o, d)] = (self.dims[t], self.dims[o])
-        _check_maps(field, self.dims, self.maps, slots)
-        extra = set(self.maps) - set(slots)
-        if extra:
-            raise RepresentationError(f"unexpected arrow keys: {sorted(extra)}")
-
-    def _wrap(self, v: int) -> int:
-        return (v - 1) % (2 * self.m) + 1
+        self._setup(field, range(1, 2 * m + 1), dims, maps)
 
     def vertex_of(self, pos: int) -> int:
-        return self._wrap(pos)
+        return (pos - 1) % (2 * self.m) + 1
 
-    def dim_at(self, pos: int) -> int:
-        return self.dims[self._wrap(pos)]
-
-    def arrow_at(self, pos: int, d: int) -> Mat:
-        return self.maps[(self._wrap(pos), d)]
-
-    def arrow_slots(self) -> List[Tuple[int, int]]:
-        return sorted(self.maps.keys())
+    def like(self, dims, maps) -> "CircleRep":
+        return CircleRep(self.field, self.m, dims, maps)
 
     def alpha(self, i: int) -> Mat:
         return self.maps[(2 * i - 1, +1)]
 
     def beta(self, i: int) -> Mat:
-        if i == self.m:
-            return self.maps[(1, -1)]
-        return self.maps[(2 * i + 1, -1)]
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
+        return self.maps[(self.vertex_of(2 * i + 1), -1)]
 
 
 Rep = Union[ZigzagRep, CircleRep]
@@ -250,99 +250,58 @@ def circle_rep_from_lists(field: Field, alphas: Sequence[Mat], betas: Sequence[M
         raise RepresentationError("need equal nonzero numbers of alphas and betas")
     dims: Dict[int, int] = {}
     maps: Dict[Tuple[int, int], Mat] = {}
-    for i in range(1, m + 1):
-        a, b = alphas[i - 1], betas[i - 1]
-        dims[2 * i - 1] = a.ncols
-        dims[2 * i] = a.nrows
+    for i, (a, b) in enumerate(zip(alphas, betas), 1):
+        dims[2 * i - 1], dims[2 * i] = a.ncols, a.nrows
         maps[(2 * i - 1, +1)] = a
-        if i < m:
-            maps[(2 * i + 1, -1)] = b
-        else:
-            maps[(1, -1)] = b
-    # consistency of beta shapes: b_i: x_{2i+1} -> x_{2i}
-    for i in range(1, m + 1):
-        b = betas[i - 1]
-        src = dims[(2 * i + 1 - 1) % (2 * m) + 1]
-        if b.ncols != src or b.nrows != dims[2 * i]:
-            raise RepresentationError(f"beta_{i} has shape {b.nrows}x{b.ncols}")
+        maps[(2 * i % (2 * m) + 1, -1)] = b
     return CircleRep(field, m, dims, maps)
 
 
 # -- canonical summand modules -------------------------------------------------
 
 
-def _bar_arrow_matrix(field: Field, bar: Bar, o: int, d: int, rep: Rep) -> Mat:
-    """The canonical partial-permutation block of `bar` at arrow (o, d)."""
-    m = rep.m if rep.is_cyclic else None
-    a, b = bar.support(m)
-    cr = bar.crossings(rep.vertex_of, a, b, m)
-    t = rep.vertex_of(o + d)
-    src = cr.get(rep.vertex_of(o), [])
-    dst = cr.get(t, []) if t is not None else []
+def _bar_arrow_matrix(field: Field, cross: Dict[int, List[int]], a: int, b: int,
+                      o: int, d: int, t: int) -> Mat:
+    """The partial-permutation block at the arrow x_o -> x_t (step d) of the
+    interval with support positions a..b, whose `Bar.crossings` are `cross`."""
+    src, dst = cross.get(o, []), cross.get(t, [])
     M = Mat.zeros(field, len(dst), len(src))
     for cidx, p in enumerate(src):
-        q = p + d
-        if a <= q <= b:
-            M.rows[dst.index(q)][cidx] = field.one
+        if a <= p + d <= b:
+            M.rows[dst.index(p + d)][cidx] = field.one
     return M
+
+
+def _interval_rep(bar: Bar, shape: Rep) -> Rep:
+    """The interval summand of `bar` on the shape of `shape`."""
+    a, b = bar.support(shape.m if shape.is_cyclic else None)
+    cross = bar.crossings(shape.vertex_of, a, b)
+    if None in cross:
+        raise ValueError("bar support exceeds the window")
+    dims = {x: len(cross.get(x, [])) for x in shape.dims}
+    maps = {(o, d): _bar_arrow_matrix(shape.field, cross, a, b, o, d, t)
+            for (o, d), t in shape.slots.items()}
+    return shape.like(dims, maps)
 
 
 def interval_module(field: Field, bar: Bar, lo: int, hi: int) -> ZigzagRep:
     """The interval summand as a representation on the window lo..hi."""
-    a, b = bar.support()
-    if not (lo <= a and b <= hi):
-        raise ValueError("bar support exceeds the window")
-    dims = {x: 1 if a <= x <= b else 0 for x in range(lo, hi + 1)}
-    shell = ZigzagRep(field, lo, hi, dims,
-                      _zero_maps_for(field, False, lo=lo, hi=hi, dims=dims))
-    maps = {}
-    for (o, d) in shell.maps:
-        maps[(o, d)] = _bar_arrow_matrix(field, bar, o, d, shell)
-    return ZigzagRep(field, lo, hi, dims, maps)
+    return _interval_rep(bar, zero_zigzag(field, lo, hi))
 
 
 def interval_module_circle(field: Field, bar: Bar, m: int) -> CircleRep:
     """The winding interval summand on the cyclic shape G_2m."""
-    a, b = bar.support(m)
-    def vof(p):
-        return (p - 1) % (2 * m) + 1
-    counts: Dict[int, int] = {v: 0 for v in range(1, 2 * m + 1)}
-    for p in range(a, b + 1):
-        counts[vof(p)] += 1
-    shell = CircleRep(field, m, counts, _zero_maps_for(field, True, m=m, dims=counts))
-    maps = {}
-    for (o, d) in shell.maps:
-        maps[(o, d)] = _bar_arrow_matrix(field, bar, o, d, shell)
-    return CircleRep(field, m, counts, maps)
-
-
-def _zero_maps_for(field: Field, cyclic: bool, lo: int = 0, hi: int = 0,
-                   m: int = 0, dims: Optional[Dict[int, int]] = None) -> Dict[Tuple[int, int], Mat]:
-    dims = dims or {}
-    maps = {}
-    if cyclic:
-        for o in range(1, 2 * m + 1, 2):
-            for d in (+1, -1):
-                t = (o + d - 1) % (2 * m) + 1
-                maps[(o, d)] = Mat.zeros(field, dims.get(t, 0), dims.get(o, 0))
-    else:
-        for o in range(lo if lo % 2 else lo + 1, hi + 1, 2):
-            for d in (+1, -1):
-                if lo <= o + d <= hi:
-                    maps[(o, d)] = Mat.zeros(field, dims.get(o + d, 0), dims.get(o, 0))
-    return maps
+    return _interval_rep(bar, zero_circle(field, m))
 
 
 def zero_zigzag(field: Field, lo: int, hi: int) -> ZigzagRep:
     """The zero representation on the window lo..hi."""
-    dims = {x: 0 for x in range(lo, hi + 1)}
-    return ZigzagRep(field, lo, hi, dims, _zero_maps_for(field, False, lo=lo, hi=hi, dims=dims))
+    return ZigzagRep(field, lo, hi, {}, None)
 
 
 def zero_circle(field: Field, m: int) -> CircleRep:
     """The zero representation on the cyclic shape G_2m."""
-    dims = {v: 0 for v in range(1, 2 * m + 1)}
-    return CircleRep(field, m, dims, _zero_maps_for(field, True, m=m, dims=dims))
+    return CircleRep(field, m, {}, None)
 
 
 def jordan_module(field: Field, lam: Scalar, k: int, m: int = 1) -> CircleRep:
@@ -368,31 +327,17 @@ def direct_sum(reps: Sequence[Rep]) -> Rep:
     if not reps:
         raise ValueError("empty direct sum")
     first = reps[0]
-    field = first.field
-    if first.is_cyclic:
-        m = first.m
-        if any((not r.is_cyclic) or r.m != m for r in reps):
-            raise RepresentationError("direct sum shape mismatch")
-        dims = {v: sum(r.dims[v] for r in reps) for v in range(1, 2 * m + 1)}
-        maps = {}
-        for key in first.maps:
-            maps[key] = block_diag(field, [r.maps[key] for r in reps])
-        return CircleRep(field, m, dims, maps)
-    lo, hi = first.lo, first.hi
-    if any(r.is_cyclic or r.lo != lo or r.hi != hi for r in reps):
+    if not all(first.same_shape(r) for r in reps):
         raise RepresentationError("direct sum shape mismatch")
-    dims = {v: sum(r.dims[v] for r in reps) for v in range(lo, hi + 1)}
-    maps = {}
-    for key in first.maps:
-        maps[key] = block_diag(field, [r.maps[key] for r in reps])
-    return ZigzagRep(field, lo, hi, dims, maps)
+    dims = {x: sum(r.dims[x] for r in reps) for x in first.dims}
+    maps = {key: block_diag(first.field, [r.maps[key] for r in reps]) for key in first.slots}
+    return first.like(dims, maps)
 
 
 def summand_module(field: Field, s: Summand, rep: Rep) -> Rep:
+    """The canonical module of one summand on the shape of `rep`."""
     if isinstance(s, Bar):
-        if rep.is_cyclic:
-            return interval_module_circle(field, s, rep.m)
-        return interval_module(field, s, rep.lo, rep.hi)
+        return _interval_rep(s, rep)
     if not rep.is_cyclic:
         raise RepresentationError("Jordan cells only exist on the cyclic shape")
     return cell_module(field, s, rep.m)
@@ -417,108 +362,82 @@ def verify_certificate(rep: Rep, summands: Sequence[Summand], cert: Certificate)
     the block diagonal of the claimed canonical summand matrices."""
     field = rep.field
     pieces = [summand_module(field, s, rep) for s in summands]
-    vertices = rep.dims.keys()
-    for x in vertices:
+    for x, dx in rep.dims.items():
         P = cert.base_changes.get(x)
-        if P is None or P.nrows != rep.dims[x] or P.ncols != rep.dims[x]:
+        if P is None or P.nrows != dx or P.ncols != dx:
             return False
         if not P.is_invertible():
             return False
-        if sum(pc.dims[x] for pc in pieces) != rep.dims[x]:
+        if sum(pc.dims[x] for pc in pieces) != dx:
             return False
-    for (o, d) in rep.arrow_slots():
-        t = rep.vertex_of(o + d)
-        M = rep.maps[(o, d)]
-        canon = block_diag(field, [pc.maps[(o, d)] for pc in pieces]) if pieces else Mat.zeros(
-            field, rep.dims[t], rep.dims[o])
-        if M.mul(cert.base_changes[o]) != cert.base_changes[t].mul(canon):
+    for (o, d), t in rep.slots.items():
+        canon = block_diag(field, [pc.maps[(o, d)] for pc in pieces])
+        if rep.maps[(o, d)].mul(cert.base_changes[o]) != cert.base_changes[t].mul(canon):
             return False
     return True
 
 
-# -- hom spaces -----------------------------------------------------------------
+# -- the intertwiner system ------------------------------------------------------
+
+
+def _intertwiner_rows(field: Field, arrows, shapes: Dict[int, Tuple[int, int]]):
+    """The linear system X_t A = B X_s of a morphism between two representations.
+
+    `arrows` lists (s, t, A, B): the arrow s -> t has matrix A in the source
+    representation and B in the target one.  The unknown X_x is a matrix of
+    shape `shapes[x]`; the unknowns are its entries row-major, vertices
+    ascending.  Returns the nonzero rows of X_t A - B X_s = 0, the offset of
+    each X_x among the unknowns and their number.
+    """
+    offs: Dict[int, int] = {}
+    total = 0
+    for x in sorted(shapes):
+        offs[x] = total
+        total += shapes[x][0] * shapes[x][1]
+    zero, neg = field.zero, field.neg
+    rows: List[List[Scalar]] = []
+    for s, t, A, B in arrows:
+        (nr, nt), ns = shapes[t], shapes[s][1]
+        for a in range(nr):
+            brow = B.rows[a]
+            for b in range(ns):
+                # entry (a, b): sum_k X_t[a][k] A[k][b] - sum_k B[a][k] X_s[k][b]
+                terms = [(offs[t] + a * nt + k, A.rows[k][b]) for k in range(nt) if A.rows[k][b]]
+                terms += [(offs[s] + k * ns + b, neg(v)) for k, v in enumerate(brow) if v]
+                if terms:
+                    row = [zero] * total
+                    for idx, v in terms:
+                        row[idx] = v
+                    rows.append(row)
+    return rows, offs, total
+
+
+def _unknown(field: Field, z: List[Scalar], off: int, nr: int, nc: int) -> Mat:
+    """The unknown matrix stored row-major at offset `off` of the vector z."""
+    return Mat(field, [z[off + i * nc: off + (i + 1) * nc] for i in range(nr)], nc)
 
 
 def hom_dim(rep1: Rep, rep2: Rep) -> int:
     """Dimension of the space of morphisms rep1 -> rep2 (same shape)."""
-    if rep1.is_cyclic != rep2.is_cyclic:
+    if not rep1.same_shape(rep2):
         raise RepresentationError("hom between different shapes")
-    if rep1.is_cyclic:
-        if rep1.m != rep2.m:
-            raise RepresentationError("hom between different m")
-        vertices = sorted(rep1.dims)
-    else:
-        if (rep1.lo, rep1.hi) != (rep2.lo, rep2.hi):
-            raise RepresentationError("hom between different windows")
-        vertices = sorted(rep1.dims)
-    field = rep1.field
-    offs: Dict[int, int] = {}
-    total = 0
-    for x in vertices:
-        offs[x] = total
-        total += rep1.dims[x] * rep2.dims[x]
-    if total == 0:
-        return 0
-    rows: List[List[Scalar]] = []
-    zero = field.zero
-    for (o, d) in rep1.arrow_slots():
-        t = rep1.vertex_of(o + d)
-        M1 = rep1.maps[(o, d)]
-        M2 = rep2.maps[(o, d)]
-        d1s, d1t = rep1.dims[o], rep1.dims[t]
-        d2s, d2t = rep2.dims[o], rep2.dims[t]
-        # phi_t M1 - M2 phi_s = 0, entry (a, b): a < d2t, b < d1s
-        for a in range(d2t):
-            for b in range(d1s):
-                row = [zero] * total
-                for k in range(d1t):
-                    if M1.rows[k][b] != zero:
-                        row[offs[t] + a * d1t + k] = field.add(row[offs[t] + a * d1t + k], M1.rows[k][b])
-                for k in range(d2s):
-                    if M2.rows[a][k] != zero:
-                        idx = offs[o] + k * d1s + b
-                        row[idx] = field.sub(row[idx], M2.rows[a][k])
-                if any(v != zero for v in row):
-                    rows.append(row)
-    if not rows:
-        return total
-    return total - Mat(field, rows, total).rank()
+    shapes = {x: (rep2.dims[x], rep1.dims[x]) for x in rep1.dims}
+    arrows = [(o, t, rep1.maps[(o, d)], rep2.maps[(o, d)]) for (o, d), t in rep1.slots.items()]
+    rows, _, total = _intertwiner_rows(rep1.field, arrows, shapes)
+    return total - Mat(rep1.field, rows, total).rank()
 
 
 # -- the peeling decomposition ---------------------------------------------------
 
 
 class _State:
-    """Mutable working copy of a representation plus embeddings to the input."""
+    """The part of the input not split off yet, as a representation, with its
+    embedding into the input."""
 
     def __init__(self, rep: Rep):
         self.rep = rep
         self.field = rep.field
-        self.cyclic = rep.is_cyclic
-        self.dims = dict(rep.dims)
-        self.maps = {k: v.copy() for k, v in rep.maps.items()}
         self.embed = {x: Mat.identity(rep.field, d) for x, d in rep.dims.items()}
-        if rep.is_cyclic:
-            self.period = 2 * rep.m
-        else:
-            self.period = None
-            self.lo, self.hi = rep.lo, rep.hi
-
-    def vertex_of(self, pos: int) -> Optional[int]:
-        if self.cyclic:
-            return (pos - 1) % self.period + 1
-        return pos if self.lo <= pos <= self.hi else None
-
-    def dim_at(self, pos: int) -> int:
-        v = self.vertex_of(pos)
-        return self.dims[v] if v is not None else 0
-
-    def arrow_at(self, pos: int, d: int) -> Mat:
-        """Arrow from position pos (odd vertex class) to pos + d."""
-        v = self.vertex_of(pos)
-        if v is None or (v, d) not in self.maps:
-            return Mat.zeros(self.field, self.dim_at(pos + d), self.dim_at(pos))
-        return self.maps[(v, d)]
 
     def view_fwd(self, pos: int, d: int, transposed: bool) -> Mat:
         """Outgoing matrix at `pos` toward pos+d in the chosen orientation.
@@ -527,44 +446,35 @@ class _State:
         returned matrix is the transpose of the primal arrow pos+d -> pos.
         """
         if not transposed:
-            return self.arrow_at(pos, d)
-        return self.arrow_at(pos + d, -d).transpose()
+            return self.rep.arrow_at(pos, d)
+        return self.rep.arrow_at(pos + d, -d).transpose()
 
     def source_positions(self, transposed: bool) -> List[int]:
         par = 0 if transposed else 1
-        if self.cyclic:
-            return [v for v in range(1, self.period + 1) if v % 2 == par]
-        return [v for v in range(self.lo, self.hi + 1) if v % 2 == par]
+        return [x for x in self.rep.dims if x % 2 == par]
 
     def walk_bound(self) -> int:
-        if self.cyclic:
-            dmax = max(self.dims.values(), default=0)
-            return 2 * self.rep.m * (dmax + 3) + 2
-        return self.hi - self.lo + 2
-
-    def as_rep(self) -> Rep:
-        if self.cyclic:
-            return CircleRep(self.field, self.rep.m, self.dims, self.maps)
-        return ZigzagRep(self.field, self.lo, self.hi, self.dims, self.maps)
+        n = len(self.rep.dims)
+        if self.rep.is_cyclic:
+            return n * (max(self.rep.dims.values(), default=0) + 3) + 2
+        return n + 1
 
     def restrict(self, comp: Dict[int, Mat]) -> None:
         """Replace the state by the subrepresentation spanned by `comp`."""
-        new_maps = {}
-        for (o, d), M in self.maps.items():
-            t = self.vertex_of(o + d)
-            MC = M.mul(comp[o])
-            Z = comp[t].try_solve(MC)
+        rep = self.rep
+        maps = {}
+        for (o, d), t in rep.slots.items():
+            Z = comp[t].try_solve(rep.maps[(o, d)].mul(comp[o]))
             if Z is None:
                 raise DecompositionError("complement is not arrow-invariant")
-            new_maps[(o, d)] = Z
-        self.maps = new_maps
-        self.dims = {x: comp[x].ncols for x in self.dims}
+            maps[(o, d)] = Z
+        self.rep = rep.like({x: comp[x].ncols for x in rep.dims}, maps)
         self.embed = {x: self.embed[x].mul(comp[x]) for x in self.embed}
 
 
 def _find_peel_start(st: _State, transposed: bool):
     for pos in st.source_positions(transposed):
-        if st.dim_at(pos) == 0:
+        if st.rep.dims[pos] == 0:
             continue
         for d in (+1, -1):
             M = st.view_fwd(pos, d, transposed)
@@ -593,7 +503,7 @@ def _walk_chain(st: _State, src: int, dead_dir: int, K: Mat, transposed: bool):
     walk = -dead_dir
     par = 0 if transposed else 1
     S = [K.column_reduced()]
-    R = [Mat.zeros(field, st.dim_at(src), 0)]
+    R = [Mat.zeros(field, st.rep.dims[src], 0)]
     steps: List[Tuple[str, Mat]] = []
     bound = st.walk_bound()
     n = 0
@@ -640,173 +550,64 @@ def _walk_chain(st: _State, src: int, dead_dir: int, K: Mat, transposed: bool):
     return positions, chain
 
 
-def _crossing_lists(st: _State, positions: List[int]) -> Dict[int, List[int]]:
-    """Support positions grouped by vertex, decreasing within each vertex."""
-    out: Dict[int, List[int]] = {}
-    for p in sorted(positions, reverse=True):
-        out.setdefault(st.vertex_of(p), []).append(p)
-    return out
-
-
-def _interval_arrow(field: Field, cross: Dict[int, List[int]], s: int, t: int, d: int,
-                    lo_pos: int, hi_pos: int) -> Mat:
-    src = cross.get(s, [])
-    dst = cross.get(t, [])
-    M = Mat.zeros(field, len(dst), len(src))
-    for cidx, p in enumerate(src):
-        q = p + d
-        if lo_pos <= q <= hi_pos:
-            M.rows[dst.index(q)][cidx] = field.one
-    return M
-
-
-def _arrow_instances(st: _State, transposed: bool):
-    """All arrows as (source vertex, target vertex, matrix, step dir) in the
-    chosen orientation."""
-    out = []
-    for (o, d), M in sorted(st.maps.items()):
-        t = st.vertex_of(o + d)
-        if not transposed:
-            out.append((o, t, M, d))
-        else:
-            out.append((t, o, M.transpose(), -d))
-    return out
-
-
-def _solve_retraction(st: _State, transposed: bool, positions: List[int],
-                      chain: List[List[Scalar]]) -> Optional[Dict[int, Mat]]:
+def _solve_retraction(st: _State, transposed: bool, cross: Dict[int, List[int]],
+                      a: int, b: int, chain_at: Dict[int, List[List[Scalar]]]
+                      ) -> Optional[Dict[int, Mat]]:
     """Solve for a retraction r: rep -> interval with r restricted to the
-    chain being the identity; returns r_x per vertex or None."""
-    field = st.field
-    cross = _crossing_lists(st, positions)
-    lo_pos, hi_pos = positions[0], positions[-1]
-    chain_at: Dict[int, List[List[Scalar]]] = {}
-    by_pos = dict(zip(positions, chain))
-    for x, plist in cross.items():
-        chain_at[x] = [by_pos[p] for p in plist]
-    vertices = sorted(st.dims)
-    offs: Dict[int, int] = {}
-    total = 0
-    for x in vertices:
-        cx = len(cross.get(x, []))
-        offs[x] = total
-        total += cx * st.dims[x]
+    chain being the identity; returns r_x per vertex or None.
+
+    The interval has support positions a..b and crossings `cross`; in the
+    transposed orientation both arrows of each slot are transposed.
+    """
+    field, rep = st.field, st.rep
+    arrows = []
+    for (o, d), t in rep.slots.items():
+        M, I = rep.maps[(o, d)], _bar_arrow_matrix(field, cross, a, b, o, d, t)
+        arrows.append((t, o, M.transpose(), I.transpose()) if transposed else (o, t, M, I))
+    shapes = {x: (len(cross.get(x, [])), dx) for x, dx in rep.dims.items()}
+    rows, offs, total = _intertwiner_rows(field, arrows, shapes)
     zero, one = field.zero, field.one
-    rows: List[List[Scalar]] = []
-    rhs: List[List[Scalar]] = []
-    for (s, t, M, d) in _arrow_instances(st, transposed):
-        cs, ct = len(cross.get(s, [])), len(cross.get(t, []))
-        ds = st.dims[s]
-        if ct == 0 and cs == 0:
-            continue
-        Iarr = _interval_arrow(field, cross, s, t, d, lo_pos, hi_pos)
-        # r_t M - Iarr r_s = 0 entrywise: (a, b) with a < ct, b < ds
-        for a in range(ct):
-            for b in range(ds):
-                row = [zero] * total
-                for k in range(M.nrows):
-                    if M.rows[k][b] != zero:
-                        idx = offs[t] + a * st.dims[t] + k
-                        row[idx] = field.add(row[idx], M.rows[k][b])
-                for k in range(cs):
-                    if Iarr.rows[a][k] != zero:
-                        idx = offs[s] + k * ds + b
-                        row[idx] = field.sub(row[idx], Iarr.rows[a][k])
-                rows.append(row)
-                rhs.append([zero])
+    rhs: List[List[Scalar]] = [[zero] for _ in rows]
     for x, vecs in chain_at.items():
-        cx = len(vecs)
-        dx = st.dims[x]
-        for a in range(cx):
-            for b in range(cx):
+        cx, dx = shapes[x]
+        for i in range(cx):
+            for j in range(cx):
                 row = [zero] * total
                 for k in range(dx):
-                    if vecs[b][k] != zero:
-                        row[offs[x] + a * dx + k] = vecs[b][k]
+                    if vecs[j][k] != zero:
+                        row[offs[x] + i * dx + k] = vecs[j][k]
                 rows.append(row)
-                rhs.append([one if a == b else zero])
-    A = Mat(field, rows, total)
-    B = Mat(field, rhs, 1)
-    z = A.try_solve(B)
+                rhs.append([one if i == j else zero])
+    z = Mat(field, rows, total).try_solve(Mat(field, rhs, 1))
     if z is None:
         return None
-    out: Dict[int, Mat] = {}
-    for x in vertices:
-        cx = len(cross.get(x, []))
-        dx = st.dims[x]
-        out[x] = Mat(field, [[z.rows[offs[x] + a * dx + k][0] for k in range(dx)]
-                             for a in range(cx)], dx)
-    return out
+    z = z.col(0)
+    return {x: _unknown(field, z, offs[x], *shapes[x]) for x in rep.dims}
 
 
-def _solve_interval_embedding(st: _State, B_basis: Dict[int, Mat],
-                              positions: List[int]) -> Dict[int, List[List[Scalar]]]:
+def _solve_interval_embedding(st: _State, B_basis: Dict[int, Mat], cross: Dict[int, List[int]],
+                              a: int, b: int) -> Dict[int, List[List[Scalar]]]:
     """Find a chain of the interval inside the subrepresentation B (primal).
 
     B_basis gives per-vertex embeddings of B into the current space; the
     restricted arrows are computed here.  Returns chain vectors per vertex in
     decreasing-position order, expressed in current-space coordinates.
     """
-    field = st.field
-    cross = _crossing_lists(st, positions)
-    lo_pos, hi_pos = positions[0], positions[-1]
-    bdims = {x: B_basis[x].ncols for x in B_basis}
-    rest: List[Tuple[int, int, Mat, int]] = []
-    for (o, d), M in sorted(st.maps.items()):
-        t = st.vertex_of(o + d)
-        MB = M.mul(B_basis[o])
-        Z = B_basis[t].try_solve(MB)
+    field, rep = st.field, st.rep
+    arrows = []
+    for (o, d), t in rep.slots.items():
+        Z = B_basis[t].try_solve(rep.maps[(o, d)].mul(B_basis[o]))
         if Z is None:
             raise DecompositionError("bar space is not arrow-invariant")
-        rest.append((o, t, Z, d))
-    vertices = sorted(bdims)
-    offs: Dict[int, int] = {}
-    total = 0
-    for x in vertices:
-        offs[x] = total
-        total += bdims[x] * len(cross.get(x, []))
-    zero = field.zero
-    rows: List[List[Scalar]] = []
-    for (s, t, M, d) in rest:
-        cs, ct = len(cross.get(s, [])), len(cross.get(t, []))
-        if cs == 0 and ct == 0:
-            continue
-        Iarr = _interval_arrow(field, cross, s, t, d, lo_pos, hi_pos)
-        # M phi_s - phi_t Iarr = 0: unknown phi_x is bdims[x] x c_x
-        for a in range(bdims[t]):
-            for b in range(cs):
-                row = [zero] * total
-                for k in range(bdims[s]):
-                    if M.rows[a][k] != zero:
-                        row[offs[s] + k * cs + b] = field.add(
-                            row[offs[s] + k * cs + b], M.rows[a][k])
-                for k in range(ct):
-                    if Iarr.rows[k][b] != zero:
-                        idx = offs[t] + a * ct + k
-                        row[idx] = field.sub(row[idx], Iarr.rows[k][b])
-                if any(v != zero for v in row):
-                    rows.append(row)
+        arrows.append((o, t, _bar_arrow_matrix(field, cross, a, b, o, d, t), Z))
+    shapes = {x: (B_basis[x].ncols, len(cross.get(x, []))) for x in rep.dims}
+    rows, offs, total = _intertwiner_rows(field, arrows, shapes)
     if total == 0:
         raise DecompositionError("empty interval embedding system")
-    sols = Mat(field, rows, total).kernel_basis() if rows else Mat.identity(field, total)
-    for j in range(sols.ncols):
-        z = sols.col(j)
-        phis: Dict[int, Mat] = {}
-        ok = True
-        for x in vertices:
-            cx = len(cross.get(x, []))
-            bx = bdims[x]
-            phi = Mat(field, [[z[offs[x] + k * cx + c] for c in range(cx)] for k in range(bx)], cx)
-            if phi.rank() != cx:
-                ok = False
-                break
-            phis[x] = phi
-        if ok:
-            out: Dict[int, List[List[Scalar]]] = {}
-            for x in vertices:
-                cols = B_basis[x].mul(phis[x]) if x in phis else None
-                out[x] = [cols.col(c) for c in range(cols.ncols)] if cols is not None else []
-            return out
+    for z in Mat(field, rows, total).kernel_basis().cols():
+        phis = {x: _unknown(field, z, offs[x], *shapes[x]) for x in shapes}
+        if all(phi.rank() == phi.ncols for phi in phis.values()):
+            return {x: B_basis[x].mul(phi).cols() for x, phi in phis.items()}
     raise DecompositionError("no invertible interval embedding found")
 
 
@@ -824,81 +625,68 @@ def _peel_phase(st: _State, transposed: bool,
             return
         pos0, dead, K = hit
         positions, chain = _walk_chain(st, pos0, dead, K, transposed)
-        m = st.rep.m if st.cyclic else None
-        bar = bar_from_support(positions[0], positions[-1], m)
-        r = _solve_retraction(st, transposed, positions, chain)
+        a, b = positions[0], positions[-1]
+        bar = bar_from_support(a, b, st.rep.m if st.rep.is_cyclic else None)
+        cross = bar.crossings(st.rep.vertex_of, a, b)
+        by_pos = dict(zip(positions, chain))
+        chain_at = {x: [by_pos[p] for p in plist] for x, plist in cross.items()}
+        r = _solve_retraction(st, transposed, cross, a, b, chain_at)
         if r is None:
             raise DecompositionError("maximal chain does not split")
-        cross = _crossing_lists(st, positions)
+        dims = st.rep.dims
+        ker = {x: r[x].kernel_basis() if r[x].nrows else Mat.identity(st.field, dx)
+               for x, dx in dims.items()}
         if not transposed:
-            by_pos = dict(zip(positions, chain))
-            rec = {x: [st.embed[x].matvec(by_pos[p]) for p in plist]
-                   for x, plist in cross.items()}
-            comp = {}
-            for x in st.dims:
-                comp[x] = r[x].kernel_basis() if x in r and r[x].nrows else Mat.identity(
-                    st.field, st.dims[x])
-                if x in cross and comp[x].ncols != st.dims[x] - len(cross[x]):
-                    raise DecompositionError("complement dimension mismatch")
+            rec = {x: [st.embed[x].matvec(v) for v in vecs] for x, vecs in chain_at.items()}
+            comp = ker
+            if any(comp[x].ncols != dims[x] - len(cross[x]) for x in cross):
+                raise DecompositionError("complement dimension mismatch")
         else:
-            # transposed world: chain spans B*, ker r* spans C*; pull both
+            # transposed world: the chain spans B*, ker r* spans C*; pull both
             # back through annihilators to split the primal representation
-            dual_by_pos = dict(zip(positions, chain))
             B_basis: Dict[int, Mat] = {}
             comp = {}
-            for x in st.dims:
-                dx = st.dims[x]
-                duals = [dual_by_pos[p] for p in cross.get(x, [])]
-                comp[x] = _annihilator(st.field, duals, dx)
-                cstar = r[x].kernel_basis() if x in r and r[x].nrows else Mat.identity(st.field, dx)
-                B_basis[x] = _annihilator(st.field, [cstar.col(j) for j in range(cstar.ncols)], dx)
+            for x, dx in dims.items():
+                comp[x] = _annihilator(st.field, chain_at.get(x, []), dx)
+                B_basis[x] = _annihilator(st.field, ker[x].cols(), dx)
                 if B_basis[x].ncols != len(cross.get(x, [])):
                     raise DecompositionError("bar annihilator dimension mismatch")
-            emb = _solve_interval_embedding(st, B_basis, positions)
+            emb = _solve_interval_embedding(st, B_basis, cross, a, b)
             rec = {x: [st.embed[x].matvec(v) for v in emb[x]] for x in emb if emb[x]}
         found.append((bar, rec))
         st.restrict(comp)
 
 
-def _monodromy(st: _State) -> Mat:
+def _monodromy(rep: CircleRep) -> Mat:
     """The composite alpha_1 beta_m^-1 alpha_m ... alpha_2 beta_1^-1: V_2 -> V_2."""
-    field = st.field
-    m = st.rep.m
-    M = Mat.identity(field, st.dims[2])
-    for i in range(1, m):
-        bi = st.maps[(2 * i + 1, -1)]
-        M = bi.inverse().mul(M)
-        M = st.maps[(2 * i + 1, +1)].mul(M)
-    bm = st.maps[(1, -1)]
-    M = bm.inverse().mul(M)
-    return st.maps[(1, +1)].mul(M)
+    M = Mat.identity(rep.field, rep.dims[2])
+    for i in range(1, rep.m):
+        M = rep.alpha(i + 1).mul(rep.beta(i).inverse().mul(M))
+    return rep.alpha(1).mul(rep.beta(rep.m).inverse().mul(M))
 
 
 def _residual_cells(st: _State) -> List[Tuple[Cell, Dict[int, List[List[Scalar]]]]]:
     """Split the all-isomorphism residual part into Jordan cells with bases."""
-    field = st.field
-    m = st.rep.m
-    for (o, d), M in st.maps.items():
+    rep = st.rep
+    m = rep.m
+    for M in rep.maps.values():
         if not M.is_square() or not M.is_invertible():
             raise DecompositionError("residual arrows must be isomorphisms")
-    if st.dims[2] == 0:
+    if rep.dims[2] == 0:
         return []
-    T = _monodromy(st)
-    cells, P = primary_components(T)
+    cells, P = primary_components(_monodromy(rep))
     # propagate: P_2 = P, P_{2i} = alpha_i P_{2i-1}, P_{2i+1} = beta_i^{-1} P_{2i}
     bases: Dict[int, Mat] = {2: P}
     for i in range(1, m):
-        bases[2 * i + 1] = st.maps[(2 * i + 1, -1)].inverse().mul(bases[2 * i])
-        bases[2 * i + 2] = st.maps[(2 * i + 1, +1)].mul(bases[2 * i + 1])
-    bases[1] = st.maps[(1, -1)].inverse().mul(bases[2 * m])
+        bases[2 * i + 1] = rep.beta(i).inverse().mul(bases[2 * i])
+        bases[2 * i + 2] = rep.alpha(i + 1).mul(bases[2 * i + 1])
+    bases[1] = rep.beta(m).inverse().mul(bases[2 * m])
     out = []
     col0 = 0
     for c in cells:
         w = c.dim()
-        rec: Dict[int, List[List[Scalar]]] = {}
-        for x in range(1, 2 * m + 1):
-            cols = [st.embed[x].matvec(bases[x].col(j)) for j in range(col0, col0 + w)]
-            rec[x] = cols
+        rec = {x: [st.embed[x].matvec(bases[x].col(j)) for j in range(col0, col0 + w)]
+               for x in rep.dims}
         out.append((c, rec))
         col0 += w
     return out
@@ -926,7 +714,7 @@ def decompose_zigzag(rep: ZigzagRep) -> Tuple[List[Bar], Certificate]:
     bars: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]] = []
     _peel_phase(st, transposed=False, found=bars)
     _peel_phase(st, transposed=True, found=bars)
-    if any(st.dims[x] for x in st.dims):
+    if st.rep.total_dim():
         raise DecompositionError("nonzero residue on the linear shape")
     summands, cert = _assemble(rep, bars, [])
     if not verify_certificate(rep, summands, cert):

@@ -62,12 +62,12 @@ def dense_mul(A: Mat, B: Mat) -> Mat:
     if A.ncols != B.nrows:
         raise ValueError("shape mismatch")
     p = A.field.p if isinstance(A.field, PrimeField) else None
-    bcols = list(zip(*B.rows)) if B.rows else []
+    bcols = list(zip(*B.rows)) if B.rows else [()] * B.ncols
     out = []
     for row in A.rows:
         new = []
         for c in bcols:
-            acc = sum(a * b for a, b in zip(row, c))
+            acc = sum((a * b for a, b in zip(row, c)), A.field.zero)
             new.append(acc % p if p else acc)
         out.append(new)
     return Mat(A.field, out, B.ncols)

@@ -7,8 +7,6 @@ from tamebars.field import GF2, QQ, PrimeField
 from tamebars.matrix import Mat
 from tamebars.quiver import (
     Bar,
-    CircleRep,
-    ZigzagRep,
     bar_from_support,
     direct_sum,
     summand_module,
@@ -33,13 +31,9 @@ def rand_invertible(field, n, rng):
 def conjugated(rep, rng):
     """Same isomorphism class, scrambled by random base changes."""
     R = {x: rand_invertible(rep.field, d, rng) for x, d in rep.dims.items()}
-    maps = {}
-    for (o, d), M in rep.maps.items():
-        t = rep.vertex_of(o + d)
-        maps[(o, d)] = R[t].mul(M).mul(R[o].inverse())
-    if rep.is_cyclic:
-        return CircleRep(rep.field, rep.m, dict(rep.dims), maps)
-    return ZigzagRep(rep.field, rep.lo, rep.hi, dict(rep.dims), maps)
+    maps = {(o, d): R[t].mul(rep.maps[(o, d)]).mul(R[o].inverse())
+            for (o, d), t in rep.slots.items()}
+    return rep.like(rep.dims, maps)
 
 
 def random_bar_z(lo, hi, rng):

@@ -172,12 +172,27 @@ def test_compute_accepts_simplices_in_any_vertex_order(tmp_path, capsys):
     _with(HEIGHT_DOC, vertices=HEIGHT_DOC["vertices"] + [{"id": ["a"], "value": "2"}]),
     _with(WRAP_DOC, windings=[{"edge": [["a"], "b"], "w": 1}]),
     _with(WRAP_DOC, windings=[{"edge": 5, "w": 1}]),
-], ids=["reordered-duplicate", "list-vertex-id", "list-in-winding-edge", "number-as-winding-edge"])
+    _with(HEIGHT_DOC, simplices=6),
+    _with(HEIGHT_DOC, simplices=["ab"]),
+    _with(WRAP_DOC, windings=False),
+], ids=["reordered-duplicate", "list-vertex-id", "list-in-winding-edge", "number-as-winding-edge",
+        "number-as-simplices", "string-as-simplex", "bool-as-windings"])
 def test_compute_malformed_documents_exit_2(tmp_path, capsys, doc):
     code, out, err = run(capsys, "compute", write(tmp_path, "bad.json", doc))
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "MalformedInput"
+
+
+def test_compute_keeps_exact_bars_beyond_float_range(tmp_path, capsys):
+    # exact throughout; only the display polynomial is in floating point
+    huge = _with(HEIGHT_DOC, vertices=HEIGHT_DOC["vertices"][:2] + [{"id": "c", "value": "1e400"}])
+    code, out, _ = run(capsys, "compute", write(tmp_path, "huge.json", huge))
+    assert code == 0
+    degrees = json.loads(out)["degrees"]
+    assert [(b["lo"], b["hi"]) for b in degrees["0"]["bars"]] == [("0", str(10**400))] * 2
+    assert degrees["1"]["configuration"] == [[str(10**400), "0"]]
+    assert [d["polynomial"] for d in degrees.values()] == [None, None]
 
 
 def test_compute_check_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -299,6 +314,25 @@ def test_decompose_rejects_malformed(tmp_path, capsys, doc):
     assert json.loads(err)["ok"] is False
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("render", {"degrees": {"0": {"configuration": [[None, "1"]]}}}),
+    ("render", {"degrees": {"0": {"configuration": [["1"]]}}}),
+    ("render", {"degrees": {"0": 5}}),
+    ("decompose", _with(EQ2_REP, arrows=5)),
+    ("decompose", _with(EQ2_REP, arrows=[{"at": 1, "dir": 1, "matrix": [["1/0"]]},
+                                         {"at": 1, "dir": -1, "matrix": [["1"]]}])),
+], ids=["render-null-coordinate", "render-unpaired-point", "render-number-as-degree",
+        "decompose-number-as-arrows", "decompose-zero-denominator"])
+def test_malformed_documents_exit_2_with_json_error(tmp_path, capsys, command, doc):
+    argv = [command, write(tmp_path, "bad.json", doc)]
+    if command == "render":
+        argv += ["--degree", "0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "MalformedInput"
+
+
 # -- render ------------------------------------------------------------------------
 
 
@@ -339,6 +373,20 @@ def test_render_json_mode(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["points"] == [{"x": "1", "y": "0", "kind": "open"}]
+
+
+@pytest.mark.parametrize("target, config, flags", [
+    ("R", [["1e400", "1"]], []),
+    ("R", [["-1e308", "1e308"]], []),
+    ("circle", [["1e3", "4/3"]], []),
+    ("circle", [["1e3", "4/3"]], ["--json"]),
+], ids=["plane-overflow", "plane-span-overflow", "cylinder-overflow", "cylinder-json-overflow"])
+def test_render_beyond_float_range_exit_2(tmp_path, capsys, target, config, flags):
+    doc = {"target": target, "degrees": {"0": {"configuration": config}}}
+    code, out, err = run(capsys, "render", write(tmp_path, "far.json", doc), "--degree", "0", *flags)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "BeyondFloatRange"
 
 
 def test_render_missing_degree(tmp_path, capsys):

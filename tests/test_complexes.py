@@ -12,13 +12,12 @@ from tamebars.complexes import (
     MalformedInput,
     RealMap,
     SimplexTable,
-    boundary_block,
-    boundary_matrix,
     critical_candidates,
     load_document,
     validate_circle_map,
 )
 from tamebars.field import GF2, QQ
+from oracles import boundary_block, boundary_matrix
 
 F = Fraction
 

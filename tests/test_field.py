@@ -8,7 +8,7 @@ from tamebars.field import GF2, QQ, FieldError, PrimeField, field_from_spec
 
 
 def test_rational_basics():
-    assert QQ.parse("3/2") == Fraction(3, 2)
+    assert QQ.from_fraction(Fraction("3/2")) == Fraction(3, 2)
     assert QQ.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
     assert QQ.inv(Fraction(-2, 5)) == Fraction(-5, 2)
     assert QQ.to_str(Fraction(-7, 3)) == "-7/3"
@@ -31,8 +31,8 @@ def test_prime_field_arithmetic():
 def test_prime_field_parse_fraction_string():
     f5 = PrimeField(5)
     # "1/2" means 1 * inverse(2) = 3 mod 5
-    assert f5.parse("1/2") == 3
-    assert GF2.parse("1") == 1
+    assert f5.from_fraction(Fraction("1/2")) == 3
+    assert GF2.from_fraction(Fraction("1")) == 1
 
 
 def test_prime_field_rejects_composite_and_huge():

@@ -11,7 +11,7 @@ from tamebars.complexes import (CircleMap, CriticalData, RealMap, SimplexTable,
 from tamebars.cutting import fiber, unroll_cover
 from tamebars.field import GF2, QQ
 from tamebars.homology import betti_numbers, homology, homology_of, induced_map
-from tamebars.invariants import (CanonicalData, Configuration, IndexOutOfRange,
+from tamebars.invariants import (BeyondFloatRange, CanonicalData, Configuration, IndexOutOfRange,
                                  InvariantBundle, ShapeMismatch, ValuedBar,
                                  bar_multiplicity, bundle_to_json,
                                  canonical_check, canonical_matrix,
@@ -269,6 +269,16 @@ def test_projection_polynomial_matches_products(projection_bundle):
 def test_empty_polynomial():
     assert polynomial(Configuration(0, False, [])) == [1]
     assert polynomial(Configuration(0, True, [])) == [1]
+
+
+@pytest.mark.parametrize("circular, points", [
+    (False, [(F(10**400), F(0))]),
+    (False, [(F(0), F(10**200)), (F(1), F(10**200))]),
+    (True, [(F(1000), F(4, 3))]),
+], ids=["root", "coefficient", "cylinder-chart"])
+def test_polynomial_beyond_float_range(circular, points):
+    with pytest.raises(BeyondFloatRange):
+        polynomial(Configuration(0, circular, points))
 
 
 def test_cylinder_embed_shift_invariance():

@@ -116,6 +116,15 @@ def test_empty_products_keep_their_shapes_and_types():
         assert same(Z.mul(Mat.zeros(field, 4, 3)), oracle.dense_mul(Z, Mat.zeros(field, 4, 3)))
 
 
+def test_product_through_an_empty_inner_dimension_is_zero():
+    # n x 0 times 0 x m is the n x m zero matrix, of the field's zero
+    for field in FIELDS:
+        for n, m in ((3, 2), (1, 4), (2, 0), (0, 3)):
+            P = Mat.zeros(field, n, 0).mul(Mat.zeros(field, 0, m))
+            assert same(P, Mat.zeros(field, n, m))
+            assert same(oracle.dense_mul(Mat.zeros(field, n, 0), Mat.zeros(field, 0, m)), P)
+
+
 @st.composite
 def chain_streams(draw):
     """A field and a list of (column, tag) chains on a few keys."""

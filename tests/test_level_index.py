@@ -13,6 +13,7 @@ from math import ceil, floor
 import pytest
 
 from map_fixtures import random_circle_input, random_real_input
+from oracles import simplex_lift
 from tamebars.complexes import critical_candidates
 from tamebars.cutting import LevelNotCut, cut_at_levels, fiber, slab, unroll_cover
 
@@ -44,7 +45,7 @@ def scan_slab(cc, a, b):
     members = []
     for i, s in enumerate(cc.table.simplices):
         if cc.circular:
-            lift = cc.simplex_lift(s)
+            lift = simplex_lift(cc, s)
             if ceil(a - min(lift)) <= floor(b - max(lift)):
                 members.append(i)
         else:

@@ -12,14 +12,9 @@ from tamebars.matrix import (
     block_diag,
     image,
     preimage,
-    span,
-    subspace_contains,
-    subspace_dim,
-    subspace_eq,
     subspace_intersect,
-    subspace_leq,
-    subspace_sum,
 )
+from oracles import span, subspace_contains, subspace_dim, subspace_eq, subspace_leq, subspace_sum
 
 F5 = PrimeField(5)
 
