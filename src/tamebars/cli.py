@@ -244,6 +244,11 @@ def _mat_from_json(field, rows, nrows: int, ncols: int, where: str) -> Mat:
     return Mat(field, parsed, ncols)
 
 
+def _is_int(x) -> bool:
+    """True for a JSON integer: Python counts bools as ints, JSON does not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def rep_from_json(doc):
     """Parse the representation interchange format into a quiver module."""
     if not isinstance(doc, dict):
@@ -255,9 +260,11 @@ def rep_from_json(doc):
     if not isinstance(doc["dims"], dict):
         raise MalformedInput("dims must map vertices to dimensions")
     try:
-        dims = {int(k): int(v) for k, v in doc["dims"].items()}
+        dims = {int(k): v for k, v in doc["dims"].items()}
     except (TypeError, ValueError):
-        raise MalformedInput("dims must map integer vertices to integers") from None
+        dims = None
+    if dims is None or not all(_is_int(v) for v in dims.values()):
+        raise MalformedInput("dims must map integer vertices to integers")
     if any(v < 0 for v in dims.values()):
         raise MalformedInput("dimensions must be nonnegative")
     if not isinstance(doc["arrows"], list):
@@ -267,7 +274,7 @@ def rep_from_json(doc):
         if not isinstance(entry, dict) or not {"at", "dir", "matrix"} <= set(entry):
             raise MalformedInput(f"bad arrow entry {entry!r}")
         o, d = entry["at"], entry["dir"]
-        if not isinstance(o, int) or o % 2 == 0 or d not in (1, -1):
+        if not (_is_int(o) and _is_int(d)) or o % 2 == 0 or d not in (1, -1):
             raise MalformedInput(f"arrow must leave an odd vertex with dir +1 or -1, got {entry!r}")
         if (o, d) in arrows:
             raise MalformedInput(f"repeated arrow ({o}, {d})")
@@ -276,12 +283,12 @@ def rep_from_json(doc):
     shape = doc["shape"]
     if shape == "cyclic":
         m = doc.get("m")
-        if not isinstance(m, int) or m < 1:
+        if not _is_int(m) or m < 1:
             raise MalformedInput("cyclic shape needs an integer m >= 1")
         zero = zero_circle(field, m)
     elif shape == "line":
         lo, hi = doc.get("lo"), doc.get("hi")
-        if not isinstance(lo, int) or not isinstance(hi, int):
+        if not _is_int(lo) or not _is_int(hi):
             raise MalformedInput("line shape needs integer lo and hi")
         zero = zero_zigzag(field, lo, hi)
     else:

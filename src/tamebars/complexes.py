@@ -43,9 +43,10 @@ class CocycleViolation(ValueError):
 def _closure(simplices: Iterable[Simplex]) -> List[Simplex]:
     seen = set()
     for s in simplices:
-        for mask in range(1, 1 << len(s)):
-            face = tuple(v for i, v in enumerate(s) if mask >> i & 1)
-            seen.add(face)
+        faces = [()]
+        for v in s:
+            faces += [face + (v,) for face in faces]
+        seen.update(faces[1:])
     return sorted(seen, key=lambda s: (len(s), s))
 
 

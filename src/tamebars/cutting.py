@@ -12,9 +12,16 @@ Circle-valued maps are cut per simplex through the lift given by the winding
 cocycle; every integer translate of every level that crosses the lift window
 is cut, and the refined complex carries a refined winding cocycle.
 
-Once cut, the complex is indexed by level: values become integer ranks and
-simplices are bucketed by the range of ranks they span, so a fiber or slab
-is read off the buckets instead of comparing every simplex against its ends.
+The triangulation runs on integer ranks and positions.  A value's rank is
+2k+1 on the k-th cut level and 2k strictly between levels k-1 and k, and a
+turn of a circle lift adds 2 * len(levels), so a piece compares ranks with
+its slab ends only and its vertices, facets and dimension follow from ranks.
+The cut points are enumerated from the edges before any piece is built, so
+every vertex is named by its final position in the refined complex.
+
+Once cut, the complex is indexed by level: simplices are bucketed by the
+range of ranks they span, so a fiber or slab is read off the buckets instead
+of comparing every simplex against its ends.
 """
 
 from __future__ import annotations
@@ -26,8 +33,6 @@ from math import ceil, floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import CircleMap, RealMap, Simplex, SimplexTable
-from .field import QQ
-from .matrix import Mat
 
 
 class LevelNotCut(ValueError):
@@ -38,107 +43,75 @@ class CutInconsistency(RuntimeError):
     """Internal failure while cutting or unrolling (indicates a bug)."""
 
 
-CutId = Tuple[str, int, int, Fraction]
-_Desc = Tuple[Simplex, Tuple[Fraction, ...], Optional[Fraction], Optional[Fraction]]
+def _turns(f: CircleMap, sigma: Simplex) -> List[int]:
+    """Whole turns that the lift of sigma adds to the angle of each vertex."""
+    turns = []
+    for v, g in zip(sigma, f.lift(sigma)):
+        t = g - f.angles[v]
+        if t.denominator != 1:
+            raise CutInconsistency(
+                f"lift of {sigma} is not an integer shift of its angles at vertex {v}")
+        turns.append(int(t))
+    return turns
 
 
-def _order_key(vid):
-    # originals (ints) first by position, then cut points by edge and parameter
-    if isinstance(vid, int):
-        return (0, vid, 0, 0)
-    _, u, v, s = vid
-    return (1, u, v, s)
+def _piece(tau: Tuple[int, ...], lo: Optional[int], hi: Optional[int], ctx) -> Tuple[int, ...]:
+    """Ascending positions of the vertices of tau ∩ {lo <= rank <= hi}.
+
+    tau indexes the vertices of the simplex being cut; ``ctx`` holds their
+    positions, their lift ranks and the position of the cut point on the
+    edge (i, j) at a level rank.
+    """
+    pos, r, cut = ctx
+    out = [pos[i] for i in tau if (lo is None or r[i] >= lo) and (hi is None or r[i] <= hi)]
+    ends = [x for x in {lo, hi} if x is not None]
+    for a, i in enumerate(tau):
+        for j in tau[a + 1:]:
+            low, high = (r[i], r[j]) if r[i] < r[j] else (r[j], r[i])
+            for x in ends:
+                if low < x < high:
+                    out.append(cut(i, j, x))
+    out.sort()
+    return tuple(out)
 
 
-def _edge_cut_id(u: int, v: int, gu: Fraction, gv: Fraction, level: Fraction) -> CutId:
-    s = (level - gu) / (gv - gu)
-    if u < v:
-        return ("cut", u, v, s)
-    return ("cut", v, u, 1 - s)
+def _dim(tau: Tuple[int, ...], lo: Optional[int], hi: Optional[int], r: List[int]) -> int:
+    """Dimension of the nonempty piece tau ∩ {lo <= rank <= hi}."""
+    rs = [r[i] for i in tau]
+    mn, mx = min(rs), max(rs)
+    a = mn if lo is None else max(mn, lo)
+    b = mx if hi is None else min(mx, hi)
+    if a < b:
+        return len(tau) - 1  # the slab meets tau in a full-dimensional piece
+    if a == mn or a == mx:
+        return rs.count(a) - 1  # the face of tau on one level
+    return len(tau) - 2  # a level through the interior of tau
 
 
-def _piece_vertices(desc: _Desc) -> List:
-    tau, lifted, lo, hi = desc
-    out = []
-    for i, v in enumerate(tau):
-        g = lifted[i]
-        if (lo is None or g >= lo) and (hi is None or g <= hi):
-            out.append(v)
-    for i in range(len(tau)):
-        for j in range(i + 1, len(tau)):
-            gi, gj = lifted[i], lifted[j]
-            if gi == gj:
-                continue
-            for level in {lo, hi}:
-                if level is not None and min(gi, gj) < level < max(gi, gj):
-                    out.append(_edge_cut_id(tau[i], tau[j], gi, gj, level))
-    return out
-
-
-def _affine_dim(tau: Simplex, vset: Sequence) -> int:
-    slot = {v: i for i, v in enumerate(tau)}
-    pts = []
-    for vid in vset:
-        coord = [Fraction(0)] * len(tau)
-        if isinstance(vid, int):
-            coord[slot[vid]] = Fraction(1)
-        else:
-            _, u, v, s = vid
-            coord[slot[u]] = 1 - s
-            coord[slot[v]] = s
-        pts.append(coord)
-    base = pts[0]
-    rows = [[p[i] - base[i] for i in range(len(tau))] for p in pts[1:]]
-    if not rows:
-        return 0
-    return Mat(QQ, rows, len(tau)).rank()
-
-
-def _facet_candidates(desc: _Desc) -> List[_Desc]:
-    tau, lifted, lo, hi = desc
-    cands: List[_Desc] = []
-    if len(tau) > 1:
-        for i in range(len(tau)):
-            cands.append((tau[:i] + tau[i + 1:], lifted[:i] + lifted[i + 1:], lo, hi))
-    if lo != hi:
-        if lo is not None:
-            cands.append((tau, lifted, lo, lo))
-        if hi is not None:
-            cands.append((tau, lifted, hi, hi))
-    return cands
-
-
-def _triangulate(desc: _Desc, memo: Dict[frozenset, List[tuple]]) -> List[tuple]:
-    """Pulling triangulation of one piece; simplices are tuples of vertex ids."""
-    vset = _piece_vertices(desc)
-    if not vset:
+def _triangulate(tau: Tuple[int, ...], lo: Optional[int], hi: Optional[int], ctx,
+                 memo: Dict[Tuple[int, ...], List[tuple]]) -> List[tuple]:
+    """Pulling triangulation of one piece; simplices are tuples of positions."""
+    key = _piece(tau, lo, hi, ctx)
+    if not key:
         return []
-    vset = sorted(set(vset), key=_order_key)
-    key = frozenset(vset)
     if key in memo:
         return memo[key]
-    tau = desc[0]
-    d = _affine_dim(tau, vset)
-    if len(vset) == d + 1:
-        memo[key] = [tuple(vset)]
+    r = ctx[1]
+    d = _dim(tau, lo, hi, r)
+    if len(key) == d + 1:
+        memo[key] = [key]
         return memo[key]
-    v0 = vset[0]
-    facets: Dict[frozenset, _Desc] = {}
-    for cand in _facet_candidates(desc):
-        cvs = _piece_vertices(cand)
-        if not cvs:
-            continue
-        fkey = frozenset(cvs)
-        if fkey == key or fkey in facets:
-            continue
-        if _affine_dim(tau, sorted(set(cvs), key=_order_key)) == d - 1:
+    cands = [(tau[:i] + tau[i + 1:], lo, hi) for i in range(len(tau))] if len(tau) > 1 else []
+    if lo != hi:
+        cands += [(tau, x, x) for x in (lo, hi) if x is not None]
+    facets: Dict[Tuple[int, ...], tuple] = {}
+    for cand in cands:
+        fkey = _piece(*cand, ctx)
+        if fkey and fkey != key and fkey not in facets and _dim(*cand, r) == d - 1:
             facets[fkey] = cand
-    result = []
-    for fkey in sorted(facets, key=lambda k: sorted(_order_key(v) for v in k)):
-        if v0 in fkey:
-            continue
-        for s in _triangulate(facets[fkey], memo):
-            result.append(tuple(sorted((v0,) + s, key=_order_key)))
+    v0 = key[0]
+    result = [(v0,) + s for fkey in sorted(facets) if v0 not in fkey
+              for s in _triangulate(*facets[fkey], ctx, memo)]
     memo[key] = result
     return result
 
@@ -209,21 +182,25 @@ class LevelIndex:
 
 @dataclass
 class CutComplex:
-    """A refined complex in which every cut level's fiber is a subcomplex."""
+    """A refined complex in which every cut level's fiber is a subcomplex.
+
+    ``ranks`` holds the level rank of each refined value (of its angle, on a
+    circle), as ``LevelIndex.rank`` defines it.
+    """
 
     source: SimplexTable
     table: SimplexTable
     values: List[Fraction]
     levels: List[Fraction]
     circular: bool
+    ranks: List[int]
     windings: Dict[Tuple[int, int], int] = dc_field(default_factory=dict)
     provenance: List[tuple] = dc_field(default_factory=list)
     index: LevelIndex = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.index = LevelIndex(self.levels, self.circular)
-        vrank = [self.index.rank(x) for x in self.values]
-        period = self.index.period
+        vrank, period = self.ranks, self.index.period
         for i, s in enumerate(self.table.simplices):
             if self.circular:
                 # ranks of the lift based at s[0]: a winding of w turns adds w periods
@@ -239,27 +216,6 @@ class CutComplex:
         return RealMap(list(self.values))
 
 
-def _intervals_for(cuts: List[Fraction], lo_g: Fraction, hi_g: Fraction,
-                   bounded: bool) -> List[Tuple[Optional[Fraction], Optional[Fraction]]]:
-    """Slab and level constraints meeting [lo_g, hi_g]."""
-    out: List[Tuple[Optional[Fraction], Optional[Fraction]]] = []
-    inner = [c for c in cuts if lo_g <= c <= hi_g]
-    out.extend((c, c) for c in inner)
-    if not bounded:
-        ext: List[Optional[Fraction]] = [None] + list(cuts) + [None]
-    else:
-        ext = list(cuts)
-    for a, b in zip(ext, ext[1:]):
-        if a is not None and a > hi_g:
-            continue
-        if b is not None and b < lo_g:
-            continue
-        if a is not None and b is not None and a == b:
-            continue
-        out.append((a, b))
-    return out
-
-
 def cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> CutComplex:
     circular = isinstance(f, CircleMap)
     if circular:
@@ -268,75 +224,81 @@ def cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> CutComp
             raise ValueError("circle cutting needs at least one level")
     else:
         classes = sorted({Fraction(c) for c in levels})
+    index = LevelIndex(classes, circular)
+    period = index.period
+    base = f.angles if circular else f.values
+    rank = [index.rank(x) for x in base]
 
-    memo: Dict[frozenset, List[tuple]] = {}
-    simplex_set = set()
-    cut_values: Dict[CutId, Fraction] = {}
-    winding_acc: Dict[Tuple, int] = {}
-
+    # the lift of each simplex as whole turns and ranks per vertex; every lift
+    # must wind along an edge as the edge's own lift does (edges come first)
+    lifts = []
+    along: Dict[Tuple[int, int], int] = {}
     for sigma in table.simplices:
-        if circular:
-            lifted = tuple(f.lift(sigma))
-            lo_g, hi_g = min(lifted), max(lifted)
-            k0, k1 = floor(lo_g) - 1, floor(hi_g) + 2
-            cuts = sorted(c + k for c in classes for k in range(k0, k1 + 1))
-        else:
-            lifted = tuple(f.values[v] for v in sigma)
-            lo_g, hi_g = min(lifted), max(lifted)
-            cuts = classes
-        for lo, hi in _intervals_for(cuts, lo_g, hi_g, bounded=circular):
-            desc = (sigma, lifted, lo, hi)
-            pieces = _triangulate(desc, memo)
-            simplex_set.update(pieces)
-            slot = {v: i for i, v in enumerate(sigma)}
-            for piece in pieces:
-                plift = []
-                for vid in piece:
-                    if isinstance(vid, int):
-                        plift.append(lifted[slot[vid]])
-                    else:
-                        _, u, v, s = vid
-                        gu, gv = lifted[slot[u]], lifted[slot[v]]
-                        g = gu + s * (gv - gu)
-                        plift.append(g)
-                        cut_values[vid] = g if not circular else g % 1
-                if circular:
-                    # winding = lift difference minus angle difference, and the
-                    # stored angle of x is plift(x) mod 1
-                    for i in range(len(piece)):
-                        for j in range(i + 1, len(piece)):
-                            w = (plift[j] - plift[j] % 1) - (plift[i] - plift[i] % 1)
-                            ww = int(w)
-                            prev = winding_acc.setdefault((piece[i], piece[j]), ww)
-                            if prev != ww:
-                                raise CutInconsistency("inconsistent refined winding")
+        turns = _turns(f, sigma) if circular else [0] * len(sigma)
+        for i in range(len(sigma) if circular else 0):
+            for j in range(i + 1, len(sigma)):
+                w, edge = turns[j] - turns[i], (sigma[i], sigma[j])
+                if along.setdefault(edge, w) != w:
+                    raise CutInconsistency(
+                        f"inconsistent refined winding: the lift of {sigma} winds {w} "
+                        f"along its edge {edge}, the lift of the edge {along[edge]}")
+        lifts.append((turns, [rank[v] + period * t for v, t in zip(sigma, turns)]))
 
-    ids = sorted({v for s in simplex_set for v in s}, key=_order_key)
-    pos = {vid: i for i, vid in enumerate(ids)}
-    values: List[Fraction] = []
-    provenance: List[tuple] = []
-    for vid in ids:
-        if isinstance(vid, int):
-            values.append(f.angles[vid] if circular else f.values[vid])
-            provenance.append(("original", vid))
-        else:
-            values.append(cut_values[vid])
-            provenance.append(vid)
+    # one cut point per edge and level rank strictly crossed; edges come in
+    # ascending order and s ascends along each, so ids arrive sorted
+    used = [s[0] for s in table.simplices if len(s) == 1]
+    ids: List = list(used)
+    values = [base[v] for v in used]
+    ranks = [rank[v] for v in used]
+    # a refined vertex's floor in a lift is the turns of the lift at the
+    # start of its edge plus its own turns beyond them
+    owner, own_turns = list(used), [0] * len(used)
+    cutpos: Dict[Tuple[int, int, int], int] = {}
+    for sigma, (turns, r) in zip(table.simplices, lifts):
+        if len(sigma) != 2:
+            continue
+        (u, v), (ru, rv) = sigma, r
+        gu, gv = base[u] + turns[0], base[v] + turns[1]
+        crossed = range((min(ru, rv) + 1) | 1, max(ru, rv), 2)
+        for x in (crossed if ru < rv else reversed(crossed)):
+            k, c = divmod(x, period)
+            cutpos[u, v, x - period * turns[0]] = len(ids)
+            ids.append(("cut", u, v, (classes[c // 2] + k - gu) / (gv - gu)))
+            values.append(classes[c // 2])
+            ranks.append(c)
+            owner.append(u)
+            own_turns.append(k - turns[0])
+    provenance = [("original", v) for v in used] + ids[len(used):]
+    opos = {v: i for i, v in enumerate(used)}
 
-    refined = [tuple(pos[v] for v in s) for s in simplex_set]
-    new_table = SimplexTable(ids, refined)
-
+    memo: Dict[Tuple[int, ...], List[tuple]] = {}
+    pieces = set()
     windings: Dict[Tuple[int, int], int] = {}
-    if circular:
-        # the accumulator covers every closure edge: each is a vertex pair
-        # inside some emitted piece simplex
-        for (a, b), w in winding_acc.items():
-            pa, pb = pos[a], pos[b]
-            if pa > pb:
-                pa, pb, w = pb, pa, -w
-            if w != 0:
-                windings[(pa, pb)] = w
-    return CutComplex(table, new_table, values, classes, circular, windings, provenance)
+    for sigma, (turns, r) in zip(table.simplices, lifts):
+        off = [period * t for t in turns]
+        ctx = ([opos[v] for v in sigma], r,
+               lambda i, j, x: cutpos[sigma[i], sigma[j], x - off[i]])
+        tau = tuple(range(len(sigma)))
+        # each level the lift meets, then each slab between consecutive
+        # levels that meets it (unbounded below and above on the line)
+        mn, mx = min(r), max(r)
+        spans = [(x, x) for x in range(mn | 1, mx + 1, 2)]
+        for a in range((mn - 2) | 1, mx + 1, 2):
+            spans.append((a if circular or a > 0 else None,
+                          a + 2 if circular or a + 2 < period else None))
+        shift = dict(zip(sigma, turns))
+        for lo, hi in spans:
+            out = _triangulate(tau, lo, hi, ctx, memo)
+            pieces.update(out)
+            if circular:
+                for piece in out:
+                    fl = [own_turns[x] + shift[owner[x]] for x in piece]
+                    for i, p in enumerate(piece):
+                        for j in range(i + 1, len(piece)):
+                            if fl[j] != fl[i]:
+                                windings[p, piece[j]] = fl[j] - fl[i]
+    return CutComplex(table, SimplexTable(ids, pieces), values, classes, circular,
+                      ranks, windings, provenance)
 
 
 @dataclass
@@ -388,13 +350,11 @@ def unroll_cover(table: SimplexTable, f: CircleMap, a: Fraction, b: Fraction) ->
     vert_ids = set()
     simplices = []
     for sigma in table.simplices:
-        g = f.lift(sigma)
-        off = [gv - f.angles[v] for v, gv in zip(sigma, g)]
-        if any(o.denominator != 1 for o in off):
-            raise CutInconsistency(f"lift of {sigma} is not an integer shift of its angles")
+        off = _turns(f, sigma)
+        g = [f.angles[v] + o for v, o in zip(sigma, off)]
         lo_g, hi_g = min(g), max(g)
         for t in range(ceil(a - hi_g), floor(b - lo_g) + 1):
-            copy = tuple((v, int(o) + t) for v, o in zip(sigma, off))
+            copy = tuple((v, o + t) for v, o in zip(sigma, off))
             simplices.append(copy)
             vert_ids.update(copy)
 

@@ -18,7 +18,8 @@ from typing import List, Optional, Tuple, Union
 
 from .complexes import CircleMap, RealMap, SimplexTable, validate_circle_map
 from .field import QQ, Field
-from .invariants import Configuration, compute_invariants, configuration
+from .invariants import (BeyondFloatRange, Configuration, compute_invariants, configuration,
+                         to_float)
 
 Point = Tuple[Fraction, Fraction]
 
@@ -163,8 +164,12 @@ def matching_distance(c1: Configuration, c2: Configuration) -> MatchingDistance:
     return MatchingDistance(levels[lo])
 
 
-def _decimal(x: Fraction) -> str:
-    return format(float(x), ".12g")
+def _decimal(x: Fraction) -> Optional[str]:
+    """x to 12 significant digits, or None when it has no finite float image."""
+    try:
+        return format(to_float(x), ".12g")
+    except BeyondFloatRange:
+        return None
 
 
 def stability_experiment(table: SimplexTable, mapping, r: int, schedule,
@@ -176,7 +181,8 @@ def stability_experiment(table: SimplexTable, mapping, r: int, schedule,
     configuration is recomputed, and its bottleneck distance to the base
     configuration is recorded.  A trial whose Jordan cells differ from the
     base map's counts as a violation.  Returns a JSON-ready report with
-    exact epsilons and decimal distances.
+    exact epsilons and distances, and decimal distances that are null when
+    a distance is beyond float range.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,26 @@ def test_malformed_documents_exit_2_with_json_error(tmp_path, capsys, command, d
     assert json.loads(err)["error"] == "MalformedInput"
 
 
+@pytest.mark.parametrize("doc", [
+    _with(EQ2_REP, dims={"1": True, "2": 1}),
+    _with(EQ2_REP, dims={"1": "1", "2": 1}),
+    _with(EQ2_REP, dims={"1": 1.7, "2": 1}),
+    _with(EQ2_REP, m=True),
+    _with(EQ2_REP, arrows=[{"at": True, "dir": 1, "matrix": [["2"]]},
+                           {"at": 1, "dir": -1, "matrix": [["1"]]}]),
+    _with(EQ2_REP, arrows=[{"at": 1, "dir": 1.0, "matrix": [["2"]]},
+                           {"at": 1, "dir": -1, "matrix": [["1"]]}]),
+    {"field": "Q", "shape": "line", "lo": True, "hi": 1, "dims": {"1": 1}, "arrows": []},
+], ids=["dims-bool", "dims-string", "dims-float", "m-bool", "at-bool", "dir-float",
+        "lo-bool"])
+def test_decompose_accepts_only_json_integers(tmp_path, capsys, doc):
+    # each of these values used to load as the integer 1 and decompose
+    code, out, err = run(capsys, "decompose", write(tmp_path, "r.json", doc))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "MalformedInput"
+
+
 # -- render ------------------------------------------------------------------------
 
 
@@ -444,6 +465,16 @@ def test_stability_report(tmp_path, capsys):
     assert doc["schedule"] == ["1/10", "1/100"]
     assert len(doc["results"]) == 2
     assert all(row["jordan_violations"] == 0 for row in doc["results"])
+
+
+def test_stability_distance_beyond_float_range(tmp_path, capsys):
+    path = write(tmp_path, "p.json", _with(HEIGHT_DOC, simplices=[["a", "b"], ["b", "c"]]))
+    code, out, _ = run(capsys, "stability", path, "--schedule", "1e400",
+                       "--trials", "1", "--degree", "0")
+    assert code == 0
+    row = json.loads(out)["results"][0]
+    assert row["max_distance"] is None and row["mean_distance"] is None
+    assert Fraction(row["max_distance_exact"]) > Fraction(10) ** 308
 
 
 def test_stability_rejects_bad_flags(tmp_path, capsys):

@@ -214,3 +214,28 @@ def test_cover_rejects_a_lift_off_the_angles():
     t, cmap = degree_one_triangle()
     with pytest.raises(CutInconsistency):
         unroll_cover(t, HalfTurnLift(cmap.angles, cmap.windings), F(0), F(1))
+
+
+def test_cut_names_the_simplex_and_edge_of_an_inconsistent_lift():
+    class TurnedLift(CircleMap):
+        # the triangle's lift winds once more along (0, 2) than the edge's own
+        def lift(self, s):
+            g = super().lift(s)
+            return g[:-1] + [g[-1] + 1] if len(s) == 3 else g
+
+    t = SimplexTable(list("abc"), [(0, 1, 2)])
+    f = TurnedLift([F(0), F(1, 3), F(2, 3)], {})
+    with pytest.raises(CutInconsistency,
+                       match=r"winding: the lift of \(0, 1, 2\) winds 1 along its edge \(0, 2\)"):
+        cut_at_levels(t, f, [F(1, 2)])
+
+
+def test_cut_names_the_vertex_of_a_lift_off_the_angles():
+    class HalfTurnEdges(CircleMap):
+        def lift(self, s):
+            g = super().lift(s)
+            return g[:-1] + [g[-1] + F(1, 2)] if len(s) == 2 else g
+
+    t, cmap = degree_one_triangle()
+    with pytest.raises(CutInconsistency, match=r"lift of \(0, 1\) .* at vertex 1"):
+        cut_at_levels(t, HalfTurnEdges(cmap.angles, cmap.windings), [F(0)])
