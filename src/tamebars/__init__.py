@@ -48,14 +48,8 @@ from .quiver import (
     DecompositionError,
     RepresentationError,
     ZigzagRep,
-    decompose,
     decompose_circle,
     decompose_zigzag,
-    direct_sum,
-    hom_dim,
-    interval_module,
-    interval_module_circle,
-    jordan_module,
     verify_certificate,
 )
 from .invariants import (
@@ -98,9 +92,8 @@ __all__ = [
     "HomologyBasis", "NotTame", "assemble_rep", "betti_numbers", "homology",
     "homology_of", "induced_map",
     "Bar", "Certificate", "CircleRep", "DecompositionError",
-    "RepresentationError", "ZigzagRep", "decompose", "decompose_circle",
-    "decompose_zigzag", "direct_sum", "hom_dim", "interval_module",
-    "interval_module_circle", "jordan_module", "verify_certificate",
+    "RepresentationError", "ZigzagRep", "decompose_circle", "decompose_zigzag",
+    "verify_certificate",
     "Configuration", "IndexOutOfRange", "InvariantBundle", "ValuedBar",
     "bundle_to_json", "canonical_check", "canonical_matrix",
     "compute_invariants", "configuration", "cover_formulas", "cylinder_embed",

@@ -259,12 +259,19 @@ def rep_from_json(doc):
     field = field_from_spec(doc["field"])
     if not isinstance(doc["dims"], dict):
         raise MalformedInput("dims must map vertices to dimensions")
-    try:
-        dims = {int(k): v for k, v in doc["dims"].items()}
-    except (TypeError, ValueError):
-        dims = None
-    if dims is None or not all(_is_int(v) for v in dims.values()):
-        raise MalformedInput("dims must map integer vertices to integers")
+    dims: Dict[int, int] = {}
+    for k, v in doc["dims"].items():
+        try:
+            x = int(k)
+        except (TypeError, ValueError):
+            x = None
+        # one spelling per vertex, so no two keys name the same one:
+        # "02", "+2", " 2" and "0_2" are refused
+        if x is None or str(x) != k:
+            raise MalformedInput(f"dims key {k!r} is not a vertex number")
+        if not _is_int(v):
+            raise MalformedInput("dims must map integer vertices to integers")
+        dims[x] = v
     if any(v < 0 for v in dims.values()):
         raise MalformedInput("dimensions must be nonnegative")
     if not isinstance(doc["arrows"], list):
@@ -293,6 +300,9 @@ def rep_from_json(doc):
         zero = zero_zigzag(field, lo, hi)
     else:
         raise MalformedInput(f"shape must be 'line' or 'cyclic', got {shape!r}")
+    outside = sorted(set(dims) - set(zero.dims))
+    if outside:
+        raise MalformedInput(f"dims name vertices outside the shape: {outside}")
     full = {x: dims.get(x, 0) for x in zero.dims}
     maps = {}
     for (o, d), rows in arrows.items():

@@ -210,11 +210,6 @@ class CutComplex:
             else:
                 self.index.add(i, [vrank[v] for v in s])
 
-    def refined_map(self):
-        if self.circular:
-            return CircleMap(self.values, dict(self.windings))
-        return RealMap(list(self.values))
-
 
 def cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> CutComplex:
     circular = isinstance(f, CircleMap)
@@ -307,9 +302,6 @@ class SubcomplexHandle:
 
     cc: CutComplex
     members: List[int]
-
-    def member_simplices(self) -> List[Simplex]:
-        return [self.cc.table.simplices[i] for i in self.members]
 
 
 def fiber(cc: CutComplex, c: Fraction) -> SubcomplexHandle:

@@ -113,12 +113,6 @@ class HomologyBasis:
             raise InternalInconsistency("chain is not a cycle of the subcomplex")
         return [F.neg(tag.get(i, F.zero)) for i in range(len(self.reps))]
 
-    def rep_matrix(self) -> Mat:
-        """Dense representatives; rows follow this subcomplex's r-simplices."""
-        F = self.field
-        rows = [[rep.get(i, F.zero) for rep in self.reps] for i in self.r_cells]
-        return Mat(self.field, rows, len(self.reps))
-
 
 def homology_of(table: SimplexTable, members: Optional[Sequence[int]],
                 r: int, field: Field) -> HomologyBasis:

@@ -140,9 +140,6 @@ class InvariantBundle:
     def open_bars(self, r: int) -> List[ValuedBar]:
         return [b for b in self.degree_bars(r) if b.is_open]
 
-    def mixed_bars(self, r: int) -> List[ValuedBar]:
-        return [b for b in self.degree_bars(r) if b.left_closed != b.right_closed]
-
     def eigenvalue_one_count(self, r: int) -> int:
         one = self.field.one
         return sum(1 for c in self.degree_cells(r)
@@ -446,14 +443,6 @@ def canonical_check(bundle: InvariantBundle, r: int, beta_direct: int) -> bool:
 
 
 # -- lookups and serialization-----------------------------------------------------
-
-
-def bar_multiplicity(bundle: InvariantBundle, r: int, lo, hi,
-                     left_closed: bool = True, right_closed: bool = True) -> int:
-    """Multiplicity of one exact bar (with end types) in degree r; zero
-    when the bar is absent."""
-    probe = ValuedBar(Fraction(lo), Fraction(hi), left_closed, right_closed)
-    return sum(1 for b in bundle.degree_bars(r) if b == probe)
 
 
 def bundle_to_json(bundle: InvariantBundle) -> dict:

@@ -50,11 +50,6 @@ class Mat:
         return cls(field, [list(r) for r in rows], ncols)
 
     @classmethod
-    def from_int_rows(cls, field: Field, rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "Mat":
-        f = field.from_int
-        return cls(field, [[f(x) for x in r] for r in rows], ncols)
-
-    @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Mat":
         z = field.zero
         return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
@@ -82,10 +77,6 @@ class Mat:
     def cols(self) -> List[List[Scalar]]:
         return [self.col(j) for j in range(self.ncols)]
 
-    def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.rows for x in row)
-
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
@@ -107,7 +98,9 @@ class Mat:
     # -- arithmetic --------------------------------------------------------
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, [list(c) for c in zip(*self.rows)] if self.rows else [], self.nrows)
+        if not self.rows:  # 0 x n becomes n x 0: n empty rows
+            return Mat(self.field, [[] for _ in range(self.ncols)], 0)
+        return Mat(self.field, [list(c) for c in zip(*self.rows)], self.nrows)
 
     def mul(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
@@ -162,10 +155,6 @@ class Mat:
     def neg(self) -> "Mat":
         n = self.field.neg
         return Mat(self.field, [[n(x) for x in row] for row in self.rows], self.ncols)
-
-    def scale(self, c: Scalar) -> "Mat":
-        p = self.field.p if isinstance(self.field, PrimeField) else None
-        return Mat(self.field, [[(c * x) % p if p else c * x for x in row] for row in self.rows], self.ncols)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.nrows != other.nrows:

@@ -17,10 +17,13 @@ The algorithm peels one summand at a time.  A bar with an open end leaves a
 kernel vector at the odd vertex where it dies; walking that vector as far as
 it survives (images across forward arrows, preimages across backward ones,
 rider subspaces quotiented out) yields a maximal chain, which splits off via
-an explicit retraction.  Bars closed on both ends have no kernels, so the same
-peel runs on the transposed representation and the split is pulled back
-through annihilators.  What remains has all arrows invertible; its monodromy
-composite is cut into primary components, giving the Jordan cells.
+an explicit retraction.  A bar closed on both ends leaves no kernel, but its
+ends are open in the dual representation (each arrow reversed, with the
+transpose of its matrix, each position moved by one, so sinks become odd
+sources), so the same peel runs once more on the dual of what is left, and
+the inverse transpose of the dual base change splits the input.  What
+remains has all arrows invertible; its monodromy composite is cut into
+primary components, giving the Jordan cells.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .canonical import Cell, cell_sort_key, jordan_block, primary_components
+from .canonical import Cell, cell_sort_key, primary_components
 from .field import Field, Scalar
 from .matrix import Mat, block_diag, image, preimage, subspace_intersect
 
@@ -168,9 +171,6 @@ class _Rep:
         """A representation of the same shape."""
         raise NotImplementedError
 
-    def same_shape(self, other: "_Rep") -> bool:
-        return self.is_cyclic == other.is_cyclic and self.dims.keys() == other.dims.keys()
-
     def dim_at(self, pos: int) -> int:
         x = self.vertex_of(pos)
         return 0 if x is None else self.dims[x]
@@ -284,16 +284,6 @@ def _interval_rep(bar: Bar, shape: Rep) -> Rep:
     return shape.like(dims, maps)
 
 
-def interval_module(field: Field, bar: Bar, lo: int, hi: int) -> ZigzagRep:
-    """The interval summand as a representation on the window lo..hi."""
-    return _interval_rep(bar, zero_zigzag(field, lo, hi))
-
-
-def interval_module_circle(field: Field, bar: Bar, m: int) -> CircleRep:
-    """The winding interval summand on the cyclic shape G_2m."""
-    return _interval_rep(bar, zero_circle(field, m))
-
-
 def zero_zigzag(field: Field, lo: int, hi: int) -> ZigzagRep:
     """The zero representation on the window lo..hi."""
     return ZigzagRep(field, lo, hi, {}, None)
@@ -304,34 +294,11 @@ def zero_circle(field: Field, m: int) -> CircleRep:
     return CircleRep(field, m, {}, None)
 
 
-def jordan_module(field: Field, lam: Scalar, k: int, m: int = 1) -> CircleRep:
-    """The Jordan cell summand: kappa^k everywhere, alpha_1 = T(lam, k)."""
-    if k < 1:
-        raise ValueError("Jordan cell size must be positive")
-    T = jordan_block(field, lam, k)
-    eye = Mat.identity(field, k)
-    alphas = [T] + [eye] * (m - 1)
-    betas = [eye] * m
-    return circle_rep_from_lists(field, alphas, betas)
-
-
 def cell_module(field: Field, cell: Cell, m: int) -> CircleRep:
     """The canonical cyclic summand of a primary component (block at alpha_1)."""
     B = cell.block(field)
     eye = Mat.identity(field, B.nrows)
     return circle_rep_from_lists(field, [B] + [eye] * (m - 1), [eye] * m)
-
-
-def direct_sum(reps: Sequence[Rep]) -> Rep:
-    """Vertex-wise direct sum; summand blocks appear in the given order."""
-    if not reps:
-        raise ValueError("empty direct sum")
-    first = reps[0]
-    if not all(first.same_shape(r) for r in reps):
-        raise RepresentationError("direct sum shape mismatch")
-    dims = {x: sum(r.dims[x] for r in reps) for x in first.dims}
-    maps = {key: block_diag(first.field, [r.maps[key] for r in reps]) for key in first.slots}
-    return first.like(dims, maps)
 
 
 def summand_module(field: Field, s: Summand, rep: Rep) -> Rep:
@@ -417,16 +384,6 @@ def _unknown(field: Field, z: List[Scalar], off: int, nr: int, nc: int) -> Mat:
     return Mat(field, [z[off + i * nc: off + (i + 1) * nc] for i in range(nr)], nc)
 
 
-def hom_dim(rep1: Rep, rep2: Rep) -> int:
-    """Dimension of the space of morphisms rep1 -> rep2 (same shape)."""
-    if not rep1.same_shape(rep2):
-        raise RepresentationError("hom between different shapes")
-    shapes = {x: (rep2.dims[x], rep1.dims[x]) for x in rep1.dims}
-    arrows = [(o, t, rep1.maps[(o, d)], rep2.maps[(o, d)]) for (o, d), t in rep1.slots.items()]
-    rows, _, total = _intertwiner_rows(rep1.field, arrows, shapes)
-    return total - Mat(rep1.field, rows, total).rank()
-
-
 # -- the peeling decomposition ---------------------------------------------------
 
 
@@ -438,20 +395,6 @@ class _State:
         self.rep = rep
         self.field = rep.field
         self.embed = {x: Mat.identity(rep.field, d) for x, d in rep.dims.items()}
-
-    def view_fwd(self, pos: int, d: int, transposed: bool) -> Mat:
-        """Outgoing matrix at `pos` toward pos+d in the chosen orientation.
-
-        Primal: pos is an odd source.  Transposed: pos is even and the
-        returned matrix is the transpose of the primal arrow pos+d -> pos.
-        """
-        if not transposed:
-            return self.rep.arrow_at(pos, d)
-        return self.rep.arrow_at(pos + d, -d).transpose()
-
-    def source_positions(self, transposed: bool) -> List[int]:
-        par = 0 if transposed else 1
-        return [x for x in self.rep.dims if x % 2 == par]
 
     def walk_bound(self) -> int:
         n = len(self.rep.dims)
@@ -472,13 +415,26 @@ class _State:
         self.embed = {x: self.embed[x].mul(comp[x]) for x in self.embed}
 
 
-def _find_peel_start(st: _State, transposed: bool):
-    for pos in st.source_positions(transposed):
-        if st.rep.dims[pos] == 0:
+def _dual(rep: Rep, s: int) -> Rep:
+    """The dual representation, every position moved by s = +-1: the arrow
+    x_o -> x_t with matrix M becomes x_{t+s} -> x_{o+s} with M^T, so sinks
+    become odd sources, and the bar on a..b becomes the bar on a+s..b+s."""
+    def at(x: int) -> int:
+        return rep.vertex_of(x + s) if rep.is_cyclic else x + s
+
+    dims = {at(x): dx for x, dx in rep.dims.items()}
+    maps = {(at(t), -d): rep.maps[(o, d)].transpose() for (o, d), t in rep.slots.items()}
+    if rep.is_cyclic:
+        return CircleRep(rep.field, rep.m, dims, maps)
+    return ZigzagRep(rep.field, rep.lo + s, rep.hi + s, dims, maps)
+
+
+def _find_peel_start(st: _State):
+    for pos, dx in st.rep.dims.items():
+        if pos % 2 == 0 or dx == 0:
             continue
         for d in (+1, -1):
-            M = st.view_fwd(pos, d, transposed)
-            K = M.kernel_basis()
+            K = st.rep.arrow_at(pos, d).kernel_basis()
             if K.ncols:
                 return pos, d, K
     return None
@@ -492,7 +448,7 @@ def _not_in_span(space: Mat, candidates: Mat) -> Optional[List[Scalar]]:
     return None
 
 
-def _walk_chain(st: _State, src: int, dead_dir: int, K: Mat, transposed: bool):
+def _walk_chain(st: _State, src: int, dead_dir: int, K: Mat):
     """Follow a kernel vector as far as it survives; return (positions, chain).
 
     The subspace S carries everything reachable from ker(dead arrow), R the
@@ -501,69 +457,60 @@ def _walk_chain(st: _State, src: int, dead_dir: int, K: Mat, transposed: bool):
     """
     field = st.field
     walk = -dead_dir
-    par = 0 if transposed else 1
     S = [K.column_reduced()]
     R = [Mat.zeros(field, st.rep.dims[src], 0)]
-    steps: List[Tuple[str, Mat]] = []
+    steps: List[Mat] = []
     bound = st.walk_bound()
+    # src is odd: even steps leave an odd source along its arrow, odd steps
+    # take preimages back across the arrow into the next odd source
     n = 0
     while True:
         pos = src + walk * n
-        if pos % 2 == par:
-            kind, M = "F", st.view_fwd(pos, walk, transposed)
+        if n % 2 == 0:
+            M = st.rep.arrow_at(pos, walk)
+            S1, R1 = image(M, S[n]), image(M, R[n])
         else:
-            kind, M = "B", st.view_fwd(pos + walk, -walk, transposed)
-        S1 = image(M, S[n]) if kind == "F" else preimage(M, S[n])
-        R1 = image(M, R[n]) if kind == "F" else preimage(M, R[n])
+            M = st.rep.arrow_at(pos + walk, -walk)
+            S1, R1 = preimage(M, S[n]), preimage(M, R[n])
         if S1.ncols == R1.ncols:
-            d_star = n
-            last = (kind, M)
             break
-        steps.append((kind, M))
+        steps.append(M)
         S.append(S1)
         R.append(R1)
         n += 1
         if n > bound:
             raise DecompositionError("walk exceeded the support bound")
-    kind, M = last
-    if kind == "F":
-        cand = subspace_intersect(S[d_star], M.kernel_basis())
-    else:
-        cand = S[d_star]
-    w = _not_in_span(R[d_star], cand)
+    cand = subspace_intersect(S[n], M.kernel_basis()) if n % 2 == 0 else S[n]
+    w = _not_in_span(R[n], cand)
     if w is None:
         raise DecompositionError("no honest chain end available")
-    chain: List[Optional[List[Scalar]]] = [None] * (d_star + 1)
-    chain[d_star] = w
-    for k in range(d_star - 1, -1, -1):
-        kind, M = steps[k]
-        if kind == "B":
+    chain: List[Optional[List[Scalar]]] = [None] * (n + 1)
+    chain[n] = w
+    for k in range(n - 1, -1, -1):
+        M = steps[k]
+        if k % 2:
             chain[k] = M.matvec(chain[k + 1])
         else:
             MS = M.mul(S[k])
             y = MS.solve(Mat.from_cols(field, [chain[k + 1]], MS.nrows))
             chain[k] = S[k].matvec(y.col(0))
-    positions = [src + walk * k for k in range(d_star + 1)]
+    positions = [src + walk * k for k in range(n + 1)]
     if walk < 0:
         positions.reverse()
         chain.reverse()
     return positions, chain
 
 
-def _solve_retraction(st: _State, transposed: bool, cross: Dict[int, List[int]],
-                      a: int, b: int, chain_at: Dict[int, List[List[Scalar]]]
-                      ) -> Optional[Dict[int, Mat]]:
+def _solve_retraction(st: _State, cross: Dict[int, List[int]], a: int, b: int,
+                      chain_at: Dict[int, List[List[Scalar]]]) -> Dict[int, Mat]:
     """Solve for a retraction r: rep -> interval with r restricted to the
-    chain being the identity; returns r_x per vertex or None.
+    chain being the identity; returns r_x per vertex.
 
-    The interval has support positions a..b and crossings `cross`; in the
-    transposed orientation both arrows of each slot are transposed.
+    The interval has support positions a..b and crossings `cross`.
     """
     field, rep = st.field, st.rep
-    arrows = []
-    for (o, d), t in rep.slots.items():
-        M, I = rep.maps[(o, d)], _bar_arrow_matrix(field, cross, a, b, o, d, t)
-        arrows.append((t, o, M.transpose(), I.transpose()) if transposed else (o, t, M, I))
+    arrows = [(o, t, rep.maps[(o, d)], _bar_arrow_matrix(field, cross, a, b, o, d, t))
+              for (o, d), t in rep.slots.items()]
     shapes = {x: (len(cross.get(x, [])), dx) for x, dx in rep.dims.items()}
     rows, offs, total = _intertwiner_rows(field, arrows, shapes)
     zero, one = field.zero, field.one
@@ -580,81 +527,66 @@ def _solve_retraction(st: _State, transposed: bool, cross: Dict[int, List[int]],
                 rhs.append([one if i == j else zero])
     z = Mat(field, rows, total).try_solve(Mat(field, rhs, 1))
     if z is None:
-        return None
+        raise DecompositionError("maximal chain does not split")
     z = z.col(0)
     return {x: _unknown(field, z, offs[x], *shapes[x]) for x in rep.dims}
 
 
-def _solve_interval_embedding(st: _State, B_basis: Dict[int, Mat], cross: Dict[int, List[int]],
-                              a: int, b: int) -> Dict[int, List[List[Scalar]]]:
-    """Find a chain of the interval inside the subrepresentation B (primal).
-
-    B_basis gives per-vertex embeddings of B into the current space; the
-    restricted arrows are computed here.  Returns chain vectors per vertex in
-    decreasing-position order, expressed in current-space coordinates.
-    """
-    field, rep = st.field, st.rep
-    arrows = []
-    for (o, d), t in rep.slots.items():
-        Z = B_basis[t].try_solve(rep.maps[(o, d)].mul(B_basis[o]))
-        if Z is None:
-            raise DecompositionError("bar space is not arrow-invariant")
-        arrows.append((o, t, _bar_arrow_matrix(field, cross, a, b, o, d, t), Z))
-    shapes = {x: (B_basis[x].ncols, len(cross.get(x, []))) for x in rep.dims}
-    rows, offs, total = _intertwiner_rows(field, arrows, shapes)
-    if total == 0:
-        raise DecompositionError("empty interval embedding system")
-    for z in Mat(field, rows, total).kernel_basis().cols():
-        phis = {x: _unknown(field, z, offs[x], *shapes[x]) for x in shapes}
-        if all(phi.rank() == phi.ncols for phi in phis.values()):
-            return {x: B_basis[x].mul(phi).cols() for x, phi in phis.items()}
-    raise DecompositionError("no invertible interval embedding found")
-
-
-def _annihilator(field: Field, functionals: List[List[Scalar]], dim: int) -> Mat:
-    if not functionals:
-        return Mat.identity(field, dim)
-    return Mat(field, [list(f) for f in functionals], dim).kernel_basis()
-
-
-def _peel_phase(st: _State, transposed: bool,
-                found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]]) -> None:
+def _peel_phase(st: _State, found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]]) -> None:
+    """Split off bars with an open end until no odd source has a kernel;
+    each goes to `found` with its chain in input coordinates."""
     while True:
-        hit = _find_peel_start(st, transposed)
+        hit = _find_peel_start(st)
         if hit is None:
             return
         pos0, dead, K = hit
-        positions, chain = _walk_chain(st, pos0, dead, K, transposed)
+        positions, chain = _walk_chain(st, pos0, dead, K)
         a, b = positions[0], positions[-1]
         bar = bar_from_support(a, b, st.rep.m if st.rep.is_cyclic else None)
         cross = bar.crossings(st.rep.vertex_of, a, b)
         by_pos = dict(zip(positions, chain))
         chain_at = {x: [by_pos[p] for p in plist] for x, plist in cross.items()}
-        r = _solve_retraction(st, transposed, cross, a, b, chain_at)
-        if r is None:
-            raise DecompositionError("maximal chain does not split")
+        r = _solve_retraction(st, cross, a, b, chain_at)
         dims = st.rep.dims
-        ker = {x: r[x].kernel_basis() if r[x].nrows else Mat.identity(st.field, dx)
-               for x, dx in dims.items()}
-        if not transposed:
-            rec = {x: [st.embed[x].matvec(v) for v in vecs] for x, vecs in chain_at.items()}
-            comp = ker
-            if any(comp[x].ncols != dims[x] - len(cross[x]) for x in cross):
-                raise DecompositionError("complement dimension mismatch")
-        else:
-            # transposed world: the chain spans B*, ker r* spans C*; pull both
-            # back through annihilators to split the primal representation
-            B_basis: Dict[int, Mat] = {}
-            comp = {}
-            for x, dx in dims.items():
-                comp[x] = _annihilator(st.field, chain_at.get(x, []), dx)
-                B_basis[x] = _annihilator(st.field, ker[x].cols(), dx)
-                if B_basis[x].ncols != len(cross.get(x, [])):
-                    raise DecompositionError("bar annihilator dimension mismatch")
-            emb = _solve_interval_embedding(st, B_basis, cross, a, b)
-            rec = {x: [st.embed[x].matvec(v) for v in emb[x]] for x in emb if emb[x]}
-        found.append((bar, rec))
+        comp = {x: r[x].kernel_basis() if r[x].nrows else Mat.identity(st.field, dx)
+                for x, dx in dims.items()}
+        if any(comp[x].ncols != dims[x] - len(cross[x]) for x in cross):
+            raise DecompositionError("complement dimension mismatch")
+        found.append((bar, {x: [st.embed[x].matvec(v) for v in vecs]
+                            for x, vecs in chain_at.items()}))
         st.restrict(comp)
+
+
+def _peel_dual(st: _State, found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]]) -> None:
+    """Split off the bars closed at both ends, which are open in the dual.
+
+    The dual peel's bar columns and residue embedding form an invertible Q
+    at each dual vertex, with M^T Q_t = Q_o C^T for every arrow M: x_o -> x_t;
+    so M Q_o^-T = Q_t^-T C, and the columns of Q^-T split the input into the
+    same blocks, the last one carrying `_dual(dual residue, -1)`.
+    """
+    field = st.field
+    m = st.rep.m if st.rep.is_cyclic else None
+    dual = _State(_dual(st.rep, +1))
+    dual_found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]] = []
+    _peel_phase(dual, dual_found)
+    if not dual_found:  # Q is the identity: nothing to split
+        return
+    at = {x: dual.rep.vertex_of(x + 1) for x in st.rep.dims}
+    pulled, embed = {}, {}
+    for x, y in at.items():
+        cols = [v for _, rec in dual_found for v in rec.get(y, [])]
+        Q = Mat.from_cols(field, cols + dual.embed[y].cols(), st.rep.dims[x])
+        P = st.embed[x].mul(Q.inverse().transpose())
+        k = len(cols)
+        pulled[x] = iter(P.cols()[:k])
+        embed[x] = Mat(field, [row[k:] for row in P.rows], P.ncols - k)
+    for bar, rec in dual_found:
+        a, b = bar.support(m)
+        found.append((bar_from_support(a - 1, b - 1, m),
+                      {x: [next(pulled[x]) for _ in rec.get(y, [])] for x, y in at.items()}))
+    st.rep = _dual(dual.rep, -1)
+    st.embed = embed
 
 
 def _monodromy(rep: CircleRep) -> Mat:
@@ -708,36 +640,27 @@ def _assemble(rep: Rep, bar_recs, cell_recs) -> Tuple[List[Summand], Certificate
     return [s for s, _ in entries], Certificate(base_changes=changes)
 
 
-def decompose_zigzag(rep: ZigzagRep) -> Tuple[List[Bar], Certificate]:
-    """Decompose a linear-shape representation into bars with a certificate."""
+def _decompose(rep: Rep) -> Tuple[List[Summand], Certificate]:
     st = _State(rep)
-    bars: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]] = []
-    _peel_phase(st, transposed=False, found=bars)
-    _peel_phase(st, transposed=True, found=bars)
-    if st.rep.total_dim():
+    found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]] = []
+    _peel_phase(st, found)
+    _peel_dual(st, found)
+    if not rep.is_cyclic and st.rep.total_dim():
         raise DecompositionError("nonzero residue on the linear shape")
-    summands, cert = _assemble(rep, bars, [])
+    cells = _residual_cells(st) if rep.is_cyclic else []
+    summands, cert = _assemble(rep, found, cells)
     if not verify_certificate(rep, summands, cert):
         raise DecompositionError("certificate verification failed")
-    return [s for s in summands if isinstance(s, Bar)], cert
+    return summands, cert
+
+
+def decompose_zigzag(rep: ZigzagRep) -> Tuple[List[Bar], Certificate]:
+    """Decompose a linear-shape representation into bars with a certificate."""
+    return _decompose(rep)
 
 
 def decompose_circle(rep: CircleRep) -> Tuple[List[Bar], List[Cell], Certificate]:
     """Decompose a cyclic-shape representation into bars and Jordan cells."""
-    st = _State(rep)
-    bars: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]] = []
-    _peel_phase(st, transposed=False, found=bars)
-    _peel_phase(st, transposed=True, found=bars)
-    cells = _residual_cells(st)
-    summands, cert = _assemble(rep, bars, cells)
-    if not verify_certificate(rep, summands, cert):
-        raise DecompositionError("certificate verification failed")
-    out_bars = [s for s in summands if isinstance(s, Bar)]
-    out_cells = [s for s in summands if isinstance(s, Cell)]
-    return out_bars, out_cells, cert
-
-
-def decompose(rep: Rep):
-    if rep.is_cyclic:
-        return decompose_circle(rep)
-    return decompose_zigzag(rep)
+    summands, cert = _decompose(rep)
+    bars = [s for s in summands if isinstance(s, Bar)]
+    return bars, [s for s in summands if isinstance(s, Cell)], cert

@@ -1,5 +1,7 @@
 """Helpers that only the tests use: boundary matrices of a whole complex, the
-Euler characteristic, subspace predicates and the lift of a refined simplex.
+Euler characteristic, subspace predicates, the lift of a refined simplex,
+integer-built and scaled matrices, and direct lookups on cut complexes,
+homology bases and invariant bundles.
 
 The package computes homology through its sparse reducer and reads fibers
 and slabs off the level index; these direct versions check it from outside.
@@ -8,11 +10,33 @@ and slabs off the level index; these direct versions check it from outside.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
-from tamebars.complexes import Simplex, SimplexTable, faces_with_signs
-from tamebars.field import Field, Scalar
+from tamebars.complexes import CircleMap, RealMap, Simplex, SimplexTable, faces_with_signs
+from tamebars.field import Field, PrimeField, Scalar
+from tamebars.invariants import InvariantBundle, ValuedBar
 from tamebars.matrix import Mat
+
+
+# -- matrices
+
+
+def from_int_rows(field: Field, rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> Mat:
+    f = field.from_int
+    return Mat(field, [[f(x) for x in r] for r in rows], ncols)
+
+
+def is_zero(M: Mat) -> bool:
+    z = M.field.zero
+    return all(x == z for row in M.rows for x in row)
+
+
+def scale(M: Mat, c: Scalar) -> Mat:
+    p = M.field.p if isinstance(M.field, PrimeField) else None
+    return Mat(M.field, [[(c * x) % p if p else c * x for x in row] for row in M.rows], M.ncols)
+
+
+# -- complexes and homology
 
 
 def boundary_matrix(table: SimplexTable, field: Field) -> Mat:
@@ -46,6 +70,25 @@ def euler_characteristic(table: SimplexTable) -> int:
     return sum(-1 if len(s) % 2 == 0 else 1 for s in table.simplices)
 
 
+def refined_map(cc):
+    """The map on the cut complex `cc`, as a document-level map."""
+    if cc.circular:
+        return CircleMap(cc.values, dict(cc.windings))
+    return RealMap(list(cc.values))
+
+
+def member_simplices(h) -> List[Simplex]:
+    """The simplices of a subcomplex handle, in member order."""
+    return [h.cc.table.simplices[i] for i in h.members]
+
+
+def rep_matrix(basis) -> Mat:
+    """Dense representatives of a homology basis; rows follow its r-simplices."""
+    F = basis.field
+    rows = [[rep.get(i, F.zero) for rep in basis.reps] for i in basis.r_cells]
+    return Mat(F, rows, len(basis.reps))
+
+
 def simplex_lift(cc, s: Simplex) -> List[Fraction]:
     """Lift values of a simplex of the cut complex `cc`, based at its first vertex."""
     if not cc.circular:
@@ -56,6 +99,21 @@ def simplex_lift(cc, s: Simplex) -> List[Fraction]:
         w = cc.windings.get((base, v), 0) if base != v else 0
         out.append(cc.values[v] + w)
     return out
+
+
+# -- invariant bundles
+
+
+def mixed_bars(bundle: InvariantBundle, r: int) -> List[ValuedBar]:
+    return [b for b in bundle.degree_bars(r) if b.left_closed != b.right_closed]
+
+
+def bar_multiplicity(bundle: InvariantBundle, r: int, lo, hi,
+                     left_closed: bool = True, right_closed: bool = True) -> int:
+    """Multiplicity of one exact bar (with end types) in degree r; zero
+    when the bar is absent."""
+    probe = ValuedBar(Fraction(lo), Fraction(hi), left_closed, right_closed)
+    return sum(1 for b in bundle.degree_bars(r) if b == probe)
 
 
 # -- subspaces: any Mat with n rows spans a subspace of kappa^n by its columns

@@ -1,27 +1,73 @@
-"""Shared builders for representation tests: planted sums and conjugations."""
+"""Shared builders for representation tests: canonical summand modules,
+direct sums, morphism-space dimensions, planted sums and conjugations."""
 
-import random
-
-from tamebars.canonical import Cell
-from tamebars.field import GF2, QQ, PrimeField
-from tamebars.matrix import Mat
+from tamebars.canonical import Cell, jordan_block
+from tamebars.field import QQ, PrimeField
+from tamebars.matrix import Mat, block_diag
 from tamebars.quiver import (
-    Bar,
+    RepresentationError,
+    _intertwiner_rows,
     bar_from_support,
-    direct_sum,
+    circle_rep_from_lists,
     summand_module,
     zero_circle,
     zero_zigzag,
 )
 
+from oracles import from_int_rows
+
 GF5 = PrimeField(5)
+
+
+def interval_module(field, bar, lo, hi):
+    """The interval summand as a representation on the window lo..hi."""
+    return summand_module(field, bar, zero_zigzag(field, lo, hi))
+
+
+def interval_module_circle(field, bar, m):
+    """The winding interval summand on the cyclic shape G_2m."""
+    return summand_module(field, bar, zero_circle(field, m))
+
+
+def jordan_module(field, lam, k, m=1):
+    """The Jordan cell summand: kappa^k everywhere, alpha_1 = T(lam, k)."""
+    if k < 1:
+        raise ValueError("Jordan cell size must be positive")
+    eye = Mat.identity(field, k)
+    return circle_rep_from_lists(field, [jordan_block(field, lam, k)] + [eye] * (m - 1), [eye] * m)
+
+
+def same_shape(rep1, rep2):
+    return rep1.is_cyclic == rep2.is_cyclic and rep1.dims.keys() == rep2.dims.keys()
+
+
+def direct_sum(reps):
+    """Vertex-wise direct sum; summand blocks appear in the given order."""
+    if not reps:
+        raise ValueError("empty direct sum")
+    first = reps[0]
+    if not all(same_shape(first, r) for r in reps):
+        raise RepresentationError("direct sum shape mismatch")
+    dims = {x: sum(r.dims[x] for r in reps) for x in first.dims}
+    maps = {key: block_diag(first.field, [r.maps[key] for r in reps]) for key in first.slots}
+    return first.like(dims, maps)
+
+
+def hom_dim(rep1, rep2):
+    """Dimension of the space of morphisms rep1 -> rep2 (same shape)."""
+    if not same_shape(rep1, rep2):
+        raise RepresentationError("hom between different shapes")
+    shapes = {x: (rep2.dims[x], rep1.dims[x]) for x in rep1.dims}
+    arrows = [(o, t, rep1.maps[(o, d)], rep2.maps[(o, d)]) for (o, d), t in rep1.slots.items()]
+    rows, _, total = _intertwiner_rows(rep1.field, arrows, shapes)
+    return total - Mat(rep1.field, rows, total).rank()
 
 
 def rand_invertible(field, n, rng):
     if n == 0:
         return Mat.identity(field, 0)
     while True:
-        M = Mat.from_int_rows(
+        M = from_int_rows(
             field, [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
         )
         if M.is_invertible():
@@ -36,13 +82,19 @@ def conjugated(rep, rng):
     return rep.like(rep.dims, maps)
 
 
-def random_bar_z(lo, hi, rng):
+def random_bar_z(lo, hi, rng, closed=False):
+    if closed:  # both ends on even vertices
+        a = 2 * rng.randrange((lo + 1) // 2, hi // 2 + 1)
+        return bar_from_support(a, 2 * rng.randrange(a // 2, hi // 2 + 1))
     a = rng.randrange(lo, hi + 1)
     b = rng.randrange(a, hi + 1)
     return bar_from_support(a, b)
 
 
-def random_bar_g(m, rng):
+def random_bar_g(m, rng, closed=False):
+    if closed:  # both ends on even vertices, winding up to twice
+        a = 2 * rng.randrange(1, m + 1)
+        return bar_from_support(a, a + 2 * rng.randrange(0, 2 * m + 1), m)
     a = rng.randrange(1, 2 * m + 1)
     b = a + rng.randrange(0, 4 * m + 1)
     return bar_from_support(a, b, m)
@@ -70,15 +122,15 @@ def random_cell(field, rng):
     return Cell(poly=(field.neg(lam), one), size=k)
 
 
-def planted_zigzag(field, lo, hi, n_bars, rng):
-    bars = [random_bar_z(lo, hi, rng) for _ in range(n_bars)]
+def planted_zigzag(field, lo, hi, n_bars, rng, closed=False):
+    bars = [random_bar_z(lo, hi, rng, closed) for _ in range(n_bars)]
     shell = zero_zigzag(field, lo, hi)
     mods = [summand_module(field, b, shell) for b in bars]
     return bars, conjugated(direct_sum(mods), rng)
 
 
-def planted_circle(field, m, n_bars, n_cells, rng):
-    summands = [random_bar_g(m, rng) for _ in range(n_bars)]
+def planted_circle(field, m, n_bars, n_cells, rng, closed=False):
+    summands = [random_bar_g(m, rng, closed) for _ in range(n_bars)]
     summands += [random_cell(field, rng) for _ in range(n_cells)]
     shell = zero_circle(field, m)
     mods = [summand_module(field, s, shell) for s in summands]

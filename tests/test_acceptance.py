@@ -13,7 +13,9 @@ from fractions import Fraction as F
 import pytest
 
 from map_fixtures import random_circle_input, random_real_input
-from rep_fixtures import GF5, planted_circle, planted_zigzag
+from oracles import from_int_rows
+from rep_fixtures import (GF5, direct_sum, hom_dim, jordan_module, planted_circle,
+                          planted_zigzag)
 from tamebars.canonical import Cell, cell_sort_key, primary_components
 from tamebars.cli import main
 from tamebars.complexes import (CircleMap, CriticalData, RealMap, SimplexTable,
@@ -27,8 +29,7 @@ from tamebars.invariants import (InvariantBundle, ValuedBar, canonical_check,
                                  novikov_betti)
 from tamebars.matrix import Mat
 from tamebars.quiver import (CircleRep, ZigzagRep, decompose_circle,
-                             decompose_zigzag, direct_sum, hom_dim,
-                             jordan_module, summand_module, summand_sort_key,
+                             decompose_zigzag, summand_module, summand_sort_key,
                              verify_certificate, zero_circle, zero_zigzag)
 from tamebars.stability import stability_experiment
 
@@ -253,7 +254,7 @@ def test_worked_example_fixture_numbers():
                               {}, {}, 1)
     assert global_betti(rbundle, 0) == 1
 
-    gluing = Mat.from_int_rows(QQ, [[3, 0, 0], [1, 2, -1], [0, 0, 2]])
+    gluing = from_int_rows(QQ, [[3, 0, 0], [1, 2, -1], [0, 0, 2]])
     found, _ = primary_components(gluing)
     assert sorted(found, key=cell_sort_key) == \
         sorted([Cell((F(-3), F(1)), 1), Cell((F(-2), F(1)), 2)],

@@ -354,6 +354,49 @@ def test_decompose_accepts_only_json_integers(tmp_path, capsys, doc):
     assert json.loads(err)["error"] == "MalformedInput"
 
 
+@pytest.mark.parametrize("dims", [
+    {"1": 1, "0_2": 1}, {"1": 1, " 2": 1}, {"1": 1, "+2": 1}, {"1": 1, "-0": 0, "2": 1},
+], ids=["underscore", "space", "plus", "minus-zero"])
+def test_decompose_rejects_dims_keys_that_are_not_vertex_numbers(tmp_path, capsys, dims):
+    # int() reads each of these keys as a vertex; they used to decompose
+    code, out, err = run(capsys, "decompose", write(tmp_path, "r.json", _with(EQ2_REP, dims=dims)))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "MalformedInput"
+
+
+def test_decompose_rejects_two_dims_keys_for_one_vertex(tmp_path, capsys):
+    # used to keep the last key's 3 and fail on the arrow shape instead
+    doc = _with(EQ2_REP, dims={"1": 1, "2": 1, "02": 3})
+    code, out, err = run(capsys, "decompose", write(tmp_path, "r.json", doc))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "MalformedInput"
+    assert "'02'" in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize("doc", [
+    _with(EQ2_REP, dims={"1": 1, "2": 1, "7": 1}),
+    {"field": "Q", "shape": "line", "lo": -1, "hi": 0, "dims": {"-1": 1, "0": 1, "1": 1},
+     "arrows": [{"at": -1, "dir": 1, "matrix": [["1"]]}]},
+], ids=["cyclic", "line"])
+def test_decompose_rejects_dims_outside_the_shape(tmp_path, capsys, doc):
+    # these vertices used to be dropped without a word
+    code, out, err = run(capsys, "decompose", write(tmp_path, "r.json", doc))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "MalformedInput"
+    assert "outside the shape" in json.loads(err)["detail"]
+
+
+def test_decompose_accepts_negative_vertex_keys(tmp_path, capsys):
+    doc = {"field": "Q", "shape": "line", "lo": -1, "hi": 0, "dims": {"-1": 1, "0": 1},
+           "arrows": [{"at": -1, "dir": 1, "matrix": [["1"]]}]}
+    code, out, _ = run(capsys, "decompose", write(tmp_path, "r.json", doc))
+    assert code == 0
+    assert [b["label"] for b in json.loads(out)["bars"]] == ["(-1, 0]"]
+
+
 # -- render ------------------------------------------------------------------------
 
 

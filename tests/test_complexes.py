@@ -17,7 +17,7 @@ from tamebars.complexes import (
     validate_circle_map,
 )
 from tamebars.field import GF2, QQ
-from oracles import boundary_block, boundary_matrix
+from oracles import boundary_block, boundary_matrix, is_zero
 
 F = Fraction
 
@@ -68,7 +68,7 @@ def test_edge_boundary_signs():
 def test_boundary_squares_to_zero():
     t = SimplexTable(list("abcd"), [(0, 1, 2, 3)])
     M = boundary_matrix(t, QQ)
-    assert M.mul(M).is_zero()
+    assert is_zero(M.mul(M))
     assert all(M.rows[i][j] == 0 for i in range(len(t)) for j in range(i + 1))
 
 
@@ -84,7 +84,7 @@ def test_boundary_block_shapes():
     d2 = boundary_block(t, QQ, 2)
     assert (d1.nrows, d1.ncols) == (3, 3)
     assert (d2.nrows, d2.ncols) == (3, 1)
-    assert d1.mul(d2).is_zero()
+    assert is_zero(d1.mul(d2))
 
 
 def hollow_triangle_circle(w13):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import euler_characteristic
+from oracles import euler_characteristic, member_simplices, refined_map
 from tamebars.complexes import CircleMap, RealMap, SimplexTable
 from tamebars.cutting import (
     CutInconsistency,
@@ -70,7 +70,7 @@ def test_handles_are_face_closed():
     cc = cut_at_levels(t, RealMap([F(0), F(1), F(2), F(3)]),
                        [F(1, 2), F(3, 2), F(5, 2)])
     for h in [slab(cc, F(1, 2), F(3, 2)), fiber(cc, F(3, 2))]:
-        member_set = {cc.table.simplices[i] for i in h.members}
+        member_set = set(member_simplices(h))
         for s in member_set:
             for k in range(len(s)):
                 face = s[:k] + s[k + 1:]
@@ -127,7 +127,7 @@ def test_circle_slab_wraps_to_deck_translates():
 def test_refined_windings_sum_to_degree():
     t, cmap = degree_one_triangle()
     cc = cut_at_levels(t, cmap, [F(0), F(1, 4), F(1, 2)])
-    rmap = cc.refined_map()
+    rmap = refined_map(cc)
     # walk the refined 1-skeleton around the original cycle: total lift
     # displacement of any cycle must be an integer (here degree -1 or +1)
     edges = cc.table.edges()
@@ -169,7 +169,7 @@ def test_random_real_cuts_preserve_euler():
         assert chi(cc.table) == chi(t)
         for c in levels + mids:
             fb = fiber(cc, c)
-            member_set = {cc.table.simplices[i] for i in fb.members}
+            member_set = set(member_simplices(fb))
             for v, val in enumerate(cc.values):
                 if val == c:
                     assert (v,) in member_set
@@ -178,7 +178,7 @@ def test_random_real_cuts_preserve_euler():
 def test_cover_of_degree_one_window_is_contractible():
     t, cmap = degree_one_triangle()
     cs = unroll_cover(t, cmap, F(0), F(1))
-    member_set = {cs.cut.table.simplices[i] for i in cs.window.members}
+    member_set = set(member_simplices(cs.window))
     verts = {s[0] for s in member_set if len(s) == 1}
     edges = [s for s in member_set if len(s) == 2]
     assert len(verts) == len(edges) + 1  # a tree; here in fact a path

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from map_fixtures import random_circle_input, random_real_input
+from oracles import bar_multiplicity, from_int_rows, mixed_bars
+from rep_fixtures import jordan_module
 from tamebars.canonical import Cell
 from tamebars.complexes import (CircleMap, CriticalData, RealMap, SimplexTable,
                                 critical_candidates, validate_circle_map)
@@ -13,7 +15,7 @@ from tamebars.field import GF2, QQ
 from tamebars.homology import betti_numbers, homology, homology_of, induced_map
 from tamebars.invariants import (BeyondFloatRange, CanonicalData, Configuration, IndexOutOfRange,
                                  InvariantBundle, ShapeMismatch, ValuedBar,
-                                 bar_multiplicity, bundle_to_json,
+                                 bundle_to_json,
                                  canonical_check, canonical_matrix,
                                  compute_invariants, configuration,
                                  convert_bars, cover_formulas, cylinder_embed,
@@ -21,8 +23,7 @@ from tamebars.invariants import (BeyondFloatRange, CanonicalData, Configuration,
                                  image_dim_at, monodromy_assemble,
                                  novikov_betti, polynomial)
 from tamebars.matrix import Mat
-from tamebars.quiver import (Bar, ZigzagRep, circle_rep_from_lists,
-                             jordan_module, zero_circle)
+from tamebars.quiver import Bar, ZigzagRep, circle_rep_from_lists, zero_circle
 
 
 def real_crit(values):
@@ -215,8 +216,8 @@ def test_fixture_fiber_betti(glued_cylinders_bundle):
 
 def test_mixed_bars_do_not_matter(glued_cylinders_bundle):
     b = glued_cylinders_bundle
-    kept = {r: [x for x in bars if x.left_closed == x.right_closed]
-            for r, bars in b.bars.items()}
+    assert mixed_bars(b, 1)
+    kept = {r: [x for x in bars if x not in mixed_bars(b, r)] for r, bars in b.bars.items()}
     thin = replace(b, bars=kept)
     for r in range(3):
         assert global_betti(thin, r) == global_betti(b, r)
@@ -321,7 +322,7 @@ def test_monodromy_empty():
 def test_monodromy_jordan_block():
     dim, T = monodromy_assemble(QQ, [Cell((F(-1), F(1)), 2)])
     assert dim == 2
-    assert T == Mat.from_int_rows(QQ, [[1, 1], [0, 1]])
+    assert T == from_int_rows(QQ, [[1, 1], [0, 1]])
 
 
 # -- canonical matrices --------------------------------------------------------------
@@ -331,7 +332,7 @@ def test_canonical_single_slot():
     one = Mat.identity(QQ, 1)
     rep = circle_rep_from_lists(QQ, [one], [one])
     data = canonical_matrix(rep)
-    assert data.matrix == Mat.from_int_rows(QQ, [[0]])
+    assert data.matrix == from_int_rows(QQ, [[0]])
     assert data.dim_coker == 1 and data.dim_ker == 1
 
 

@@ -14,13 +14,13 @@ from tamebars.matrix import (
     preimage,
     subspace_intersect,
 )
-from oracles import span, subspace_contains, subspace_dim, subspace_eq, subspace_leq, subspace_sum
+from oracles import from_int_rows, is_zero, span, subspace_contains, subspace_dim, subspace_eq, subspace_leq, subspace_sum
 
 F5 = PrimeField(5)
 
 
 def _mat(field, rows):
-    return Mat.from_int_rows(field, rows)
+    return from_int_rows(field, rows)
 
 
 def test_rref_identity_stays():
@@ -52,7 +52,7 @@ def test_kernel_basis_frozen():
         [Fraction(-1), Fraction(1), Fraction(0)],
         [Fraction(-1), Fraction(0), Fraction(1)],
     ]
-    assert A.mul(K).is_zero()
+    assert is_zero(A.mul(K))
 
 
 def test_kernel_of_injective_map_is_empty():
@@ -101,11 +101,18 @@ def test_column_reduced_keeps_row_count_when_zero():
     C = Z.column_reduced()
     assert C.nrows == 3 and C.ncols == 0
     # transporting the zero subspace through maps must stay well-shaped
-    M = Mat.from_int_rows(QQ, [[1, 0, 0], [0, 1, 0]])
+    M = from_int_rows(QQ, [[1, 0, 0], [0, 1, 0]])
     S = image(M, C)
     assert S.nrows == 2 and S.ncols == 0
-    S2 = image(Mat.from_int_rows(QQ, [[1, 1]]), S)
+    S2 = image(from_int_rows(QQ, [[1, 1]]), S)
     assert S2.nrows == 1 and S2.ncols == 0
+
+
+def test_transpose_keeps_empty_shapes():
+    for n in (0, 1, 3):
+        for shape in ((0, n), (n, 0)):
+            T = Mat.zeros(QQ, *shape).transpose()
+            assert (T.nrows, T.ncols) == shape[::-1]
 
 
 def test_column_reduced_unique_for_same_span():
@@ -156,10 +163,10 @@ def test_randomized_rank_agrees_with_kernel_dimension():
     for trial in range(30):
         field = [QQ, GF2, F5][trial % 3]
         n, m = rng.randint(1, 6), rng.randint(1, 6)
-        A = Mat.from_int_rows(field, [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)])
+        A = from_int_rows(field, [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)])
         # rank-nullity, and kernel columns actually die
         K = A.kernel_basis()
         assert A.rank() + K.ncols == m
         if K.ncols:
-            assert A.mul(K).is_zero()
+            assert is_zero(A.mul(K))
         assert A.rank() == A.transpose().rank()

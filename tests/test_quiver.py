@@ -10,39 +10,35 @@ import random
 import pytest
 
 from tamebars.canonical import Cell, jordan_block
-from tamebars.field import GF2, QQ, PrimeField
+from tamebars.field import GF2, QQ
 from tamebars.matrix import Mat
 from tamebars.quiver import (
     Bar,
     Certificate,
     CircleRep,
-    DecompositionError,
     RepresentationError,
     ZigzagRep,
+    _dual,
     bar_from_support,
     cell_module,
-    circle_rep_from_lists,
-    decompose,
     decompose_circle,
     decompose_zigzag,
-    direct_sum,
-    hom_dim,
-    interval_module,
-    interval_module_circle,
-    jordan_module,
     summand_module,
     verify_certificate,
     zero_circle,
     zero_zigzag,
 )
 
+from oracles import from_int_rows, scale
 from rep_fixtures import (
     GF5,
     conjugated,
+    hom_dim,
+    interval_module,
+    interval_module_circle,
+    jordan_module,
     planted_circle,
     planted_zigzag,
-    rand_invertible,
-    random_cell,
 )
 
 
@@ -93,8 +89,8 @@ def test_interval_module_circle_spiral_example():
     bar = Bar(1, 1, True, True, wraps=1)
     rep = interval_module_circle(QQ, bar, 1)
     assert rep.dims == {1: 1, 2: 2}
-    assert rep.alpha(1) == Mat.from_int_rows(QQ, [[1], [0]])
-    assert rep.beta(1) == Mat.from_int_rows(QQ, [[0], [1]])
+    assert rep.alpha(1) == from_int_rows(QQ, [[1], [0]])
+    assert rep.beta(1) == from_int_rows(QQ, [[0], [1]])
 
 
 def test_jordan_module_matches_equation():
@@ -121,8 +117,8 @@ def test_decompose_two_surjections():
         4,
         {2: 1, 3: 2, 4: 1},
         {
-            (3, +1): Mat.from_int_rows(QQ, [[1, 1]]),
-            (3, -1): Mat.from_int_rows(QQ, [[1, 1]]),
+            (3, +1): from_int_rows(QQ, [[1, 1]]),
+            (3, -1): from_int_rows(QQ, [[1, 1]]),
         },
     )
     bars, cert = decompose_zigzag(rep)
@@ -193,7 +189,7 @@ def test_certificate_accepts_rescaled_bases():
     rep = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
     bars, cert = decompose_zigzag(rep)
     scaled = Certificate(
-        base_changes={x: P.scale(QQ.from_int(2)) for x, P in cert.base_changes.items()}
+        base_changes={x: scale(P, QQ.from_int(2)) for x, P in cert.base_changes.items()}
     )
     assert verify_certificate(rep, bars, scaled)
 
@@ -250,10 +246,17 @@ def test_rep_validation_errors():
 @pytest.mark.parametrize("field", [QQ, GF2, GF5])
 def test_planted_zigzag_sums(field):
     rng = random.Random(101)
+    cases = []
     for _ in range(12):
         lo = rng.choice([1, 2])
         hi = lo + rng.randrange(2, 6)
-        planted, rep = planted_zigzag(field, lo, hi, rng.randrange(1, 5), rng)
+        cases.append(planted_zigzag(field, lo, hi, rng.randrange(1, 5), rng))
+    # closed bars only, which the dual peel splits off, on windows with odd,
+    # even and negative lo
+    for lo in (-3, -2, 1, 2):
+        hi = lo + rng.randrange(2, 6)
+        cases.append(planted_zigzag(field, lo, hi, rng.randrange(1, 5), rng, closed=True))
+    for planted, rep in cases:
         bars, cert = decompose_zigzag(rep)
         assert sorted(b.sort_key() for b in bars) == sorted(b.sort_key() for b in planted)
         assert verify_certificate(rep, bars, cert)
@@ -262,11 +265,17 @@ def test_planted_zigzag_sums(field):
 @pytest.mark.parametrize("field", [QQ, GF2, GF5])
 def test_planted_circle_sums(field):
     rng = random.Random(202)
+    cases = []
     for _ in range(10):
         m = rng.choice([1, 1, 2, 3])
         n_bars = rng.randrange(0, 4)
         n_cells = rng.randrange(0 if n_bars else 1, 3)
-        planted, rep = planted_circle(field, m, n_bars, n_cells, rng)
+        cases.append(planted_circle(field, m, n_bars, n_cells, rng))
+    # closed bars only, alone and together with cells
+    closed = [planted_circle(field, m, rng.randrange(1, 4), n_cells, rng, closed=True)
+              for m, n_cells in ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1))]
+    assert any(s.wraps for planted, _ in closed for s in planted if isinstance(s, Bar))
+    for planted, rep in cases + closed:
         bars, cells, cert = decompose_circle(rep)
         got = sorted(
             [("b",) + b.sort_key() for b in bars] + [("c", c.poly, c.size) for c in cells]
@@ -277,6 +286,43 @@ def test_planted_circle_sums(field):
         )
         assert got == want
         assert verify_certificate(rep, bars + cells, cert)
+
+
+# -- the dual representation -------------------------------------------------------
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 5), (2, 6), (-3, 1), (-2, 3)])
+def test_dual_round_trip_line(lo, hi):
+    _, rep = planted_zigzag(GF5, lo, hi, 3, random.Random(lo))
+    dual = _dual(rep, +1)
+    assert (dual.lo, dual.hi) == (lo + 1, hi + 1)
+    for s in (+1, -1):
+        back = _dual(_dual(rep, s), -s)
+        assert (back.lo, back.hi, back.dims, back.maps) == (lo, hi, rep.dims, rep.maps)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_dual_round_trip_circle(m):
+    _, rep = planted_circle(GF5, m, 2, 1, random.Random(m))
+    for s in (+1, -1):
+        back = _dual(_dual(rep, s), -s)
+        assert (back.m, back.dims, back.maps) == (m, rep.dims, rep.maps)
+
+
+def test_dual_of_a_bar_is_the_shifted_bar():
+    # the dual peel reads a dual bar on a..b as the bar on a-1..b-1: the
+    # transposed canonical matrices are the canonical ones, crossing for crossing
+    for a in range(1, 7):
+        for b in range(a, 7):
+            dual = _dual(interval_module(QQ, bar_from_support(a, b), 1, 6), +1)
+            want = summand_module(QQ, bar_from_support(a + 1, b + 1), dual)
+            assert (dual.dims, dual.maps) == (want.dims, want.maps)
+    for m in (1, 2):
+        for a in range(1, 2 * m + 1):
+            for b in range(a, a + 4 * m + 1):
+                dual = _dual(interval_module_circle(QQ, bar_from_support(a, b, m), m), +1)
+                want = summand_module(QQ, bar_from_support(a + 1, b + 1, m), dual)
+                assert (dual.dims, dual.maps) == (want.dims, want.maps)
 
 
 def test_decompose_is_deterministic():

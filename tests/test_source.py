@@ -16,3 +16,22 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_definition_is_used_by_the_package():
+    # src/ holds what the pipeline and the CLI run; helpers that only tests
+    # call live in tests/.  A name counts as used when a module other than
+    # __init__ (which only re-exports) names it.
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif path.name != "__init__.py":
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert sorted(f"{where} {name}" for name, where in defined.items() if name not in used) == []
