@@ -3,20 +3,30 @@
 The decomposition of the monodromy operator needs, for each irreducible factor
 q of the minimal polynomial, the multiset of companion-power blocks q^k
 together with an explicit similarity transform.  Polynomials are plain
-coefficient lists (index = power); irreducible factorization over Q and GF(p)
-is delegated to sympy, everything else is done here so pivoting stays
-deterministic.  sympy is imported on the first factorization only: real
-targets never factor a polynomial, and the import would dominate their
-start-up.
+coefficient lists (index = power), and everything, factoring included, is done
+here so pivoting stays deterministic and no computer algebra system is loaded.
+
+Factoring starts with a square-free decomposition (repeated gcds with the
+derivative; in characteristic p a leftover p-th power is rooted by reading its
+coefficients at t^(ip)).  Over GF(p) each square-free part is split by
+Berlekamp's method: the kernel of Q - I, Q the Frobenius matrix, has one
+dimension per irreducible factor, and gcds with kernel elements (for p = 2)
+or with g^((p-1)/2) - 1 for seeded random kernel elements g (odd p) separate
+them.  Over Q each part is cleared of denominators and factored by
+Zassenhaus's method (von zur Gathen-Gerhard, Modern Computer Algebra, ch.
+14-16): Berlekamp modulo the smallest prime that keeps it square-free of the
+same degree, Hensel lifting past twice the leading coefficient times the
+Mignotte bound, and recombination of the lifted factors by trial division,
+smallest subsets first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from .field import Field, PrimeField, Scalar
+from .field import QQ, Field, PrimeField, Scalar, _is_prime
 from .matrix import Mat, block_diag
 
 Poly = List[Scalar]  # coefficient list, index = power, no trailing zeros
@@ -48,6 +58,14 @@ def poly_mul(field: Field, a: Poly, b: Poly) -> Poly:
             continue
         for j, y in enumerate(b):
             out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return poly_trim(field, out)
+
+
+def poly_add_scaled(field: Field, a: Poly, c: Scalar, b: Poly) -> Poly:
+    """a + c*b."""
+    out = list(a) + [field.zero] * (len(b) - len(a))
+    for j, y in enumerate(b):
+        out[j] = field.add(out[j], field.mul(c, y))
     return poly_trim(field, out)
 
 
@@ -153,6 +171,196 @@ def minimal_polynomial(A: Mat) -> Poly:
     return mp
 
 
+def _derivative(field: Field, p: Poly) -> Poly:
+    return poly_trim(field, [field.mul(field.from_int(i), c) for i, c in enumerate(p)][1:])
+
+
+def _square_free(field: Field, f: Poly) -> List[Tuple[Poly, int]]:
+    """[(g, i)] with pairwise coprime square-free monic g and f = prod g^i,
+    for a monic f."""
+    out = []
+    c = poly_gcd(field, f, _derivative(field, f))
+    w = poly_divmod(field, f, c)[0]  # one copy of each factor whose multiplicity p does not divide
+    i = 1
+    while poly_deg(w) > 0:
+        y = poly_gcd(field, w, c)
+        g = poly_divmod(field, w, y)[0]
+        if poly_deg(g) > 0:
+            out.append((g, i))
+        w, c = y, poly_divmod(field, c, y)[0]
+        i += 1
+    if poly_deg(c) > 0:  # only in characteristic p: c(t) = r(t^p) = r(t)^p
+        out += [(g, k * field.p) for g, k in _square_free(field, c[::field.p])]
+    return out
+
+
+def _powmod(field: Field, a: Poly, e: int, m: Poly) -> Poly:
+    """a^e mod m by square-and-multiply."""
+    out: Poly = [field.one]
+    a = poly_divmod(field, a, m)[1]
+    while e:
+        if e & 1:
+            out = poly_divmod(field, poly_mul(field, out, a), m)[1]
+        e >>= 1
+        if e:
+            a = poly_divmod(field, poly_mul(field, a, a), m)[1]
+    return out
+
+
+def _inverse_mod(field: Field, a: Poly, m: Poly) -> Poly:
+    """s with s*a = 1 mod m, by the extended Euclidean algorithm."""
+    r0, r1 = m, poly_divmod(field, a, m)[1]
+    s0, s1 = [], [field.one]  # r_i = s_i * a mod m
+    while r1:
+        q, r = poly_divmod(field, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_add_scaled(field, s0, field.neg(field.one), poly_mul(field, q, s1))
+    if poly_deg(r0) != 0:
+        raise CanonicalFormError("inverse modulo a non-coprime polynomial")
+    inv = field.inv(r0[0])
+    return poly_divmod(field, [field.mul(inv, c) for c in s0], m)[1]
+
+
+def _berlekamp(field: PrimeField, f: Poly) -> List[Poly]:
+    """The monic irreducible factors of a square-free monic f over GF(p)."""
+    n = poly_deg(f)
+    if n <= 1:
+        return [f]
+    p = field.p
+    xp = _powmod(field, [0, 1], p, f)
+    frob, row = [], [field.one]  # row i of Q: t^(ip) mod f
+    for _ in range(n):
+        frob.append(row + [field.zero] * (n - len(row)))
+        row = poly_divmod(field, poly_mul(field, row, xp), f)[1]
+    # g = sum v_i t^i has g^p = g mod f exactly when (Q^T - I) v = 0; the
+    # kernel has one dimension per irreducible factor (Berlekamp)
+    K = Mat(field, [[field.sub(frob[i][j], int(i == j)) for i in range(n)]
+                    for j in range(n)], n).kernel_basis()
+    basis = [poly_trim(field, K.col(j)) for j in range(K.ncols)]
+    factors = [f]
+    for w in _splitters(field, f, basis):
+        if len(factors) == len(basis):
+            break
+        split = []
+        for h in factors:
+            d = poly_gcd(field, h, w)
+            if 0 < poly_deg(d) < poly_deg(h):
+                split += [d, poly_divmod(field, h, d)[0]]
+            else:
+                split.append(h)
+        factors = split
+    if len(factors) != len(basis):
+        raise CanonicalFormError(f"Berlekamp found {len(factors)} of {len(basis)} factors")
+    return factors
+
+
+def _splitters(field: PrimeField, f: Poly, basis: List[Poly]):
+    """Polynomials w whose gcds with the factors found so far split them.
+
+    For p = 2 every factor h of f is gcd(h, v) gcd(h, v - 1) for a kernel
+    element v, and the kernel basis separates any two irreducible factors.
+    For odd p, g^((p-1)/2) - 1 for a random kernel element g keeps each
+    irreducible factor with probability (p-1)/2p independently, so two given
+    factors stay together in 64 rounds with probability below 1e-16.
+    """
+    if field.p == 2:
+        yield from basis
+        return
+    import random
+
+    rng = random.Random(0)
+    for _ in range(64):
+        g: Poly = []
+        for v in basis:
+            g = poly_add_scaled(field, g, rng.randrange(field.p), v)
+        w = _powmod(field, g, (field.p - 1) // 2, f)
+        yield poly_add_scaled(field, w, field.neg(field.one), [field.one])
+
+
+class _Residues(PrimeField):
+    """Z/mZ for a modulus m that need not be prime (only units are inverted)."""
+
+    def __post_init__(self):
+        pass
+
+
+def _hensel_lift(field: PrimeField, z: List[int], factors: List[Poly], bound: int):
+    """Lift z = lc(z) * prod(factors) mod p to a factorization mod p^k > bound.
+
+    Linear lifting: with a_i the inverse of lc * prod_{l != i} g_l modulo g_i,
+    the error e = (z - lc * prod g_i) / p^j mod p is corrected by
+    g_i += p^j (e a_i mod g_i), since sum_i a_i lc prod_{l != i} g_l = 1 mod p.
+    Returns the monic lifts, coefficients in [0, p^k), and p^k.
+    """
+    p, lc = field.p, z[-1]
+    inverses = []
+    for i, g in enumerate(factors):
+        cofactor = [field.from_int(lc)]
+        for h in factors[:i] + factors[i + 1:]:
+            cofactor = poly_mul(field, cofactor, h)
+        inverses.append(_inverse_mod(field, cofactor, g))
+    lifted, pj = [list(g) for g in factors], p
+    while pj <= bound:
+        ring = _Residues(pj * p)
+        prod = [ring.from_int(lc)]
+        for g in lifted:
+            prod = poly_mul(ring, prod, g)
+        e = poly_trim(field, [(x - y) % ring.p // pj for x, y in zip(z, prod)])
+        for g, a in zip(lifted, inverses):
+            for j, d in enumerate(poly_divmod(field, poly_mul(field, e, a), g)[1]):
+                g[j] += pj * d
+        pj *= p
+    return lifted, pj
+
+
+def _zassenhaus(f: Poly) -> List[Poly]:
+    """The monic irreducible factors over Q of a square-free monic f."""
+    from itertools import combinations
+    from math import lcm
+
+    n = poly_deg(f)
+    if n <= 1:
+        return [f]
+    den = lcm(*(c.denominator for c in f))
+    z = [int(c * den) for c in f]  # primitive: den is the least common denominator
+    lc = z[-1]
+    # the smallest prime dividing neither lc nor the discriminant, that is,
+    # one that keeps z square-free of degree n
+    p = 1
+    while True:
+        p += 1
+        if lc % p == 0 or not _is_prime(p):
+            continue
+        field = PrimeField(p)
+        zp = poly_monic(field, [field.from_int(c) for c in z])
+        if poly_deg(poly_gcd(field, zp, _derivative(field, zp))) == 0:
+            break
+    modular = _berlekamp(field, zp)
+    if len(modular) == 1:
+        return [f]
+    # a factor of z has coefficients of size at most 2^n |z|_2 <= 2^n |z|_1
+    # (Mignotte); lc/lc(h) * h for a factor h is then read exactly off its
+    # symmetric residue lc * prod g_i mod p^k
+    lifted, pk = _hensel_lift(field, z, modular, 2 * abs(lc) * 2**n * sum(abs(c) for c in z))
+    ring = _Residues(pk)
+    out, rest, s = [], f, 1
+    while 2 * s <= len(lifted):
+        for subset in combinations(range(len(lifted)), s):
+            g = [ring.from_int(lc)]
+            for i in subset:
+                g = poly_mul(ring, g, lifted[i])
+            cand = poly_monic(QQ, [Fraction(c - pk if 2 * c > pk else c) for c in g])
+            q, r = poly_divmod(QQ, rest, cand)
+            if not r:
+                out.append(cand)
+                rest = q
+                lifted = [h for i, h in enumerate(lifted) if i not in subset]
+                break
+        else:
+            s += 1
+    return out + [rest]
+
+
 def factor_poly(field: Field, p: Poly) -> List[Tuple[Poly, int]]:
     """Irreducible factorization of a monic polynomial, sorted deterministically.
 
@@ -162,26 +370,10 @@ def factor_poly(field: Field, p: Poly) -> List[Tuple[Poly, int]]:
     p = poly_monic(field, p)
     if poly_deg(p) <= 0:
         return []
-    import sympy
-
-    t = sympy.symbols("t")
-    high_to_low = list(reversed(p))
     if isinstance(field, PrimeField):
-        sp = sympy.Poly([int(c) for c in high_to_low], t, domain=sympy.GF(field.p))
-        _, raw = sp.factor_list()
-        out = []
-        for f, k in raw:
-            coeffs = [field.from_int(int(c)) for c in reversed(f.all_coeffs())]
-            out.append((poly_monic(field, coeffs), int(k)))
+        out = [(q, k) for part, k in _square_free(field, p) for q in _berlekamp(field, part)]
     else:
-        sp = sympy.Poly(
-            [sympy.Rational(c.numerator, c.denominator) for c in high_to_low], t, domain=sympy.QQ
-        )
-        _, raw = sp.factor_list()
-        out = []
-        for f, k in raw:
-            coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
-            out.append((poly_monic(field, coeffs), int(k)))
+        out = [(q, k) for part, k in _square_free(field, p) for q in _zassenhaus(part)]
     out.sort(key=lambda fk: (len(fk[0]), tuple(fk[0])))
     total = [field.one]
     for q, k in out:

@@ -85,9 +85,20 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs):
+    """A JSON object's members as a dict; a repeated key is malformed input,
+    not a silent override by its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedInput(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def _field_spec(text: str):

@@ -17,7 +17,7 @@ from .complexes import CriticalData, SimplexTable, faces_with_signs
 from .cutting import CutComplex, SubcomplexHandle, fiber, slab
 from .field import Field, PrimeField
 from .matrix import Mat
-from .quiver import CircleRep, ZigzagRep, circle_rep_from_lists
+from .quiver import ZigzagRep, circle_rep_from_lists
 
 Chain = Dict[int, object]
 

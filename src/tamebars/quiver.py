@@ -564,7 +564,14 @@ def _peel_dual(st: _State, found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]
     at each dual vertex, with M^T Q_t = Q_o C^T for every arrow M: x_o -> x_t;
     so M Q_o^-T = Q_t^-T C, and the columns of Q^-T split the input into the
     same blocks, the last one carrying `_dual(dual residue, -1)`.
+
+    After `_peel_phase` every arrow is injective.  On the cyclic shape, a
+    residue whose arrows are all square is then all isomorphisms, and the
+    dual scan can find no cokernel.  (On a linear shape square arrows are
+    not enough: the dual's end vertices have zero arrows off the shape.)
     """
+    if st.rep.is_cyclic and all(M.is_square() for M in st.rep.maps.values()):
+        return
     field = st.field
     m = st.rep.m if st.rep.is_cyclic else None
     dual = _State(_dual(st.rep, +1))

@@ -1,17 +1,19 @@
 """Helpers that only the tests use: boundary matrices of a whole complex, the
 Euler characteristic, subspace predicates, the lift of a refined simplex,
-integer-built and scaled matrices, and direct lookups on cut complexes,
-homology bases and invariant bundles.
+integer-built and scaled matrices, direct lookups on cut complexes,
+homology bases and invariant bundles, and polynomial factoring by sympy.
 
-The package computes homology through its sparse reducer and reads fibers
-and slabs off the level index; these direct versions check it from outside.
+The package computes homology through its sparse reducer, reads fibers
+and slabs off the level index and factors polynomials itself; these direct
+versions check it from outside.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
+from tamebars.canonical import Poly, poly_monic
 from tamebars.complexes import CircleMap, RealMap, Simplex, SimplexTable, faces_with_signs
 from tamebars.field import Field, PrimeField, Scalar
 from tamebars.invariants import InvariantBundle, ValuedBar
@@ -142,3 +144,29 @@ def subspace_contains(A: Mat, v: Sequence[Scalar]) -> bool:
 def subspace_leq(A: Mat, B: Mat) -> bool:
     """Is span(A) contained in span(B)?"""
     return B.try_solve(A) is not None
+
+
+# -- polynomials
+
+
+def sympy_factor_poly(field: Field, p: Poly) -> List[Tuple[Poly, int]]:
+    """`tamebars.canonical.factor_poly` computed by sympy: the irreducible
+    factors of a polynomial, made monic, with multiplicities, sorted by
+    (degree, coefficient tuple)."""
+    import sympy  # only the factoring tests need it
+
+    p = poly_monic(field, p)
+    if len(p) <= 1:
+        return []
+    t = sympy.symbols("t")
+    high_to_low = list(reversed(p))
+    if isinstance(field, PrimeField):
+        poly = sympy.Poly([int(c) for c in high_to_low], t, domain=sympy.GF(field.p))
+        read = lambda c: field.from_int(int(c))  # noqa: E731
+    else:
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in high_to_low],
+                          t, domain=sympy.QQ)
+        read = lambda c: Fraction(int(c.p), int(c.q))  # noqa: E731
+    out = [(poly_monic(field, [read(c) for c in reversed(f.all_coeffs())]), int(k))
+           for f, k in poly.factor_list()[1]]
+    return sorted(out, key=lambda fk: (len(fk[0]), tuple(fk[0])))

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamebars import canonical
 from tamebars.canonical import (
@@ -22,9 +24,11 @@ from tamebars.canonical import (
 )
 from tamebars.field import GF2, QQ, PrimeField
 from tamebars.matrix import Mat, block_diag
-from oracles import from_int_rows, is_zero
+from oracles import from_int_rows, is_zero, sympy_factor_poly
 
+F3 = PrimeField(3)
 F5 = PrimeField(5)
+F31 = PrimeField(2**31 - 1)
 
 
 def _q(*vals):
@@ -64,6 +68,87 @@ def test_factor_poly_over_q_and_gf():
     assert factor_poly(QQ, _q(1, 0, 1)) == [(_q(1, 0, 1), 1)]
     assert factor_poly(GF2, [1, 0, 1]) == [([1, 1], 2)]
     assert factor_poly(F5, [1, 0, 1]) == [([2, 1], 1), ([3, 1], 1)]
+
+
+# Irreducible polynomials over each field, coefficients ascending.
+KNOWN_IRREDUCIBLE = {
+    QQ: [(1, 0, 1), (-2, 0, 1), (1, 1, 1), (-2, 0, 0, 1), (1, 0, 0, 0, 1), (1, 0, -10, 0, 1)],
+    GF2: [(0, 1), (1, 1), (1, 1, 1), (1, 1, 0, 1), (1, 0, 1, 1), (1, 1, 0, 0, 1)],
+    F3: [(1, 0, 1), (2, 1, 1), (1, 2, 0, 1), (2, 0, 1, 0, 1)],
+    F31: [(1, 0, 1), (2, 0, 1), (5, 0, 0, 1), (7, 0, 0, 1)],
+}
+
+
+@st.composite
+def factored_products(draw, field):
+    """A nonzero multiple of a product of powers of known irreducibles,
+    linear factors and random monic polynomials, of degree at most 10."""
+    def coeff(big):
+        if field == QQ:
+            return Fraction(draw(st.integers(-big, big)), draw(st.integers(1, big)))
+        return draw(st.integers(0, field.p - 1))
+
+    lead = coeff(10**6)
+    p = [lead if lead != field.zero else field.one]
+    degree = 0
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["known", "linear", "random"]))
+        if kind == "known":
+            q = [field.from_int(c) for c in draw(st.sampled_from(KNOWN_IRREDUCIBLE[field]))]
+        elif kind == "linear":
+            q = [coeff(10**12), field.one]
+        else:
+            q = [coeff(10**3) for _ in range(draw(st.integers(1, 3)))] + [field.one]
+        k = draw(st.integers(1, 3))
+        if degree + k * (len(q) - 1) <= 10:
+            p = poly_mul(field, p, poly_pow(field, q, k))
+            degree += k * (len(q) - 1)
+    return p
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, F3, F31], ids=["Q", "GF2", "GF3", "GF(2^31-1)"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_factor_poly_matches_sympy(field, data):
+    p = data.draw(factored_products(field))
+    assert factor_poly(field, p) == sympy_factor_poly(field, p)
+
+
+def test_known_irreducibles_are_irreducible():
+    for field, polys in KNOWN_IRREDUCIBLE.items():
+        for q in polys:
+            q = [field.from_int(c) for c in q]
+            assert sympy_factor_poly(field, q) == [(q, 1)]
+
+
+def test_factor_poly_pinned_cases(monkeypatch):
+    modular = []
+    berlekamp = canonical._berlekamp
+    monkeypatch.setattr(canonical, "_berlekamp",
+                        lambda field, f: modular.append(berlekamp(field, f)) or modular[-1])
+    # irreducible over Q but split modulo every prime: only recombination
+    # can tell, and it must reject every proper subset of the lifted factors
+    for q in (_q(1, 0, 0, 0, 1), _q(1, 0, -10, 0, 1)):
+        modular.clear()
+        assert factor_poly(QQ, q) == [(q, 1)]
+        assert len(modular) == 1 and len(modular[0]) >= 2
+    # (t+1)^4 = t^4 + 1 over GF(2): the derivative is zero
+    assert factor_poly(GF2, [1, 0, 0, 0, 1]) == [([1, 1], 4)]
+    # t^3 - t = t (t+1) (t+2) over GF(3)
+    assert factor_poly(F3, [0, 2, 0, 1]) == [([0, 1], 1), ([1, 1], 1), ([2, 1], 1)]
+    # degree 0
+    assert factor_poly(QQ, _q(5)) == [] and factor_poly(GF2, [1]) == []
+    for field, p in [(QQ, _q(1, 0, 0, 0, 1)), (QQ, _q(1, 0, -10, 0, 1)), (GF2, [1, 0, 0, 0, 1]),
+                     (F3, [0, 2, 0, 1]), (QQ, _q(5))]:
+        assert factor_poly(field, p) == sympy_factor_poly(field, p)
+
+
+def test_berlekamp_short_of_factors_raises_typed_error(monkeypatch):
+    # t^2 + 1 has two factors over GF(5); with nothing to split by, Berlekamp
+    # stops at one and must say so
+    monkeypatch.setattr(canonical, "_splitters", lambda field, f, basis: iter(()))
+    with pytest.raises(CanonicalFormError):
+        factor_poly(F5, [1, 0, 1])
 
 
 def test_jordan_block_shape():

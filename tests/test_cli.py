@@ -236,21 +236,24 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys):
 
 
 def test_sympy_is_imported_only_to_factor(tmp_path):
-    # a fresh interpreter: this test process may already hold sympy
+    # the package factors polynomials itself: no subcommand loads sympy, not
+    # even those that split off Jordan cells (a fresh interpreter, since this
+    # test process may already hold sympy)
     real = write(tmp_path, "h.json", HEIGHT_DOC)
+    circle = write(tmp_path, "c.json", WRAP_DOC)
     rep = write(tmp_path, "r.json", EQ2_REP)
-    script = (
-        "import sys, tamebars.cli as cli\n"
-        f"print(cli.main(['compute', {real!r}, '--out', {real!r} + '.out']))\n"
-        "print('sympy' in sys.modules)\n"
-        f"print(cli.main(['decompose', {rep!r}, '--out', {rep!r} + '.out']))\n"
-        "print('sympy' in sys.modules)\n")
+    script = "import sys, tamebars.cli as cli\n"
+    for cmd, path in [("compute", real), ("compute", circle), ("decompose", rep)]:
+        script += (f"print(cli.main([{cmd!r}, {path!r}, '--out', {path!r} + '.out']))\n"
+                   "print('sympy' in sys.modules)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False", "0", "True"]
+    assert done.stdout.split() == ["0", "False"] * 3
+    # the circle target did factor a monodromy polynomial
+    assert json.loads(Path(circle + ".out").read_text())["degrees"]["0"]["jordan_cells"]
 
 
 # -- decompose ---------------------------------------------------------------------
@@ -373,6 +376,30 @@ def test_decompose_rejects_two_dims_keys_for_one_vertex(tmp_path, capsys):
     assert out == ""
     assert json.loads(err)["error"] == "MalformedInput"
     assert "'02'" in json.loads(err)["detail"]
+
+
+def test_decompose_rejects_a_repeated_dims_key(tmp_path, capsys):
+    # json.load used to keep the last "2" and fail on the arrow shape instead
+    text = json.dumps(EQ2_REP).replace('"dims": {"1": 1, "2": 1}',
+                                       '"dims": {"1": 1, "2": 1, "2": 2}')
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "decompose", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"ok": False, "error": "MalformedInput",
+                               "detail": "repeated key '2'"}
+
+
+def test_compute_rejects_a_repeated_top_level_key(tmp_path, capsys):
+    # the last "field" used to win silently, and the run exited 0
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(HEIGHT_DOC)[:-1] + ', "field": {"Fp": 5}}')
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"ok": False, "error": "MalformedInput",
+                               "detail": "repeated key 'field'"}
 
 
 @pytest.mark.parametrize("doc", [

@@ -7,7 +7,6 @@ import pytest
 from tamebars.complexes import (
     CircleMap,
     CocycleViolation,
-    CriticalData,
     EmptyComplex,
     MalformedInput,
     RealMap,

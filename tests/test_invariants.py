@@ -8,12 +8,11 @@ from map_fixtures import random_circle_input, random_real_input
 from oracles import bar_multiplicity, from_int_rows, mixed_bars
 from rep_fixtures import jordan_module
 from tamebars.canonical import Cell
-from tamebars.complexes import (CircleMap, CriticalData, RealMap, SimplexTable,
-                                critical_candidates, validate_circle_map)
+from tamebars.complexes import CircleMap, CriticalData, RealMap, SimplexTable, validate_circle_map
 from tamebars.cutting import fiber, unroll_cover
 from tamebars.field import GF2, QQ
 from tamebars.homology import betti_numbers, homology, homology_of, induced_map
-from tamebars.invariants import (BeyondFloatRange, CanonicalData, Configuration, IndexOutOfRange,
+from tamebars.invariants import (BeyondFloatRange, Configuration, IndexOutOfRange,
                                  InvariantBundle, ShapeMismatch, ValuedBar,
                                  bundle_to_json,
                                  canonical_check, canonical_matrix,

@@ -11,6 +11,7 @@ import pytest
 
 from tamebars.canonical import Cell, jordan_block
 from tamebars.field import GF2, QQ
+from tamebars import quiver
 from tamebars.matrix import Mat
 from tamebars.quiver import (
     Bar,
@@ -243,8 +244,7 @@ def test_rep_validation_errors():
 # -- randomized planted sums ------------------------------------------------------
 
 
-@pytest.mark.parametrize("field", [QQ, GF2, GF5])
-def test_planted_zigzag_sums(field):
+def _planted_zigzag_cases(field):
     rng = random.Random(101)
     cases = []
     for _ in range(12):
@@ -256,14 +256,11 @@ def test_planted_zigzag_sums(field):
     for lo in (-3, -2, 1, 2):
         hi = lo + rng.randrange(2, 6)
         cases.append(planted_zigzag(field, lo, hi, rng.randrange(1, 5), rng, closed=True))
-    for planted, rep in cases:
-        bars, cert = decompose_zigzag(rep)
-        assert sorted(b.sort_key() for b in bars) == sorted(b.sort_key() for b in planted)
-        assert verify_certificate(rep, bars, cert)
+    return cases
 
 
-@pytest.mark.parametrize("field", [QQ, GF2, GF5])
-def test_planted_circle_sums(field):
+def _planted_circle_cases(field):
+    """(cases, closed): planted sums, and sums whose bars are all closed."""
     rng = random.Random(202)
     cases = []
     for _ in range(10):
@@ -274,18 +271,84 @@ def test_planted_circle_sums(field):
     # closed bars only, alone and together with cells
     closed = [planted_circle(field, m, rng.randrange(1, 4), n_cells, rng, closed=True)
               for m, n_cells in ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1))]
+    return cases, closed
+
+
+def _check_planted_zigzag(planted, rep):
+    bars, cert = decompose_zigzag(rep)
+    assert sorted(b.sort_key() for b in bars) == sorted(b.sort_key() for b in planted)
+    assert verify_certificate(rep, bars, cert)
+
+
+def _check_planted_circle(planted, rep):
+    bars, cells, cert = decompose_circle(rep)
+    got = sorted(
+        [("b",) + b.sort_key() for b in bars] + [("c", c.poly, c.size) for c in cells]
+    )
+    want = sorted(
+        ("b",) + s.sort_key() if isinstance(s, Bar) else ("c", s.poly, s.size)
+        for s in planted
+    )
+    assert got == want
+    assert verify_certificate(rep, bars + cells, cert)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5])
+def test_planted_zigzag_sums(field):
+    for planted, rep in _planted_zigzag_cases(field):
+        _check_planted_zigzag(planted, rep)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5])
+def test_planted_circle_sums(field):
+    cases, closed = _planted_circle_cases(field)
     assert any(s.wraps for planted, _ in closed for s in planted if isinstance(s, Bar))
     for planted, rep in cases + closed:
-        bars, cells, cert = decompose_circle(rep)
-        got = sorted(
-            [("b",) + b.sort_key() for b in bars] + [("c", c.poly, c.size) for c in cells]
-        )
-        want = sorted(
-            ("b",) + s.sort_key() if isinstance(s, Bar) else ("c", s.poly, s.size)
-            for s in planted
-        )
-        assert got == want
-        assert verify_certificate(rep, bars + cells, cert)
+        _check_planted_circle(planted, rep)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5])
+def test_dual_peel_skip_changes_no_summand(field, monkeypatch):
+    # `_peel_dual` returns early on a residue of square arrows.  Whenever it
+    # leaves the state as it was, the full dual scan must find nothing too:
+    # then summands and certificates are those the scan would give.
+    unchanged = 0
+    peel_dual = quiver._peel_dual
+
+    def checked(st, found):
+        nonlocal unchanged
+        rep, embed, n = st.rep, st.embed, len(found)
+        peel_dual(st, found)
+        if st.rep is rep:
+            unchanged += 1
+            assert st.embed is embed and len(found) == n
+            dual_found = []
+            quiver._peel_phase(quiver._State(_dual(rep, +1)), dual_found)
+            assert dual_found == []
+
+    monkeypatch.setattr(quiver, "_peel_dual", checked)
+    for planted, rep in _planted_zigzag_cases(field):
+        _check_planted_zigzag(planted, rep)
+    cases, closed = _planted_circle_cases(field)
+    for planted, rep in cases + closed:
+        _check_planted_circle(planted, rep)
+    assert unchanged > 0
+
+
+def test_dual_scan_skipped_on_jordan_cells(monkeypatch):
+    # every arrow of a sum of Jordan cells is square and invertible: the
+    # peel's scan finds no kernel, and the dual scan, which could find no
+    # cokernel, never runs
+    scanned = []
+    find = quiver._find_peel_start
+    monkeypatch.setattr(quiver, "_find_peel_start", lambda st: scanned.append(st) or find(st))
+    rng = random.Random(404)
+    for field in (QQ, GF2, GF5):
+        for m in (1, 2, 3):
+            planted, rep = planted_circle(field, m, 0, 2, rng)
+            scanned.clear()
+            _check_planted_circle(planted, rep)
+            assert len(scanned) == 1 and scanned[0].rep is rep
 
 
 # -- the dual representation -------------------------------------------------------

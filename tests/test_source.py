@@ -35,3 +35,37 @@ def test_every_definition_is_used_by_the_package():
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
     assert sorted(f"{where} {name}" for name, where in defined.items() if name not in used) == []
+
+
+def _imports(tree):
+    """(line, bound name, module) for each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0], alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name, node.module or ""
+
+
+def test_every_import_is_used():
+    # __init__ imports only to re-export
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for line, name, _ in _imports(tree)
+                  if name not in used]
+    assert found == []
+
+
+def test_no_sympy_import():
+    # the package factors polynomials itself; sympy is a test-only oracle
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line, _, module in _imports(tree)
+                  if module.split(".")[0] == "sympy"]
+    assert found == []

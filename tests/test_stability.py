@@ -8,7 +8,7 @@ import pytest
 
 from tamebars.complexes import CircleMap, RealMap, SimplexTable, validate_circle_map
 from tamebars.field import QQ
-from tamebars.invariants import Configuration, compute_invariants, configuration
+from tamebars.invariants import Configuration, compute_invariants
 from tamebars.stability import (
     CardinalityMismatch,
     MatchingDistance,
