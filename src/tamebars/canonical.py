@@ -8,8 +8,10 @@ here so pivoting stays deterministic and no computer algebra system is loaded.
 
 Factoring starts with a square-free decomposition (repeated gcds with the
 derivative; in characteristic p a leftover p-th power is rooted by reading its
-coefficients at t^(ip)).  Over GF(p) each square-free part is split by
-Berlekamp's method: the kernel of Q - I, Q the Frobenius matrix, has one
+coefficients at t^(ip)).  Over Q every gcd is taken over Z by primitive
+pseudo-remainders, since Euclid's algorithm on fractions grows its
+coefficients fast with the degree.  Over GF(p) each square-free part is split
+by Berlekamp's method: the kernel of Q - I, Q the Frobenius matrix, has one
 dimension per irreducible factor, and gcds with kernel elements (for p = 2)
 or with g^((p-1)/2) - 1 for seeded random kernel elements g (odd p) separate
 them.  Over Q each part is cleared of denominators and factored by
@@ -97,10 +99,46 @@ def poly_monic(field: Field, p: Poly) -> Poly:
 
 
 def poly_gcd(field: Field, a: Poly, b: Poly) -> Poly:
+    """The monic gcd; over Q by primitive pseudo-remainders over Z, which
+    keeps the coefficients from growing as Euclid's algorithm on fractions
+    lets them grow."""
     a, b = poly_trim(field, a), poly_trim(field, b)
+    if a and b and not isinstance(field, PrimeField):
+        return _primitive_gcd(a, b)
     while b:
         a, b = b, poly_divmod(field, a, b)[1]
     return poly_monic(field, a)
+
+
+def _primitive_gcd(a: Poly, b: Poly) -> Poly:
+    """The monic gcd over Q of nonzero a and b.  Both are cleared of
+    denominators and content; each pseudo-remainder lc(b)^(deg a - deg b + 1)
+    a mod b is computed over Z and divided by its content.  Scaling by
+    nonzero constants leaves the gcd unchanged up to a unit, so the last
+    nonzero remainder made monic is the gcd."""
+    from math import gcd, lcm
+
+    def primitive(z: List[int]) -> List[int]:
+        g = gcd(*z)
+        return [c // g for c in z]
+
+    def cleared(p: Poly) -> List[int]:
+        den = lcm(*(c.denominator for c in p))
+        return primitive([int(c * den) for c in p])
+
+    x, y = cleared(a), cleared(b)
+    while y:
+        lead, n = y[-1], len(y)
+        r = x
+        while len(r) >= n:
+            c, shift = r[-1], len(r) - n
+            r = [v * lead for v in r]
+            for j, v in enumerate(y):
+                r[shift + j] -= c * v
+            while r and not r[-1]:
+                r.pop()
+        x, y = y, primitive(r) if r else []
+    return poly_monic(QQ, [Fraction(v) for v in x])
 
 
 def poly_lcm(field: Field, a: Poly, b: Poly) -> Poly:

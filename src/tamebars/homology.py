@@ -6,6 +6,15 @@ maps need no re-indexing.  Reduction is the left-to-right sparse column
 algorithm with combination tags: tags over the input columns give kernel
 vectors, tags over homology generators give coordinates of a cycle in a chosen
 basis.
+
+The (r+1)-boundaries are reduced first, and the cycle reduction of degree r
+uses clearing (Chen-Kerber, "Persistent homology computation with a twist";
+Bauer-Kerber-Reininghaus, "Clear and compress"): an r-cell that is the pivot
+of a reduced (r+1)-boundary has a column that reduces to zero, and its cycle
+lies in the boundaries plus the earlier cycles, so it is never reduced.  This
+holds because the pivot is the largest index and the columns of each
+dimension are reduced in ascending index order, which `_members_by_dim`
+enforces by sorting the members.  The bases come out as without clearing.
 """
 
 from __future__ import annotations
@@ -69,10 +78,6 @@ class _Reducer:
         self.by_low[low] = (col, tag)
         return low
 
-    @property
-    def npivots(self) -> int:
-        return len(self.by_low)
-
 
 def _boundary_chain(table: SimplexTable, idx: int, field: Field) -> Chain:
     s = table.simplices[idx]
@@ -82,7 +87,7 @@ def _boundary_chain(table: SimplexTable, idx: int, field: Field) -> Chain:
 
 
 def _members_by_dim(table: SimplexTable, members: Optional[Sequence[int]]) -> Dict[int, List[int]]:
-    idxs = range(len(table)) if members is None else members
+    idxs = range(len(table)) if members is None else sorted(members)
     out: Dict[int, List[int]] = {}
     for i in idxs:
         out.setdefault(len(table.simplices[i]) - 1, []).append(i)
@@ -120,19 +125,28 @@ def homology_of(table: SimplexTable, members: Optional[Sequence[int]],
     r_cells = by_dim.get(r, [])
     up_cells = by_dim.get(r + 1, [])
 
+    # the boundaries are cycles of the subcomplex only if its members are
+    # closed under faces; clearing relies on that too
+    structure = _Reducer(field)
+    r_set = set(r_cells)
+    for j in up_cells:
+        col = _boundary_chain(table, j, field)
+        if not r_set.issuperset(col):
+            raise InternalInconsistency(
+                f"homology rank bookkeeping failed: cell {j} has a face outside the members")
+        structure.insert(col, {})
+
+    # clearing: a pivot of the reduced (r+1)-boundaries is skipped
     ker = _Reducer(field)
     cycles: List[Chain] = []
     for j in r_cells:
+        if j in structure.by_low:
+            continue
         col, tag = ker.reduce(_boundary_chain(table, j, field), {j: field.one})
         if col:
             ker.by_low[max(col)] = (col, tag)
         else:
             cycles.append(tag)
-
-    structure = _Reducer(field)
-    for j in up_cells:
-        structure.insert(_boundary_chain(table, j, field), {})
-    rank_b = structure.npivots
 
     reps: List[Chain] = []
     for z in cycles:
@@ -141,7 +155,8 @@ def homology_of(table: SimplexTable, members: Optional[Sequence[int]],
             tag[len(reps)] = field.one
             structure.by_low[max(res)] = (res, tag)
             reps.append(z)
-    if len(reps) != len(cycles) - rank_b:
+    # every cycle left after clearing is new modulo the boundaries
+    if len(reps) != len(cycles):
         raise InternalInconsistency("homology rank bookkeeping failed")
     return HomologyBasis(table, r, field, r_cells, reps, structure)
 
@@ -165,13 +180,14 @@ def induced_map(src: HomologyBasis, dst: HomologyBasis) -> Mat:
     return Mat.from_cols(dst.field, cols, dst.dim)
 
 
-def _arrow(reg: HomologyBasis, crit: HomologyBasis, slab_h: HomologyBasis) -> Mat:
+def _arrow(reg: HomologyBasis, crit: HomologyBasis, slab_h: HomologyBasis, where: str) -> Mat:
     """The composite H(regular fiber) -> H(slab) <- H(critical fiber) with the
-    second leg inverted; raises NotTame when it is not invertible."""
+    second leg inverted; raises NotTame, naming `where`, when it is not
+    invertible."""
     into_crit = induced_map(crit, slab_h)
     into_reg = induced_map(reg, slab_h)
     if not into_crit.is_square() or not into_crit.is_invertible():
-        raise NotTame("critical fiber does not carry the slab homology")
+        raise NotTame(f"critical fiber does not carry the slab homology: {where}")
     return into_crit.solve(into_reg)
 
 
@@ -182,29 +198,31 @@ def assemble_rep(cc: CutComplex, crit: CriticalData, r: int, field: Field):
     ts = crit.regulars
     m = crit.m
     crit_h = [homology(fiber(cc, c), r, field) for c in th]
+    reg_h = [homology(fiber(cc, t), r, field) for t in ts]
+
+    def arrow(reg: HomologyBasis, i: int, a, b) -> Mat:
+        """The arrow between `reg` and the i-th critical fiber, through the
+        slab [a, b]."""
+        slab_h = homology(slab(cc, a, b), r, field)
+        return _arrow(reg, crit_h[i - 1], slab_h,
+                      f"degree {r}, critical value {th[i - 1]}, slab [{a}, {b}]")
 
     if not crit.circular:
-        reg_h = [homology(fiber(cc, t), r, field) for t in ts]
         dims: Dict[int, int] = {}
         maps: Dict[Tuple[int, int], Mat] = {}
         for i in range(m + 1):
             dims[2 * i + 1] = reg_h[i].dim
         for i in range(1, m + 1):
             dims[2 * i] = crit_h[i - 1].dim
-            sa = homology(slab(cc, ts[i - 1], th[i - 1]), r, field)
-            sb = homology(slab(cc, th[i - 1], ts[i]), r, field)
-            maps[(2 * i - 1, +1)] = _arrow(reg_h[i - 1], crit_h[i - 1], sa)
-            maps[(2 * i + 1, -1)] = _arrow(reg_h[i], crit_h[i - 1], sb)
+            maps[(2 * i - 1, +1)] = arrow(reg_h[i - 1], i, ts[i - 1], th[i - 1])
+            maps[(2 * i + 1, -1)] = arrow(reg_h[i], i, th[i - 1], ts[i])
         return ZigzagRep(field, 1, 2 * m + 1, dims, maps)
 
-    reg_h = [homology(fiber(cc, t), r, field) for t in ts]
     alphas = []
     betas = []
     for i in range(1, m + 1):
         lo = ts[i - 2] if i > 1 else ts[-1] - 1
-        sa = homology(slab(cc, lo, th[i - 1]), r, field)
-        sb = homology(slab(cc, th[i - 1], ts[i - 1]), r, field)
         prev_reg = reg_h[i - 2] if i > 1 else reg_h[-1]
-        alphas.append(_arrow(prev_reg, crit_h[i - 1], sa))
-        betas.append(_arrow(reg_h[i - 1], crit_h[i - 1], sb))
+        alphas.append(arrow(prev_reg, i, lo, th[i - 1]))
+        betas.append(arrow(reg_h[i - 1], i, th[i - 1], ts[i - 1]))
     return circle_rep_from_lists(field, alphas, betas)

@@ -1,7 +1,8 @@
 """Helpers that only the tests use: boundary matrices of a whole complex, the
 Euler characteristic, subspace predicates, the lift of a refined simplex,
 integer-built and scaled matrices, direct lookups on cut complexes,
-homology bases and invariant bundles, and polynomial factoring by sympy.
+homology bases and invariant bundles, homology without clearing, the
+Euclidean gcd over Q and polynomial factoring by sympy.
 
 The package computes homology through its sparse reducer, reads fibers
 and slabs off the level index and factors polynomials itself; these direct
@@ -13,9 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from tamebars.canonical import Poly, poly_monic
+from tamebars.canonical import Poly, poly_divmod, poly_monic, poly_trim
 from tamebars.complexes import CircleMap, RealMap, Simplex, SimplexTable, faces_with_signs
 from tamebars.field import Field, PrimeField, Scalar
+from tamebars.homology import HomologyBasis, _boundary_chain, _Reducer
 from tamebars.invariants import InvariantBundle, ValuedBar
 from tamebars.matrix import Mat
 
@@ -91,6 +93,41 @@ def rep_matrix(basis) -> Mat:
     return Mat(F, rows, len(basis.reps))
 
 
+def uncleared_homology_of(table: SimplexTable, members: Optional[Sequence[int]],
+                          r: int, field: Field) -> HomologyBasis:
+    """`tamebars.homology.homology_of` without clearing: reduce every r-cell's
+    boundary, keeping its cycle, before the (r+1)-boundaries are reduced.
+    Each dimension's members are taken in ascending index order."""
+    idxs = range(len(table)) if members is None else members
+    r_cells = sorted(i for i in idxs if len(table.simplices[i]) == r + 1)
+    up_cells = sorted(i for i in idxs if len(table.simplices[i]) == r + 2)
+
+    ker = _Reducer(field)
+    cycles = []
+    for j in r_cells:
+        col, tag = ker.reduce(_boundary_chain(table, j, field), {j: field.one})
+        if col:
+            ker.by_low[max(col)] = (col, tag)
+        else:
+            cycles.append(tag)
+
+    structure = _Reducer(field)
+    for j in up_cells:
+        structure.insert(_boundary_chain(table, j, field), {})
+    rank_b = len(structure.by_low)
+
+    reps = []
+    for z in cycles:
+        res, tag = structure.reduce(z, {})
+        if res:
+            tag[len(reps)] = field.one
+            structure.by_low[max(res)] = (res, tag)
+            reps.append(z)
+    if len(reps) != len(cycles) - rank_b:
+        raise AssertionError("homology rank bookkeeping failed")
+    return HomologyBasis(table, r, field, r_cells, reps, structure)
+
+
 def simplex_lift(cc, s: Simplex) -> List[Fraction]:
     """Lift values of a simplex of the cut complex `cc`, based at its first vertex."""
     if not cc.circular:
@@ -147,6 +184,15 @@ def subspace_leq(A: Mat, B: Mat) -> bool:
 
 
 # -- polynomials
+
+
+def euclid_poly_gcd(field: Field, a: Poly, b: Poly) -> Poly:
+    """The monic gcd by Euclid's algorithm on field coefficients (over Q,
+    `Fraction` arithmetic throughout)."""
+    a, b = poly_trim(field, a), poly_trim(field, b)
+    while b:
+        a, b = b, poly_divmod(field, a, b)[1]
+    return poly_monic(field, a)
 
 
 def sympy_factor_poly(field: Field, p: Poly) -> List[Tuple[Poly, int]]:

@@ -24,7 +24,7 @@ from tamebars.canonical import (
 )
 from tamebars.field import GF2, QQ, PrimeField
 from tamebars.matrix import Mat, block_diag
-from oracles import from_int_rows, is_zero, sympy_factor_poly
+from oracles import euclid_poly_gcd, from_int_rows, is_zero, sympy_factor_poly
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -112,6 +112,45 @@ def factored_products(draw, field):
 def test_factor_poly_matches_sympy(field, data):
     p = data.draw(factored_products(field))
     assert factor_poly(field, p) == sympy_factor_poly(field, p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_poly_gcd_over_q_matches_euclid(data):
+    # a common factor times two cofactors, or a polynomial and its derivative
+    g, a, b = (data.draw(factored_products(QQ)) for _ in range(3))
+    x, y = poly_mul(QQ, g, a), poly_mul(QQ, g, b)
+    if data.draw(st.booleans()):
+        y = canonical._derivative(QQ, x)
+    y = data.draw(st.sampled_from([y, []]))
+    assert poly_gcd(QQ, x, y) == euclid_poly_gcd(QQ, x, y)
+    assert poly_gcd(QQ, y, x) == euclid_poly_gcd(QQ, y, x)
+
+
+def degree_26_product():
+    """Powers of random monic factors with rationals up to 10^12, degree 26:
+    Euclid's algorithm on fractions takes seconds on the square-free step."""
+    rng = random.Random(3)
+    parts, degree = [], 0
+    while degree < 26:
+        d, k = rng.choice([1, 1, 2, 3]), rng.choice([1, 1, 2, 3])
+        if degree + d * k > 26:
+            continue
+        parts.append(([Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**12))
+                       for _ in range(d)] + [Fraction(1)], k))
+        degree += d * k
+    return parts
+
+
+def test_square_free_of_a_degree_26_product():
+    parts = degree_26_product()
+    f, repeated = [Fraction(1)], [Fraction(1)]
+    for q, k in parts:
+        f = poly_mul(QQ, f, poly_pow(QQ, q, k))
+        repeated = poly_mul(QQ, repeated, poly_pow(QQ, q, k - 1))
+    assert len(f) == 27 and len(repeated) == 14
+    assert poly_gcd(QQ, f, canonical._derivative(QQ, f)) == repeated
+    assert factor_poly(QQ, f) == sorted(parts, key=lambda qk: (len(qk[0]), tuple(qk[0])))
 
 
 def test_known_irreducibles_are_irreducible():

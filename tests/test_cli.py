@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 from tamebars import cli
 from tamebars.cli import main
+from tamebars.matrix import Mat
 
 HEIGHT_DOC = {
     "field": "Q",
@@ -554,3 +556,19 @@ def test_stability_rejects_bad_flags(tmp_path, capsys):
     code, _, err = run(capsys, "stability", path, "--schedule", "1/10",
                        "--trials", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("doc, where", [
+    (HEIGHT_DOC, "degree 0, critical value 0, slab [-1, 0]"),
+    (WRAP_DOC, "degree 0, critical value 0, slab [-1/6, 0]"),
+])
+def test_not_tame_names_degree_critical_value_and_slab(tmp_path, capsys, monkeypatch, doc, where):
+    # an inclusion-induced map that is zero makes the first arrow non-invertible
+    # (the package re-exports a function named homology, so import the module)
+    monkeypatch.setattr(import_module("tamebars.homology"), "induced_map",
+                        lambda src, dst: Mat.zeros(dst.field, dst.dim, src.dim))
+    code, out, err = run(capsys, "compute", write(tmp_path, "doc.json", doc))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "ok": False, "error": "NotTame",
+        "detail": f"critical fiber does not carry the slab homology: {where}"}

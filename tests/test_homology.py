@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import boundary_block, is_zero, rep_matrix
+from map_fixtures import random_circle_input, random_real_input
+from oracles import boundary_block, is_zero, rep_matrix, uncleared_homology_of
 from tamebars.complexes import (
     CircleMap,
     RealMap,
@@ -16,6 +17,8 @@ from tamebars.cutting import cut_at_levels, fiber, slab, unroll_cover
 from tamebars.field import GF2, QQ, PrimeField
 from tamebars.homology import (
     InternalInconsistency,
+    _Reducer,
+    _boundary_chain,
     assemble_rep,
     betti_numbers,
     homology,
@@ -25,6 +28,7 @@ from tamebars.homology import (
 
 F = Fraction
 GF5 = PrimeField(5)
+GF_BIG = PrimeField(2**31 - 1)
 
 
 def test_hollow_triangle_betti():
@@ -199,3 +203,118 @@ def test_random_real_assembly_fibers_match(subtests=None):
             rep = assemble_rep(cc, crit, r, GF2)
             for i, theta in enumerate(crit.criticals, start=1):
                 assert rep.dims[2 * i] == homology(fiber(cc, theta), r, GF2).dim
+
+
+# -- clearing: the bases are those of the reduction without it
+
+
+def torus_to_circle(k=3):
+    """A k-by-k triangulated torus mapped to the circle with degree one along
+    the first coordinate."""
+    def lift(i, j):  # i may be k: the far side of the seam, one turn higher
+        v = (i % k) * k + j % k
+        return v, F(i % k, k) + F((5 * (i % k) + 3 * (j % k)) % 4, 8 * k) + i // k
+
+    tris, lifts = set(), []
+    for i in range(k):
+        for j in range(k):
+            corners = [lift(i, j), lift(i + 1, j), lift(i + 1, j + 1), lift(i, j + 1)]
+            for tri in ((0, 1, 2), (0, 2, 3)):
+                pts = [corners[t] for t in tri]
+                tris.add(tuple(sorted(v for v, _ in pts)))
+                lifts.append(pts)
+    table = SimplexTable(list(range(k * k)), sorted(tris))
+    angles = [F(0)] * (k * k)
+    windings = {}
+    for pts in lifts:
+        for v, x in pts:
+            angles[v] = x % 1
+        for (u, xu), (v, xv) in ((pts[0], pts[1]), (pts[0], pts[2]), (pts[1], pts[2])):
+            # each edge gets the same winding from every triangle it lies in
+            w = int(xv // 1 - xu // 1)
+            windings[(u, v) if u < v else (v, u)] = w if u < v else -w
+    return table, CircleMap(angles, windings)
+
+
+def cut_handles(cc, crit):
+    """Member lists of every fiber and slab that assemble_rep reads, and None
+    for the whole cut table."""
+    th, ts = crit.criticals, crit.regulars
+    out = [None] + [fiber(cc, c).members for c in th + ts]
+    for i in range(1, crit.m + 1):
+        if crit.circular:
+            lo = ts[i - 2] if i > 1 else ts[-1] - 1
+            ends = [(lo, th[i - 1]), (th[i - 1], ts[i - 1])]
+        else:
+            ends = [(ts[i - 1], th[i - 1]), (th[i - 1], ts[i])]
+        out += [slab(cc, a, b).members for a, b in ends]
+    return out
+
+
+def assert_same_basis(got, want):
+    assert got.r_cells == want.r_cells
+    assert [list(z.items()) for z in got.reps] == [list(z.items()) for z in want.reps]
+    assert list(got._structure.by_low) == list(want._structure.by_low)
+    assert got._structure.by_low == want._structure.by_low
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF_BIG], ids=["Q", "GF2", "GF(2^31-1)"])
+@pytest.mark.parametrize("kind", ["real", "circle"])
+def test_clearing_matches_the_uncleared_reduction(kind, field):
+    rng = random.Random(8)
+    for _ in range(6):
+        make = random_real_input if kind == "real" else random_circle_input
+        t, f = make(rng)
+        crit = critical_candidates(t, f)
+        cc = cut_at_levels(t, f, crit.criticals + crit.regulars)
+        for members in cut_handles(cc, crit):
+            shuffled = None if members is None else rng.sample(members, len(members))
+            for r in range(cc.table.dim + 2):
+                want = uncleared_homology_of(cc.table, members, r, field)
+                assert_same_basis(homology_of(cc.table, members, r, field), want)
+                assert_same_basis(homology_of(cc.table, shuffled, r, field), want)
+
+
+def test_clearing_skips_every_pivot_of_the_cut_torus_boundaries(monkeypatch):
+    t, f = torus_to_circle()
+    crit = critical_candidates(t, f)
+    cc = cut_at_levels(t, f, crit.criticals + crit.regulars)
+    edges = [i for i, s in enumerate(cc.table.simplices) if len(s) == 2]
+    boundaries = _Reducer(QQ)
+    for i, s in enumerate(cc.table.simplices):
+        if len(s) == 3:
+            boundaries.insert(_boundary_chain(cc.table, i, QQ), {})
+    cleared = set(boundaries.by_low)
+    assert cleared and cleared < set(edges)
+
+    reduced = []
+    original = _Reducer.reduce
+
+    def counting_reduce(self, col, tag):
+        reduced.extend(tag)  # only the cycle reduction tags a cell
+        return original(self, col, tag)
+
+    monkeypatch.setattr(_Reducer, "reduce", counting_reduce)
+    basis = homology_of(cc.table, None, 1, QQ)
+    assert basis.dim == 2
+    assert sorted(reduced) == sorted(set(edges) - cleared)
+
+
+def filled_triangle_missing(face):
+    t = SimplexTable(list("abc"), [(0, 1, 2)])
+    return t, [i for i, s in enumerate(t.simplices) if s != face]
+
+
+def test_missing_pivot_face_fails_the_rank_check():
+    t, members = filled_triangle_missing((1, 2))  # the largest edge: the pivot
+    assert t.index[(1, 2)] == max(t.index[e] for e in [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(InternalInconsistency, match="rank bookkeeping failed"):
+        homology_of(t, members, 1, QQ)
+
+
+def test_missing_face_below_the_pivot_fails_the_rank_check():
+    t, members = filled_triangle_missing((0, 1))
+    with pytest.raises(InternalInconsistency, match="rank bookkeeping failed"):
+        homology_of(t, members, 1, GF2)
+    # the edges alone, without the triangle, are a closed subcomplex
+    assert homology_of(t, [m for m in members if len(t.simplices[m]) < 3], 1, QQ).dim == 0
