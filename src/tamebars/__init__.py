@@ -24,7 +24,6 @@ from .complexes import (
 )
 from .cutting import (
     CutComplex,
-    CoverSlice,
     LevelNotCut,
     SubcomplexHandle,
     cut_at_levels,
@@ -73,7 +72,6 @@ from .invariants import (
 )
 from .stability import (
     CardinalityMismatch,
-    MatchingDistance,
     matching_distance,
     perturb,
     stability_experiment,
@@ -87,7 +85,7 @@ __all__ = [
     "CircleMap", "CocycleViolation", "CriticalData", "EmptyComplex",
     "MalformedInput", "RealMap", "SimplexTable", "critical_candidates",
     "load_document", "validate_circle_map",
-    "CutComplex", "CoverSlice", "LevelNotCut", "SubcomplexHandle",
+    "CutComplex", "LevelNotCut", "SubcomplexHandle",
     "cut_at_levels", "fiber", "slab", "unroll_cover",
     "HomologyBasis", "NotTame", "assemble_rep", "betti_numbers", "homology",
     "homology_of", "induced_map",
@@ -99,7 +97,7 @@ __all__ = [
     "compute_invariants", "configuration", "cover_formulas", "cylinder_embed",
     "fiber_betti_at", "global_betti", "image_dim_at", "monodromy_assemble",
     "novikov_betti", "polynomial",
-    "CardinalityMismatch", "MatchingDistance", "matching_distance", "perturb",
+    "CardinalityMismatch", "matching_distance", "perturb",
     "stability_experiment",
 ]
 

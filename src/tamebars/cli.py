@@ -209,7 +209,7 @@ def _identity_failures(loaded, bundle) -> List[str]:
         for a, b in ((Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(2))):
             window = unroll_cover(table, loaded.map, a, b)
             for r in range(bundle.rmax + 1):
-                direct_dim = homology(window.window, r, field).dim
+                direct_dim = homology(window, r, field).dim
                 if cover_formulas(bundle, r, a, b)[0] != direct_dim:
                     fails.append(
                         f"degree {r} window [{a}, {b}]: cover count mismatch")

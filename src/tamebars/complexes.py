@@ -91,9 +91,6 @@ class RealMap:
 
     values: List[Fraction]
 
-    def value(self, v: int) -> Fraction:
-        return self.values[v]
-
 
 @dataclass
 class CircleMap:

@@ -320,22 +320,12 @@ def slab(cc: CutComplex, a: Fraction, b: Fraction) -> SubcomplexHandle:
     return SubcomplexHandle(cc, cc.index.within(ra, rb))
 
 
-@dataclass
-class CoverSlice:
-    """A window of the infinite cyclic cover, cut at its two ends.
+def unroll_cover(table: SimplexTable, f: CircleMap, a: Fraction, b: Fraction) -> SubcomplexHandle:
+    """The preimage of [a, b] in the infinite cyclic cover, cut at a and b.
 
-    Vertices of the unrolled complex are pairs (v, k); the deck transformation
-    shifts k by one.  The slab handle is exactly the preimage of [a, b].
+    Vertices of the unrolled complex are pairs (v, k), the vertex v lifted
+    k turns up; the handle's ``cc.source`` is that complex.
     """
-
-    cover: SimplexTable
-    cover_map: RealMap
-    cut: CutComplex
-    window: SubcomplexHandle
-    deck_vertex: Dict[int, int]
-
-
-def unroll_cover(table: SimplexTable, f: CircleMap, a: Fraction, b: Fraction) -> CoverSlice:
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("cover window needs a < b")
@@ -346,32 +336,12 @@ def unroll_cover(table: SimplexTable, f: CircleMap, a: Fraction, b: Fraction) ->
         g = [f.angles[v] + o for v, o in zip(sigma, off)]
         lo_g, hi_g = min(g), max(g)
         for t in range(ceil(a - hi_g), floor(b - lo_g) + 1):
-            copy = tuple((v, o + t) for v, o in zip(sigma, off))
-            simplices.append(copy)
-            vert_ids.update(copy)
+            lifted = tuple((v, o + t) for v, o in zip(sigma, off))
+            simplices.append(lifted)
+            vert_ids.update(lifted)
 
     ids = sorted(vert_ids, key=lambda p: (p[1], p[0]))
     pos = {vid: i for i, vid in enumerate(ids)}
     cover = SimplexTable(ids, [tuple(sorted(pos[v] for v in s)) for s in simplices])
     cover_map = RealMap([f.angles[v] + k for v, k in ids])
-
-    cut = cut_at_levels(cover, cover_map, [a, b])
-    window = slab(cut, a, b)
-
-    def shift(vid):
-        if isinstance(vid, int):
-            v, k = cover.vertices[vid]
-            return pos.get((v, k + 1))
-        _, u, v, s = vid
-        su, sv = shift(u), shift(v)
-        if su is None or sv is None:
-            return None
-        return ("cut", su, sv, s)
-
-    cut_pos = {vid: i for i, vid in enumerate(cut.table.vertices)}
-    deck_vertex = {}
-    for i, vid in enumerate(cut.table.vertices):
-        img = shift(vid)
-        if img is not None and img in cut_pos:
-            deck_vertex[i] = cut_pos[img]
-    return CoverSlice(cover, cover_map, cut, window, deck_vertex)
+    return slab(cut_at_levels(cover, cover_map, [a, b]), a, b)

@@ -26,7 +26,7 @@ from .complexes import CriticalData, SimplexTable, faces_with_signs
 from .cutting import CutComplex, SubcomplexHandle, fiber, slab
 from .field import Field, PrimeField
 from .matrix import Mat
-from .quiver import ZigzagRep, circle_rep_from_lists
+from .quiver import rep_from_lists
 
 Chain = Dict[int, object]
 
@@ -165,11 +165,9 @@ def homology(handle: SubcomplexHandle, r: int, field: Field) -> HomologyBasis:
     return homology_of(handle.cc.table, handle.members, r, field)
 
 
-def betti_numbers(table: SimplexTable, field: Field, rmax: Optional[int] = None) -> List[int]:
-    """Betti numbers of a whole complex, degrees 0..rmax."""
-    if rmax is None:
-        rmax = max(table.dim, 0)
-    return [homology_of(table, None, r, field).dim for r in range(rmax + 1)]
+def betti_numbers(table: SimplexTable, field: Field) -> List[int]:
+    """Betti numbers of a whole complex, degrees 0..dim."""
+    return [homology_of(table, None, r, field).dim for r in range(max(table.dim, 0) + 1)]
 
 
 def induced_map(src: HomologyBasis, dst: HomologyBasis) -> Mat:
@@ -207,22 +205,14 @@ def assemble_rep(cc: CutComplex, crit: CriticalData, r: int, field: Field):
         return _arrow(reg, crit_h[i - 1], slab_h,
                       f"degree {r}, critical value {th[i - 1]}, slab [{a}, {b}]")
 
-    if not crit.circular:
-        dims: Dict[int, int] = {}
-        maps: Dict[Tuple[int, int], Mat] = {}
-        for i in range(m + 1):
-            dims[2 * i + 1] = reg_h[i].dim
-        for i in range(1, m + 1):
-            dims[2 * i] = crit_h[i - 1].dim
-            maps[(2 * i - 1, +1)] = arrow(reg_h[i - 1], i, ts[i - 1], th[i - 1])
-            maps[(2 * i + 1, -1)] = arrow(reg_h[i], i, th[i - 1], ts[i])
-        return ZigzagRep(field, 1, 2 * m + 1, dims, maps)
-
+    # ts[k] and ts[k + 1] are the regular values around theta_i; on the
+    # circle k = -1 names the last one, a turn down
+    shift = 2 if crit.circular else 1
     alphas = []
     betas = []
     for i in range(1, m + 1):
-        lo = ts[i - 2] if i > 1 else ts[-1] - 1
-        prev_reg = reg_h[i - 2] if i > 1 else reg_h[-1]
-        alphas.append(arrow(prev_reg, i, lo, th[i - 1]))
-        betas.append(arrow(reg_h[i - 1], i, th[i - 1], ts[i - 1]))
-    return circle_rep_from_lists(field, alphas, betas)
+        k = i - shift
+        lo = ts[k] - 1 if k < 0 else ts[k]
+        alphas.append(arrow(reg_h[k], i, lo, th[i - 1]))
+        betas.append(arrow(reg_h[k + 1], i, th[i - 1], ts[k + 1]))
+    return rep_from_lists(field, alphas, betas, crit.circular)

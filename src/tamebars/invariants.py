@@ -27,7 +27,7 @@ from .field import Field
 from .homology import assemble_rep
 from .matrix import Mat, block_diag
 from .quiver import (Bar, CircleRep, DecompositionError, RepresentationError,
-                     circle_rep_from_lists, decompose_circle, decompose_zigzag)
+                     decompose_circle, decompose_zigzag, rep_from_lists)
 
 
 class IndexOutOfRange(ValueError):
@@ -86,11 +86,6 @@ class ValuedBar:
         lo_k = floor(self.lo - theta)
         hi_k = ceil(self.hi - theta)
         return sum(1 for k in range(lo_k, hi_k + 1) if self.contains(theta + k))
-
-    def label(self) -> str:
-        lb = "[" if self.left_closed else "("
-        rb = "]" if self.right_closed else ")"
-        return f"{lb}{self.lo}, {self.hi}{rb}"
 
 
 def convert_bars(bars: Sequence[Bar], crit: CriticalData) -> List[ValuedBar]:
@@ -157,11 +152,7 @@ def _bar_end_check(rep, bars: Sequence[Bar], m: int) -> None:
     """No bar may end at a critical index whose two adjacent maps are both
     isomorphisms: such an index is an artifact of oversampling the levels."""
     for i in range(1, m + 1):
-        if rep.is_cyclic:
-            a, b = rep.alpha(i), rep.beta(i)
-        else:
-            a, b = rep.maps[(2 * i - 1, +1)], rep.maps[(2 * i + 1, -1)]
-        if _is_iso(a) and _is_iso(b):
+        if _is_iso(rep.alpha(i)) and _is_iso(rep.beta(i)):
             for bar in bars:
                 if bar.i == i or bar.j == i:
                     raise DecompositionError(
@@ -391,9 +382,9 @@ def cyclic_embedding(rep) -> CircleRep:
     m = (rep.hi - 1) // 2
     if m < 1 or rep.dims[rep.lo] or rep.dims[rep.hi]:
         raise ShapeMismatch("end slots must vanish to close the window")
-    alphas = [rep.maps[(2 * i - 1, +1)] for i in range(1, m + 1)]
-    betas = [rep.maps[(2 * i + 1, -1)] for i in range(1, m + 1)]
-    return circle_rep_from_lists(rep.field, alphas, betas)
+    alphas = [rep.alpha(i) for i in range(1, m + 1)]
+    betas = [rep.beta(i) for i in range(1, m + 1)]
+    return rep_from_lists(rep.field, alphas, betas, cyclic=True)
 
 
 def _offsets(dims: Sequence[int]) -> List[int]:

@@ -68,9 +68,6 @@ class Mat:
 
     # -- basics ------------------------------------------------------------
 
-    def copy(self) -> "Mat":
-        return Mat(self.field, [row[:] for row in self.rows], self.ncols)
-
     def col(self, j: int) -> List[Scalar]:
         return [row[j] for row in self.rows]
 
@@ -87,9 +84,6 @@ class Mat:
             and self.ncols == other.ncols
             and self.rows == other.rows
         )
-
-    def __hash__(self):
-        raise TypeError("Mat is mutable, not hashable")
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(self.field.to_str(x) for x in row) for row in self.rows)
@@ -135,22 +129,6 @@ class Mat:
             irow, rden = _as_integers(row)
             out.append(Fraction(sum([a * b for a, b in zip(irow, iv)]), rden * vden))
         return out
-
-    def add(self, other: "Mat") -> "Mat":
-        p = self.field.p if isinstance(self.field, PrimeField) else None
-        rows = [
-            [(a + b) % p if p else a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.rows, other.rows)
-        ]
-        return Mat(self.field, rows, self.ncols)
-
-    def sub(self, other: "Mat") -> "Mat":
-        p = self.field.p if isinstance(self.field, PrimeField) else None
-        rows = [
-            [(a - b) % p if p else a - b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.rows, other.rows)
-        ]
-        return Mat(self.field, rows, self.ncols)
 
     def neg(self) -> "Mat":
         n = self.field.neg

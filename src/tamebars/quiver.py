@@ -129,8 +129,10 @@ class _Rep:
     arrow from the odd vertex x_o to its neighbour in direction d = +-1;
     `slots` maps each slot of the shape to its target vertex, in sorted slot
     order, and `maps[(o, d)]` is its matrix; `maps` None builds the zero
-    arrows.  A subclass fixes the vertex set and `vertex_of`, which sends a
-    position on the (unrolled) path to its vertex, or to None off the shape.
+    arrows.  A subclass fixes the vertex set, `vertex_of`, which sends a
+    position on the (unrolled) path to its vertex, or to None off the shape,
+    and `like`, which builds a representation of the same shape.  `alpha(i)`
+    and `beta(i)` are the arrows into x_2i, so no other module spells a slot.
     """
 
     is_cyclic = False
@@ -164,12 +166,13 @@ class _Rep:
         if extra:
             raise RepresentationError(f"unexpected arrow keys: {sorted(extra)}")
 
-    def vertex_of(self, pos: int) -> Optional[int]:
-        raise NotImplementedError
+    def alpha(self, i: int) -> Mat:
+        """a_i: x_{2i-1} -> x_{2i}."""
+        return self.maps[(2 * i - 1, +1)]
 
-    def like(self, dims: Dict[int, int], maps: Dict[Tuple[int, int], Mat]):
-        """A representation of the same shape."""
-        raise NotImplementedError
+    def beta(self, i: int) -> Mat:
+        """b_i: x_{2i+1} -> x_{2i}; on the cyclic shape b_m: x_1 -> x_2m."""
+        return self.maps[(self.vertex_of(2 * i + 1), -1)]
 
     def dim_at(self, pos: int) -> int:
         x = self.vertex_of(pos)
@@ -214,8 +217,7 @@ class CircleRep(_Rep):
 
     Vertices are 1..2m; `maps[(o, d)]` for odd o is the arrow x_o -> x_{o+d}
     with position arithmetic mod 2m, so (1, -1) is the closing arrow
-    b_m: x_1 -> x_2m.  `alpha(i)` and `beta(i)` give the classical names
-    a_i: x_{2i-1} -> x_{2i} and b_i: x_{2i+1} -> x_{2i} (b_m: x_1 -> x_2m).
+    b_m: x_1 -> x_2m.
     """
 
     is_cyclic = True
@@ -233,18 +235,14 @@ class CircleRep(_Rep):
     def like(self, dims, maps) -> "CircleRep":
         return CircleRep(self.field, self.m, dims, maps)
 
-    def alpha(self, i: int) -> Mat:
-        return self.maps[(2 * i - 1, +1)]
-
-    def beta(self, i: int) -> Mat:
-        return self.maps[(self.vertex_of(2 * i + 1), -1)]
-
 
 Rep = Union[ZigzagRep, CircleRep]
 
 
-def circle_rep_from_lists(field: Field, alphas: Sequence[Mat], betas: Sequence[Mat]) -> CircleRep:
-    """Build a CircleRep from alpha_1..alpha_m, beta_1..beta_m."""
+def rep_from_lists(field: Field, alphas: Sequence[Mat], betas: Sequence[Mat],
+                   cyclic: bool) -> Rep:
+    """The representation with arrows alpha_1..alpha_m and beta_1..beta_m:
+    on the cyclic shape G_2m, or on the linear shape on the window 1..2m+1."""
     m = len(alphas)
     if len(betas) != m or m < 1:
         raise RepresentationError("need equal nonzero numbers of alphas and betas")
@@ -253,8 +251,11 @@ def circle_rep_from_lists(field: Field, alphas: Sequence[Mat], betas: Sequence[M
     for i, (a, b) in enumerate(zip(alphas, betas), 1):
         dims[2 * i - 1], dims[2 * i] = a.ncols, a.nrows
         maps[(2 * i - 1, +1)] = a
-        maps[(2 * i % (2 * m) + 1, -1)] = b
-    return CircleRep(field, m, dims, maps)
+        maps[(2 * i % (2 * m) + 1 if cyclic else 2 * i + 1, -1)] = b
+    if cyclic:
+        return CircleRep(field, m, dims, maps)
+    dims[2 * m + 1] = betas[-1].ncols
+    return ZigzagRep(field, 1, 2 * m + 1, dims, maps)
 
 
 # -- canonical summand modules -------------------------------------------------
@@ -298,7 +299,7 @@ def cell_module(field: Field, cell: Cell, m: int) -> CircleRep:
     """The canonical cyclic summand of a primary component (block at alpha_1)."""
     B = cell.block(field)
     eye = Mat.identity(field, B.nrows)
-    return circle_rep_from_lists(field, [B] + [eye] * (m - 1), [eye] * m)
+    return rep_from_lists(field, [B] + [eye] * (m - 1), [eye] * m, cyclic=True)
 
 
 def summand_module(field: Field, s: Summand, rep: Rep) -> Rep:
@@ -596,30 +597,35 @@ def _peel_dual(st: _State, found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]
     st.embed = embed
 
 
-def _monodromy(rep: CircleRep) -> Mat:
-    """The composite alpha_1 beta_m^-1 alpha_m ... alpha_2 beta_1^-1: V_2 -> V_2."""
+def _monodromy(rep: CircleRep, beta_inv: Sequence[Mat]) -> Mat:
+    """The composite alpha_1 beta_m^-1 alpha_m ... alpha_2 beta_1^-1: V_2 -> V_2,
+    with `beta_inv[i - 1]` the inverse of beta_i."""
     M = Mat.identity(rep.field, rep.dims[2])
     for i in range(1, rep.m):
-        M = rep.alpha(i + 1).mul(rep.beta(i).inverse().mul(M))
-    return rep.alpha(1).mul(rep.beta(rep.m).inverse().mul(M))
+        M = rep.alpha(i + 1).mul(beta_inv[i - 1].mul(M))
+    return rep.alpha(1).mul(beta_inv[-1].mul(M))
 
 
 def _residual_cells(st: _State) -> List[Tuple[Cell, Dict[int, List[List[Scalar]]]]]:
     """Split the all-isomorphism residual part into Jordan cells with bases."""
     rep = st.rep
     m = rep.m
-    for M in rep.maps.values():
-        if not M.is_square() or not M.is_invertible():
-            raise DecompositionError("residual arrows must be isomorphisms")
+    # a singular alpha would otherwise show up as an eigenvalue-0 cell
+    if not all(rep.alpha(i).is_invertible() for i in range(1, m + 1)):
+        raise DecompositionError("residual arrows must be isomorphisms")
+    try:
+        beta_inv = [rep.beta(i).inverse() for i in range(1, m + 1)]
+    except ValueError:  # a singular or non-square beta
+        raise DecompositionError("residual arrows must be isomorphisms") from None
     if rep.dims[2] == 0:
         return []
-    cells, P = primary_components(_monodromy(rep))
+    cells, P = primary_components(_monodromy(rep, beta_inv))
     # propagate: P_2 = P, P_{2i} = alpha_i P_{2i-1}, P_{2i+1} = beta_i^{-1} P_{2i}
     bases: Dict[int, Mat] = {2: P}
     for i in range(1, m):
-        bases[2 * i + 1] = rep.beta(i).inverse().mul(bases[2 * i])
+        bases[2 * i + 1] = beta_inv[i - 1].mul(bases[2 * i])
         bases[2 * i + 2] = rep.alpha(i + 1).mul(bases[2 * i + 1])
-    bases[1] = rep.beta(m).inverse().mul(bases[2 * m])
+    bases[1] = beta_inv[-1].mul(bases[2 * m])
     out = []
     col0 = 0
     for c in cells:

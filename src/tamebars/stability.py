@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
@@ -28,16 +27,6 @@ class CardinalityMismatch(ValueError):
     """Raised when two configurations cannot be matched point for point."""
 
 
-@dataclass(frozen=True)
-class MatchingDistance:
-    """Exact bottleneck distance between two equal-size configurations."""
-
-    value: Fraction
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
 _GRID = 1 << 20
 _MAX_DRAWS = 1000
 
@@ -46,15 +35,14 @@ def _draw(rng: random.Random, eps: Fraction) -> Fraction:
     return Fraction(rng.randrange(-_GRID, _GRID + 1), _GRID) * eps
 
 
-def perturb(mapping: Union[RealMap, CircleMap], eps, seed,
-            table: Optional[SimplexTable] = None):
+def perturb(mapping: Union[RealMap, CircleMap], eps, seed, table: SimplexTable):
     """Shift every vertex value by a pseudo-random rational in [-eps, eps].
 
     Windings of a circle map are untouched and its angles stay inside
     [0, 1) turns, so the homotopy class survives.  Vertices with distinct
     values never collide: an offending draw is simply redone.  The result
-    is reproducible from the seed.  When a table is supplied a perturbed
-    circle map is re-validated against it.
+    is reproducible from the seed.  A perturbed circle map is re-validated
+    against the table.
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -79,8 +67,7 @@ def perturb(mapping: Union[RealMap, CircleMap], eps, seed,
                 raise RuntimeError(f"no collision-free draw for vertex {i}")
     if circular:
         shaken = CircleMap(new, dict(mapping.windings))
-        if table is not None:
-            validate_circle_map(table, shaken)
+        validate_circle_map(table, shaken)
         return shaken
     return RealMap(new)
 
@@ -135,8 +122,9 @@ def _has_perfect_matching(allowed: List[List[bool]]) -> bool:
     return True
 
 
-def matching_distance(c1: Configuration, c2: Configuration) -> MatchingDistance:
-    """Minimum over bijections of the largest single point move.
+def matching_distance(c1: Configuration, c2: Configuration) -> Fraction:
+    """Exact bottleneck distance: the minimum over bijections of the largest
+    single point move.
 
     The optimum is always one of the pairwise ground distances, so a
     threshold search over those values with a bipartite matching test per
@@ -149,7 +137,7 @@ def matching_distance(c1: Configuration, c2: Configuration) -> MatchingDistance:
             f"{len(c1.points)} points versus {len(c2.points)}")
     n = len(c1.points)
     if n == 0:
-        return MatchingDistance(Fraction(0))
+        return Fraction(0)
     metric = _cylinder_metric if c1.circular else _plane_metric
     dist = [[metric(p, q) for q in c2.points] for p in c1.points]
     levels = sorted({d for row in dist for d in row})
@@ -161,7 +149,7 @@ def matching_distance(c1: Configuration, c2: Configuration) -> MatchingDistance:
             hi = mid
         else:
             lo = mid + 1
-    return MatchingDistance(levels[lo])
+    return levels[lo]
 
 
 def _decimal(x: Fraction) -> Optional[str]:
@@ -196,10 +184,9 @@ def stability_experiment(table: SimplexTable, mapping, r: int, schedule,
         violations = 0
         for _ in range(trials):
             counter += 1
-            shaken = perturb(mapping, eps, (seed << 32) + counter, table=table)
+            shaken = perturb(mapping, eps, (seed << 32) + counter, table)
             bundle = compute_invariants(table, shaken, field)
-            moved = matching_distance(base_config, configuration(bundle, r))
-            dists.append(moved.value)
+            dists.append(matching_distance(base_config, configuration(bundle, r)))
             if bundle.cells != base.cells:
                 violations += 1
         results.append({

@@ -1,8 +1,9 @@
 """Helpers that only the tests use: boundary matrices of a whole complex, the
 Euler characteristic, subspace predicates, the lift of a refined simplex,
 integer-built and scaled matrices, direct lookups on cut complexes,
-homology bases and invariant bundles, homology without clearing, the
-Euclidean gcd over Q and polynomial factoring by sympy.
+homology bases and invariant bundles, homology without clearing, the lifted
+map and the deck transformation of a cover window, the Euclidean gcd over Q
+and polynomial factoring by sympy.
 
 The package computes homology through its sparse reducer, reads fibers
 and slabs off the level index and factors polynomials itself; these direct
@@ -12,7 +13,7 @@ versions check it from outside.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from tamebars.canonical import Poly, poly_divmod, poly_monic, poly_trim
 from tamebars.complexes import CircleMap, RealMap, Simplex, SimplexTable, faces_with_signs
@@ -137,6 +138,41 @@ def simplex_lift(cc, s: Simplex) -> List[Fraction]:
     for v in s:
         w = cc.windings.get((base, v), 0) if base != v else 0
         out.append(cc.values[v] + w)
+    return out
+
+
+# -- windows of the infinite cyclic cover
+
+
+def cover_map(f: CircleMap, cover: SimplexTable) -> RealMap:
+    """The lift of f to the unrolled complex of `unroll_cover`, whose
+    vertices are pairs (v, k): the vertex v lifted k turns up."""
+    return RealMap([f.angles[v] + k for v, k in cover.vertices])
+
+
+def deck_vertex(cut) -> Dict[int, int]:
+    """The deck transformation, one turn up, on the vertices of the cut
+    cover `cut` (the ``cc`` of an `unroll_cover` window) whose image is a
+    vertex of it too."""
+    cover = cut.source
+    pos = {vid: i for i, vid in enumerate(cover.vertices)}
+
+    def shift(vid):
+        if isinstance(vid, int):
+            v, k = cover.vertices[vid]
+            return pos.get((v, k + 1))
+        _, u, v, s = vid
+        su, sv = shift(u), shift(v)
+        if su is None or sv is None:
+            return None
+        return ("cut", su, sv, s)
+
+    cut_pos = {vid: i for i, vid in enumerate(cut.table.vertices)}
+    out = {}
+    for i, vid in enumerate(cut.table.vertices):
+        img = shift(vid)
+        if img is not None and img in cut_pos:
+            out[i] = cut_pos[img]
     return out
 
 

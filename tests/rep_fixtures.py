@@ -8,7 +8,7 @@ from tamebars.quiver import (
     RepresentationError,
     _intertwiner_rows,
     bar_from_support,
-    circle_rep_from_lists,
+    rep_from_lists,
     summand_module,
     zero_circle,
     zero_zigzag,
@@ -34,7 +34,8 @@ def jordan_module(field, lam, k, m=1):
     if k < 1:
         raise ValueError("Jordan cell size must be positive")
     eye = Mat.identity(field, k)
-    return circle_rep_from_lists(field, [jordan_block(field, lam, k)] + [eye] * (m - 1), [eye] * m)
+    return rep_from_lists(field, [jordan_block(field, lam, k)] + [eye] * (m - 1), [eye] * m,
+                          cyclic=True)
 
 
 def same_shape(rep1, rep2):

@@ -108,14 +108,14 @@ def test_cover_window_counts_and_growth_match_unrolled_homology():
             window = unroll_cover(table, cmap, a, b)
             for r in range(bundle.rmax + 1):
                 assert cover_formulas(bundle, r, a, b)[0] == \
-                    homology(window.window, r, QQ).dim
+                    homology(window, r, QQ).dim
         spans = [bar.hi - bar.lo
                  for bars in bundle.bars.values() for bar in bars]
         start = int(max(spans, default=0)) + 2
         dims = []
         for p in range(4):
             window = unroll_cover(table, cmap, F(0), F(start + p))
-            dims.append([homology(window.window, r, QQ).dim
+            dims.append([homology(window, r, QQ).dim
                          for r in range(bundle.rmax + 1)])
         for r in range(bundle.rmax + 1):
             slope = novikov_betti(bundle, r)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -205,6 +206,36 @@ def test_compute_check_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert json.loads(err)["failures"] == ["forced"]
+
+
+# Each counting identity that --check re-derives, forced off by one, and the
+# start its failure lines must have: the degree, then the level or window.
+LEVEL = r"degree \d+ level -?\d+(/\d+)?: "
+OFF_BY_ONE = {
+    "global_betti": (lambda f: lambda b, r: f(b, r) + 1,
+                     r"degree \d+: global betti \d+, direct \d+$"),
+    "canonical_check": (lambda f: lambda b, r, want: f(b, r, want + 1),
+                        r"degree \d+: pairing-matrix count does not match$"),
+    "fiber_betti_at": (lambda f: lambda b, r, v: f(b, r, v) + 1,
+                       LEVEL + "fiber betti mismatch$"),
+    "image_dim_at": (lambda f: lambda b, r, v: f(b, r, v) + 1,
+                     LEVEL + "image rank mismatch$"),
+    "cover_formulas": (lambda f: lambda b, r, a, c: (f(b, r, a, c)[0] + 1,) + f(b, r, a, c)[1:],
+                       r"degree \d+ window \[\d+(/\d+)?, \d+\]: cover count mismatch$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_BY_ONE))
+def test_compute_check_names_each_failed_identity(tmp_path, capsys, monkeypatch, name):
+    wrap, line = OFF_BY_ONE[name]
+    monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
+    code, out, err = run(capsys, "compute", write(tmp_path, "w.json", WRAP_DOC), "--check")
+    assert code == 3
+    assert out == ""
+    report = json.loads(err)
+    assert report["error"] == "IdentityCheckFailure"
+    assert report["failures"]
+    assert all(re.match(line, f) for f in report["failures"]), report["failures"]
 
 
 def test_compute_byte_identical(tmp_path, capsys):
@@ -457,6 +488,22 @@ def test_render_empty_cylinder_chart(tmp_path, capsys):
     assert "punctured-plane chart" in out
     assert cli._BLUE not in out and cli._RED not in out
     assert 'stroke-dasharray' in out
+
+
+def test_render_cylinder_chart_points(tmp_path, capsys):
+    # the triangle folds onto the arc [0, 1/2]: one open degree-0 bar (0, 1/2)
+    fold = json.loads(json.dumps(WRAP_DOC))
+    fold["vertices"][1]["value"]["angle"] = "1/4"
+    fold["vertices"][2]["value"]["angle"] = "1/2"
+    fold["windings"] = []
+    inv = compute_to_file(tmp_path, fold, "f")
+    capsys.readouterr()
+    code, out, _ = run(capsys, "render", inv, "--degree", "1")
+    assert code == 0
+    assert "punctured-plane chart" in out
+    assert out.count(f'fill="{cli._RED}"') == 1
+    assert out.count(f'fill="{cli._BLUE}"') == 0
+    assert "<title>(0.5, 0)</title>" in out
 
 
 def test_render_json_mode(tmp_path, capsys):

@@ -13,6 +13,7 @@ import pytest
 
 from cut_oracle import oracle_cut_at_levels
 from map_fixtures import random_circle_input, random_real_input
+from oracles import cover_map
 from tamebars.complexes import CircleMap, RealMap, SimplexTable, critical_candidates
 from tamebars.cutting import cut_at_levels, unroll_cover
 
@@ -92,4 +93,5 @@ def test_cover_cut_matches_oracle(seed):
     a = rng.choice(crit.criticals + crit.regulars)
     for b in (a + F(1, 2), a + 1):
         cs = unroll_cover(table, f, a, b)
-        assert_same_cut(cs.cut, oracle_cut_at_levels(cs.cover, cs.cover_map, [a, b]))
+        cover = cs.cc.source
+        assert_same_cut(cs.cc, oracle_cut_at_levels(cover, cover_map(f, cover), [a, b]))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import euler_characteristic, member_simplices, refined_map
+from oracles import deck_vertex, euler_characteristic, member_simplices, refined_map
 from tamebars.complexes import CircleMap, RealMap, SimplexTable
 from tamebars.cutting import (
     CutInconsistency,
@@ -178,7 +178,7 @@ def test_random_real_cuts_preserve_euler():
 def test_cover_of_degree_one_window_is_contractible():
     t, cmap = degree_one_triangle()
     cs = unroll_cover(t, cmap, F(0), F(1))
-    member_set = set(member_simplices(cs.window))
+    member_set = set(member_simplices(cs))
     verts = {s[0] for s in member_set if len(s) == 1}
     edges = [s for s in member_set if len(s) == 2]
     assert len(verts) == len(edges) + 1  # a tree; here in fact a path
@@ -188,21 +188,22 @@ def test_cover_window_below_all_values_is_empty():
     t = SimplexTable(["a"], [(0,)])
     cmap = CircleMap([F(0)], {})
     cs = unroll_cover(t, cmap, F(1, 3), F(1, 2))
-    assert cs.window.members == []
+    assert cs.members == []
 
 
 def test_cover_deck_map_shifts_boundary_fibers():
     t, cmap = degree_one_triangle()
-    cs = unroll_cover(t, cmap, F(0), F(1))
-    lo = {cs.cut.table.simplices[i][0] for i in fiber(cs.cut, F(0)).members
-          if len(cs.cut.table.simplices[i]) == 1}
-    hi = {cs.cut.table.simplices[i][0] for i in fiber(cs.cut, F(1)).members
-          if len(cs.cut.table.simplices[i]) == 1}
+    cc = unroll_cover(t, cmap, F(0), F(1)).cc
+    lo = {cc.table.simplices[i][0] for i in fiber(cc, F(0)).members
+          if len(cc.table.simplices[i]) == 1}
+    hi = {cc.table.simplices[i][0] for i in fiber(cc, F(1)).members
+          if len(cc.table.simplices[i]) == 1}
     # values in the cover are genuine reals, so the two ends are distinct
     # fibers and the deck map carries the low end onto the high end
     assert lo and hi and lo.isdisjoint(hi)
-    assert {cs.deck_vertex[v] for v in lo if v in cs.deck_vertex} <= hi
-    moved = [v for v in lo if v in cs.deck_vertex]
+    deck = deck_vertex(cc)
+    assert {deck[v] for v in lo if v in deck} <= hi
+    moved = [v for v in lo if v in deck]
     assert len(moved) == len(lo)
 
 

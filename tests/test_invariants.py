@@ -14,7 +14,7 @@ from tamebars.field import GF2, QQ
 from tamebars.homology import betti_numbers, homology, homology_of, induced_map
 from tamebars.invariants import (BeyondFloatRange, Configuration, IndexOutOfRange,
                                  InvariantBundle, ShapeMismatch, ValuedBar,
-                                 bundle_to_json,
+                                 _bar_end_check, bundle_to_json,
                                  canonical_check, canonical_matrix,
                                  compute_invariants, configuration,
                                  convert_bars, cover_formulas, cylinder_embed,
@@ -22,7 +22,7 @@ from tamebars.invariants import (BeyondFloatRange, Configuration, IndexOutOfRang
                                  image_dim_at, monodromy_assemble,
                                  novikov_betti, polynomial)
 from tamebars.matrix import Mat
-from tamebars.quiver import Bar, ZigzagRep, circle_rep_from_lists, zero_circle
+from tamebars.quiver import Bar, DecompositionError, ZigzagRep, rep_from_lists, zero_circle
 
 
 def real_crit(values):
@@ -58,7 +58,6 @@ def test_convert_mixed_wrapping_bar():
     theta = [F(i, 8) for i in range(1, 7)]
     out = convert_bars([Bar(6, 1, False, True, wraps=1)], circle_crit(theta))
     assert out == [ValuedBar(F(6, 8), F(1, 8) + 1, False, True)]
-    assert out[0].label() == "(3/4, 9/8]"
 
 
 def test_convert_rejects_bad_index():
@@ -329,7 +328,7 @@ def test_monodromy_jordan_block():
 
 def test_canonical_single_slot():
     one = Mat.identity(QQ, 1)
-    rep = circle_rep_from_lists(QQ, [one], [one])
+    rep = rep_from_lists(QQ, [one], [one], cyclic=True)
     data = canonical_matrix(rep)
     assert data.matrix == from_int_rows(QQ, [[0]])
     assert data.dim_coker == 1 and data.dim_ker == 1
@@ -344,6 +343,16 @@ def test_canonical_zero_rep():
     data = canonical_matrix(zero_circle(QQ, 2))
     assert data.matrix.nrows == 0 and data.matrix.ncols == 0
     assert data.dim_coker == 0 and data.dim_ker == 0
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_bar_end_check_names_a_bar_at_a_transparent_level(cyclic):
+    # both arrows at level 1 are isomorphisms; beta_2 is zero
+    one = Mat.identity(QQ, 1)
+    rep = rep_from_lists(QQ, [one, one], [one, Mat.zeros(QQ, 1, 1)], cyclic)
+    _bar_end_check(rep, [Bar(2, 2, True, True)], 2)
+    with pytest.raises(DecompositionError, match=r"bar \[1, 2\) ends at a transparent level 1"):
+        _bar_end_check(rep, [Bar(2, 2, True, True), Bar(1, 2, True, False)], 2)
 
 
 def test_cyclic_embedding_needs_zero_ends():
@@ -410,7 +419,7 @@ def test_random_cover_window_counts_match_homology():
         for a, b in ((F(0), F(1)), (F(1, 3), F(9, 4))):
             slice_ = unroll_cover(table, cmap, a, b)
             for r in range(bundle.rmax + 1):
-                direct = homology(slice_.window, r, QQ).dim
+                direct = homology(slice_, r, QQ).dim
                 assert cover_formulas(bundle, r, a, b)[0] == direct
 
 

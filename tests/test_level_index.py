@@ -127,6 +127,6 @@ def test_cover_window_matches_scan(case):
     table, g = circle_cases(n=6, seed=13)[case]
     for a, b in ((F(0), F(1)), (F(1, 2), F(2)), (F(-1, 3), F(1, 4))):
         cs = unroll_cover(table, g, a, b)
-        assert cs.window.members == scan_slab(cs.cut, a, b)
-        assert_matches_scan(cs.cut, [a, b])
+        assert cs.members == scan_slab(cs.cc, a, b)
+        assert_matches_scan(cs.cc, [a, b])
 

@@ -17,6 +17,7 @@ from tamebars.quiver import (
     Bar,
     Certificate,
     CircleRep,
+    DecompositionError,
     RepresentationError,
     ZigzagRep,
     _dual,
@@ -24,6 +25,7 @@ from tamebars.quiver import (
     cell_module,
     decompose_circle,
     decompose_zigzag,
+    rep_from_lists,
     summand_module,
     verify_certificate,
     zero_circle,
@@ -159,6 +161,19 @@ def test_nilpotent_alpha_is_a_winding_bar():
     assert bars == [Bar(1, 1, True, False, wraps=2)]
 
 
+@pytest.mark.parametrize("alphas, betas", [
+    ([Mat.zeros(QQ, 1, 1)], [Mat.identity(QQ, 1)]),
+    ([Mat.identity(QQ, 1)], [Mat.zeros(QQ, 1, 1)]),
+    ([Mat.identity(QQ, 1), Mat.identity(QQ, 2)], [Mat.zeros(QQ, 1, 2), Mat.zeros(QQ, 2, 1)]),
+], ids=["singular-alpha", "singular-beta", "non-square-beta"])
+def test_residue_with_a_non_isomorphism_is_an_error(alphas, betas):
+    # the residue left by the peel has isomorphisms only; a singular alpha
+    # must not become an eigenvalue-0 cell
+    st = quiver._State(rep_from_lists(QQ, alphas, betas, cyclic=True))
+    with pytest.raises(DecompositionError, match="residual arrows must be isomorphisms"):
+        quiver._residual_cells(st)
+
+
 def test_decompose_zero_rep():
     bars, cert = decompose_zigzag(zero_zigzag(QQ, 1, 5))
     assert bars == []
@@ -205,8 +220,21 @@ def test_certificate_rejects_wrong_summands():
 def test_certificate_rejects_singular_base_change():
     rep = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
     bars, cert = decompose_zigzag(rep)
-    bad = {x: P.copy() for x, P in cert.base_changes.items()}
+    bad = dict(cert.base_changes)
     bad[2] = Mat.zeros(QQ, 1, 1)
+    assert not verify_certificate(rep, bars, Certificate(base_changes=bad))
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda bad: bad.update({2: scale(bad[2], QQ.from_int(2))}),  # invertible, conjugates nothing
+    lambda bad: bad.pop(2),
+    lambda bad: bad.update({2: Mat.identity(QQ, 2)}),
+], ids=["not-conjugating", "missing", "misshaped"])
+def test_certificate_rejects_a_bad_base_change(spoil):
+    rep = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
+    bars, cert = decompose_zigzag(rep)
+    bad = dict(cert.base_changes)
+    spoil(bad)
     assert not verify_certificate(rep, bars, Certificate(base_changes=bad))
 
 
