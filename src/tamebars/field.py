@@ -62,9 +62,6 @@ class Rationals:
             raise FieldError("division by zero in Q")
         return 1 / a
 
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * self.inv(b)
-
     def from_fraction(self, q: Fraction) -> Fraction:
         return q
 

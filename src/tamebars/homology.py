@@ -15,11 +15,20 @@ lies in the boundaries plus the earlier cycles, so it is never reduced.  This
 holds because the pivot is the largest index and the columns of each
 dimension are reduced in ascending index order, which `_members_by_dim`
 enforces by sorting the members.  The bases come out as without clearing.
+
+Over Q the reducer works on integer chains.  Boundary entries, kernel tags
+and structure tags are Python ints, and a quotient by a pivot of +-1 is a
+product, so it stays an int.  Only a non-unit pivot makes a `Fraction`
+quotient, and the chains it touches carry Fractions from then on; ints and
+Fractions mix exactly.  Values turn into Fractions where they leave the
+reducer: `HomologyBasis.coords` returns Fractions, so every `Mat` over Q
+still holds Fractions.  Over GF(p) every value is a residue in [0, p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import CriticalData, SimplexTable, faces_with_signs
@@ -40,7 +49,10 @@ class NotTame(RuntimeError):
 
 
 class _Reducer:
-    """Sparse column reduction; stores (column, tag) pairs keyed by pivot row."""
+    """Sparse column reduction; stores (column, tag) pairs keyed by pivot row.
+
+    Over Q the entries may be ints or Fractions: the quotient by a pivot of
+    +-1 is a product, and any other pivot makes a Fraction."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -58,7 +70,13 @@ class _Reducer:
             if hit is None:
                 break
             rcol, rtag = hit
-            c = F.div(col[low], rcol[low])
+            a, b = col[low], rcol[low]
+            if p:
+                c = F.div(a, b)
+            elif b == 1 or b == -1:
+                c = a * b
+            else:
+                c = Fraction(a, b)
             for chain, rchain in ((col, rcol), (tag, rtag)):
                 for r, x in rchain.items():
                     nv = chain[r] - c * x if r in chain else -c * x
@@ -80,10 +98,13 @@ class _Reducer:
 
 
 def _boundary_chain(table: SimplexTable, idx: int, field: Field) -> Chain:
+    """The boundary of a simplex; over Q the signs stay ints."""
     s = table.simplices[idx]
     if len(s) == 1:
         return {}
-    return {table.index[f]: field.from_int(sign) for f, sign in faces_with_signs(s)}
+    if isinstance(field, PrimeField):
+        return {table.index[f]: field.from_int(sign) for f, sign in faces_with_signs(s)}
+    return {table.index[f]: sign for f, sign in faces_with_signs(s)}
 
 
 def _members_by_dim(table: SimplexTable, members: Optional[Sequence[int]]) -> Dict[int, List[int]]:
@@ -111,12 +132,14 @@ class HomologyBasis:
         return len(self.reps)
 
     def coords(self, cycle: Chain) -> List:
-        """Coordinates of a cycle of this subcomplex in the chosen basis."""
+        """Coordinates of a cycle of this subcomplex in the chosen basis, as
+        field elements (Fractions over Q)."""
         F = self.field
         res, tag = self._structure.reduce(cycle, {})
         if res:
             raise InternalInconsistency("chain is not a cycle of the subcomplex")
-        return [F.neg(tag.get(i, F.zero)) for i in range(len(self.reps))]
+        neg = F.neg if isinstance(F, PrimeField) else lambda x: Fraction(-x)
+        return [neg(tag.get(i, 0)) for i in range(len(self.reps))]
 
 
 def homology_of(table: SimplexTable, members: Optional[Sequence[int]],
@@ -142,7 +165,7 @@ def homology_of(table: SimplexTable, members: Optional[Sequence[int]],
     for j in r_cells:
         if j in structure.by_low:
             continue
-        col, tag = ker.reduce(_boundary_chain(table, j, field), {j: field.one})
+        col, tag = ker.reduce(_boundary_chain(table, j, field), {j: 1})
         if col:
             ker.by_low[max(col)] = (col, tag)
         else:
@@ -152,7 +175,7 @@ def homology_of(table: SimplexTable, members: Optional[Sequence[int]],
     for z in cycles:
         res, tag = structure.reduce(z, {})
         if res:
-            tag[len(reps)] = field.one
+            tag[len(reps)] = 1
             structure.by_low[max(res)] = (res, tag)
             reps.append(z)
     # every cycle left after clearing is new modulo the boundaries

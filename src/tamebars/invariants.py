@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .canonical import Cell, cell_sort_key
+from .canonical import CanonicalFormError, Cell, cell_sort_key
 from .complexes import CriticalData, SimplexTable, critical_candidates
 from .cutting import CutComplex, cut_at_levels
 from .field import Field
@@ -171,12 +171,15 @@ def compute_invariants(table: SimplexTable, mapping, field: Field) -> InvariantB
     reps: Dict[int, object] = {}
     for r in range(rmax + 1):
         rep = assemble_rep(cc, crit, r, field)
-        if crit.circular:
-            raw, found, _ = decompose_circle(rep)
-        else:
-            raw, _ = decompose_zigzag(rep)
-            found = []
-        _bar_end_check(rep, raw, crit.m)
+        try:
+            if crit.circular:
+                raw, found, _ = decompose_circle(rep)
+            else:
+                raw, _ = decompose_zigzag(rep)
+                found = []
+            _bar_end_check(rep, raw, crit.m)
+        except (DecompositionError, CanonicalFormError) as e:
+            raise type(e)(f"degree {r}: {e}") from e
         bars[r] = convert_bars(raw, crit)
         cells[r] = sorted(found, key=cell_sort_key)
         reps[r] = rep

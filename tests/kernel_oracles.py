@@ -99,7 +99,7 @@ class DenseReducer:
             if hit is None:
                 break
             rcol, rtag = hit
-            c = F.div(col[low], rcol[low])
+            c = F.mul(col[low], F.inv(rcol[low]))
             for r, x in rcol.items():
                 nv = F.sub(col.get(r, F.zero), F.mul(c, x))
                 if nv == F.zero:

@@ -1,13 +1,13 @@
 """Helpers that only the tests use: boundary matrices of a whole complex, the
 Euler characteristic, subspace predicates, the lift of a refined simplex,
 integer-built and scaled matrices, direct lookups on cut complexes,
-homology bases and invariant bundles, homology without clearing, the lifted
-map and the deck transformation of a cover window, the Euclidean gcd over Q
-and polynomial factoring by sympy.
+homology bases and invariant bundles, homology without clearing on
+field-element chains, the lifted map and the deck transformation of a cover
+window, the Euclidean gcd over Q and polynomial factoring by sympy.
 
-The package computes homology through its sparse reducer, reads fibers
-and slabs off the level index and factors polynomials itself; these direct
-versions check it from outside.
+The package computes homology through its sparse reducer on integer chains,
+reads fibers and slabs off the level index and factors polynomials itself;
+these direct versions check it from outside.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from kernel_oracles import DenseReducer
 from tamebars.canonical import Poly, poly_divmod, poly_monic, poly_trim
 from tamebars.complexes import CircleMap, RealMap, Simplex, SimplexTable, faces_with_signs
 from tamebars.field import Field, PrimeField, Scalar
-from tamebars.homology import HomologyBasis, _boundary_chain, _Reducer
+from tamebars.homology import Chain, HomologyBasis
 from tamebars.invariants import InvariantBundle, ValuedBar
 from tamebars.matrix import Mat
 
@@ -94,27 +95,37 @@ def rep_matrix(basis) -> Mat:
     return Mat(F, rows, len(basis.reps))
 
 
+def field_boundary_chain(table: SimplexTable, idx: int, field: Field) -> Chain:
+    """The boundary of a simplex with field elements as signs (Fractions
+    over Q)."""
+    s = table.simplices[idx]
+    if len(s) == 1:
+        return {}
+    return {table.index[f]: field.from_int(sign) for f, sign in faces_with_signs(s)}
+
+
 def uncleared_homology_of(table: SimplexTable, members: Optional[Sequence[int]],
                           r: int, field: Field) -> HomologyBasis:
-    """`tamebars.homology.homology_of` without clearing: reduce every r-cell's
-    boundary, keeping its cycle, before the (r+1)-boundaries are reduced.
+    """`tamebars.homology.homology_of` without clearing and without integer
+    chains: reduce every r-cell's boundary, keeping its cycle, before the
+    (r+1)-boundaries are reduced, with `DenseReducer` on field elements.
     Each dimension's members are taken in ascending index order."""
     idxs = range(len(table)) if members is None else members
     r_cells = sorted(i for i in idxs if len(table.simplices[i]) == r + 1)
     up_cells = sorted(i for i in idxs if len(table.simplices[i]) == r + 2)
 
-    ker = _Reducer(field)
+    ker = DenseReducer(field)
     cycles = []
     for j in r_cells:
-        col, tag = ker.reduce(_boundary_chain(table, j, field), {j: field.one})
+        col, tag = ker.reduce(field_boundary_chain(table, j, field), {j: field.one})
         if col:
             ker.by_low[max(col)] = (col, tag)
         else:
             cycles.append(tag)
 
-    structure = _Reducer(field)
+    structure = DenseReducer(field)
     for j in up_cells:
-        structure.insert(_boundary_chain(table, j, field), {})
+        structure.insert(field_boundary_chain(table, j, field), {})
     rank_b = len(structure.by_low)
 
     reps = []

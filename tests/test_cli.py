@@ -250,6 +250,19 @@ def test_compute_byte_identical(tmp_path, capsys):
     assert b1 and b1 == b2
 
 
+def test_optimized_interpreter_leaves_compute_check_output_unchanged(tmp_path):
+    # invariants are typed errors, not asserts, so -O changes nothing
+    path = write(tmp_path, "w.json", WRAP_DOC)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    outs = []
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, "-m", "tamebars.cli", "compute",
+                               "--check", path], env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_out_flag_writes_file_only(tmp_path, capsys):
     path = write(tmp_path, "h.json", HEIGHT_DOC)
     target = tmp_path / "report.json"
@@ -619,3 +632,29 @@ def test_not_tame_names_degree_critical_value_and_slab(tmp_path, capsys, monkeyp
     assert json.loads(err) == {
         "ok": False, "error": "NotTame",
         "detail": f"critical fiber does not carry the slab homology: {where}"}
+
+
+def test_decomposition_error_names_its_degree(tmp_path, capsys, monkeypatch):
+    # the certificate gate fails on the second decomposition: degree 1
+    quiver = import_module("tamebars.quiver")
+    calls = []
+
+    def fail_second(*args):
+        calls.append(1)
+        return len(calls) < 2
+
+    monkeypatch.setattr(quiver, "verify_certificate", fail_second)
+    code, out, err = run(capsys, "compute", write(tmp_path, "doc.json", HEIGHT_DOC))
+    assert (code, out, len(calls)) == (1, "", 2)
+    assert json.loads(err) == {"ok": False, "error": "DecompositionError",
+                               "detail": "degree 1: certificate verification failed"}
+
+
+def test_canonical_form_error_names_its_degree(tmp_path, capsys, monkeypatch):
+    # a factorization that loses every factor leaves the canonical basis short
+    monkeypatch.setattr(import_module("tamebars.canonical"), "factor_poly",
+                        lambda field, p: [])
+    code, out, err = run(capsys, "compute", write(tmp_path, "doc.json", WRAP_DOC))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"ok": False, "error": "CanonicalFormError",
+                               "detail": "degree 0: canonical basis has wrong cardinality"}

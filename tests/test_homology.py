@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kernel_oracles import DenseReducer
 from map_fixtures import random_circle_input, random_real_input
 from oracles import boundary_block, is_zero, rep_matrix, uncleared_homology_of
 from tamebars.complexes import (
@@ -251,11 +254,17 @@ def cut_handles(cc, crit):
     return out
 
 
+def chain_items(basis):
+    """Everything a basis stores, as item lists, so key order counts."""
+    return (basis.r_cells,
+            [list(z.items()) for z in basis.reps],
+            [(low, list(col.items()), list(tag.items()))
+             for low, (col, tag) in basis._structure.by_low.items()])
+
+
 def assert_same_basis(got, want):
-    assert got.r_cells == want.r_cells
-    assert [list(z.items()) for z in got.reps] == [list(z.items()) for z in want.reps]
-    assert list(got._structure.by_low) == list(want._structure.by_low)
-    assert got._structure.by_low == want._structure.by_low
+    # values compare exactly: an int equals its Fraction
+    assert chain_items(got) == chain_items(want)
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF_BIG], ids=["Q", "GF2", "GF(2^31-1)"])
@@ -273,6 +282,57 @@ def test_clearing_matches_the_uncleared_reduction(kind, field):
                 want = uncleared_homology_of(cc.table, members, r, field)
                 assert_same_basis(homology_of(cc.table, members, r, field), want)
                 assert_same_basis(homology_of(cc.table, shuffled, r, field), want)
+
+
+# -- integer chains over Q: Fractions only after a non-unit pivot
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["real", "circle"]), st.randoms(use_true_random=False))
+def test_integer_chains_match_the_fraction_oracle(kind, rng):
+    # the oracle reduces Fractions, without clearing
+    t, f = (random_real_input if kind == "real" else random_circle_input)(rng)
+    crit = critical_candidates(t, f)
+    cc = cut_at_levels(t, f, crit.criticals + crit.regulars)
+    for members in cut_handles(cc, crit):
+        for r in range(cc.table.dim + 2):
+            want = uncleared_homology_of(cc.table, members, r, QQ)
+            assert_same_basis(homology_of(cc.table, members, r, QQ), want)
+
+
+def test_a_non_unit_pivot_turns_the_chains_it_touches_into_fractions():
+    fast, slow = _Reducer(QQ), DenseReducer(QQ)
+    fast.insert({0: 1, 3: 2}, {7: 1})  # pivot 2 at row 3
+    slow.insert({0: F(1), 3: F(2)}, {7: F(1)})
+    col, tag = fast.reduce({0: -1, 1: F(1, 3), 3: 3}, {5: 1})
+    want = slow.reduce({0: F(-1), 1: F(1, 3), 3: F(3)}, {5: F(1)})
+    assert [list(col.items()), list(tag.items())] == [list(c.items()) for c in want]
+    assert (col, tag) == ({0: F(-5, 2), 1: F(1, 3)}, {5: 1, 7: F(-3, 2)})
+    assert [type(v) for v in col.values()] == [Fraction, Fraction]
+    assert [type(v) for v in tag.values()] == [int, Fraction]  # 5 is untouched
+
+
+def test_the_cut_torus_reduces_on_ints_and_reads_out_fractions():
+    t, f = torus_to_circle()
+    crit = critical_candidates(t, f)
+    cc = cut_at_levels(t, f, crit.criticals + crit.regulars)
+    seen = 0
+    for members in cut_handles(cc, crit):
+        for r in range(3):
+            basis = homology_of(cc.table, members, r, QQ)
+            stored = [v for col, tag in basis._structure.by_low.values()
+                      for v in (*col.values(), *tag.values())]
+            stored += [v for z in basis.reps for v in z.values()]
+            assert {type(v) for v in stored} <= {int}
+            seen += len(stored)
+            for j, z in enumerate(basis.reps):
+                coords = basis.coords(z)
+                assert coords == [int(i == j) for i in range(basis.dim)]
+                assert {type(x) for x in coords} == {Fraction}
+    assert seen > 0
+    entries = [x for r in range(3) for M in assemble_rep(cc, crit, r, QQ).maps.values()
+               for row in M.rows for x in row]
+    assert entries and {type(x) for x in entries} == {Fraction}
 
 
 def test_clearing_skips_every_pivot_of_the_cut_torus_boundaries(monkeypatch):

@@ -3,7 +3,9 @@
 Matrices are drawn over Q, GF(2) and GF(2^31 - 1), sparse and dense, with
 zero rows and columns, rank deficiency and empty shapes.  Every comparison is
 on entries, entry types and order, never on values alone, because the
-kernels promise byte-identical results downstream.
+kernels promise byte-identical results downstream.  The one exception is the
+reducer on integer chains over Q, whose ints stand for the oracle's
+Fractions until they leave it.
 """
 
 from __future__ import annotations
@@ -153,6 +155,36 @@ def test_reducer_matches_dense_oracle(stream):
         col0, tag0 = slow.by_low[low]
         assert items_and_types(col) == items_and_types(col0)
         assert items_and_types(tag) == items_and_types(tag0)
+
+
+@st.composite
+def integer_chain_streams(draw):
+    """(column, tag) chains over Q with int entries, mostly +-1, and some
+    Fractions: the integer path of the reducer and its Fraction fallback."""
+    entry = st.one_of(st.sampled_from([1, -1]), st.integers(-3, 3).filter(bool),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)).filter(bool))
+    chain = st.dictionaries(st.integers(0, 9), entry, max_size=5)
+    return draw(st.lists(st.tuples(chain, chain), max_size=12))
+
+
+def as_fractions(d):
+    return {k: Fraction(v) for k, v in d.items()}
+
+
+@given(integer_chain_streams())
+def test_integer_chains_match_the_dense_oracle_on_fractions(chains):
+    # values equal the oracle's (an int equals its Fraction), in the same
+    # key order; an entry is an int or a Fraction, never a float
+    fast, slow = _Reducer(QQ), oracle.DenseReducer(QQ)
+    for col, tag in chains:
+        got = fast.reduce(col, tag)
+        want = slow.reduce(as_fractions(col), as_fractions(tag))
+        assert [list(c.items()) for c in got] == [list(c.items()) for c in want]
+        assert fast.insert(col, tag) == slow.insert(as_fractions(col), as_fractions(tag))
+    assert list(fast.by_low) == list(slow.by_low)
+    for low, chains_at in fast.by_low.items():
+        assert [list(c.items()) for c in chains_at] == [list(c.items()) for c in slow.by_low[low]]
+        assert {type(v) for c in chains_at for v in c.values()} <= {int, Fraction}
 
 
 @st.composite
