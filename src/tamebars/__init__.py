@@ -46,9 +46,9 @@ from .quiver import (
     CircleRep,
     DecompositionError,
     RepresentationError,
-    ZigzagRep,
     decompose_circle,
     decompose_zigzag,
+    line_rep,
     verify_certificate,
 )
 from .invariants import (
@@ -90,7 +90,7 @@ __all__ = [
     "HomologyBasis", "NotTame", "assemble_rep", "betti_numbers", "homology",
     "homology_of", "induced_map",
     "Bar", "Certificate", "CircleRep", "DecompositionError",
-    "RepresentationError", "ZigzagRep", "decompose_circle", "decompose_zigzag",
+    "RepresentationError", "decompose_circle", "decompose_zigzag", "line_rep",
     "verify_certificate",
     "Configuration", "IndexOutOfRange", "InvariantBundle", "ValuedBar",
     "bundle_to_json", "canonical_check", "canonical_matrix",

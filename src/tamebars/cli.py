@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,9 +46,10 @@ from .quiver import (
     RepresentationError,
     decompose_circle,
     decompose_zigzag,
+    line_rep,
+    line_slots,
     verify_certificate,
     zero_circle,
-    zero_zigzag,
 )
 from .stability import CardinalityMismatch, stability_experiment
 
@@ -261,7 +263,10 @@ def _is_int(x) -> bool:
 
 
 def rep_from_json(doc):
-    """Parse the representation interchange format into a quiver module."""
+    """Parse the representation interchange format into a quiver module.
+
+    Returns the representation and the shift s of a `line` window placed by
+    `line_rep`, or None for the `cyclic` shape."""
     if not isinstance(doc, dict):
         raise MalformedInput("representation document must be a JSON object")
     for key in ("field", "shape", "dims", "arrows"):
@@ -304,44 +309,49 @@ def rep_from_json(doc):
         if not _is_int(m) or m < 1:
             raise MalformedInput("cyclic shape needs an integer m >= 1")
         zero = zero_circle(field, m)
+        vertices, slots = zero.dims, zero.slots
     elif shape == "line":
         lo, hi = doc.get("lo"), doc.get("hi")
         if not _is_int(lo) or not _is_int(hi):
             raise MalformedInput("line shape needs integer lo and hi")
-        zero = zero_zigzag(field, lo, hi)
+        slots = line_slots(lo, hi)
+        vertices = range(lo, hi + 1)
     else:
         raise MalformedInput(f"shape must be 'line' or 'cyclic', got {shape!r}")
-    outside = sorted(set(dims) - set(zero.dims))
+    outside = sorted(set(dims) - set(vertices))
     if outside:
         raise MalformedInput(f"dims name vertices outside the shape: {outside}")
-    full = {x: dims.get(x, 0) for x in zero.dims}
+    full = {x: dims.get(x, 0) for x in vertices}
     maps = {}
     for (o, d), rows in arrows.items():
-        t = zero.slots.get((o, d))
+        t = slots.get((o, d))
         if t is None:
             raise RepresentationError(f"unexpected arrow key ({o}, {d:+d})")
         maps[(o, d)] = _mat_from_json(field, rows, full[t], full[o], f"({o}, {d:+d})")
-    return zero.like(full, maps)
+    if shape == "cyclic":
+        return zero.like(full, maps), None
+    return line_rep(field, lo, hi, full, maps)
 
 
 def cmd_decompose(args) -> Tuple[int, str]:
-    rep = rep_from_json(_read_json(args.input))
-    if rep.is_cyclic:
+    rep, s = rep_from_json(_read_json(args.input))
+    if s is None:
         bars, cells, cert = decompose_circle(rep)
         summands = list(bars) + list(cells)
     else:
         bars, cert = decompose_zigzag(rep)
         cells, summands = [], list(bars)
+        bars = [replace(b, i=b.i + s // 2, j=b.j + s // 2) for b in bars]  # window frame
     out = {
         "field": rep.field.to_spec(),
-        "shape": "cyclic" if rep.is_cyclic else "line",
+        "shape": "cyclic" if s is None else "line",
         "total_dim": rep.total_dim(),
         "bars": [{"i": b.i, "j": b.j, "wraps": b.wraps,
                   "left_closed": b.left_closed, "right_closed": b.right_closed,
                   "label": b.label()} for b in bars],
         "certified": verify_certificate(rep, summands, cert),
     }
-    if rep.is_cyclic:
+    if s is None:
         fld = rep.field
         out["cells"] = [
             {"poly": [fld.to_str(c) for c in cell.poly],

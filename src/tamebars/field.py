@@ -60,7 +60,7 @@ class Rationals:
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:
             raise FieldError("division by zero in Q")
-        return 1 / a
+        return Fraction(1, a)
 
     def from_fraction(self, q: Fraction) -> Fraction:
         return q

@@ -238,4 +238,4 @@ def assemble_rep(cc: CutComplex, crit: CriticalData, r: int, field: Field):
         lo = ts[k] - 1 if k < 0 else ts[k]
         alphas.append(arrow(reg_h[k], i, lo, th[i - 1]))
         betas.append(arrow(reg_h[k + 1], i, th[i - 1], ts[k + 1]))
-    return rep_from_lists(field, alphas, betas, crit.circular)
+    return rep_from_lists(field, alphas, betas)

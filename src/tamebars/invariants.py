@@ -26,8 +26,8 @@ from .cutting import CutComplex, cut_at_levels
 from .field import Field
 from .homology import assemble_rep
 from .matrix import Mat, block_diag
-from .quiver import (Bar, CircleRep, DecompositionError, RepresentationError,
-                     decompose_circle, decompose_zigzag, rep_from_lists)
+from .quiver import (Bar, DecompositionError, RepresentationError, decompose_circle,
+                     decompose_zigzag)
 
 
 class IndexOutOfRange(ValueError):
@@ -144,15 +144,11 @@ class InvariantBundle:
         return sum(c.dim() for c in self.degree_cells(r))
 
 
-def _is_iso(mat: Mat) -> bool:
-    return mat.is_square() and mat.is_invertible()
-
-
 def _bar_end_check(rep, bars: Sequence[Bar], m: int) -> None:
     """No bar may end at a critical index whose two adjacent maps are both
     isomorphisms: such an index is an artifact of oversampling the levels."""
     for i in range(1, m + 1):
-        if _is_iso(rep.alpha(i)) and _is_iso(rep.beta(i)):
+        if rep.alpha(i).is_invertible() and rep.beta(i).is_invertible():
             for bar in bars:
                 if bar.i == i or bar.j == i:
                     raise DecompositionError(
@@ -375,21 +371,6 @@ class CanonicalData:
     dim_coker: int
 
 
-def cyclic_embedding(rep) -> CircleRep:
-    """View a linear-shape representation as cyclic by joining its two zero
-    end slots into the single regular slot of the cyclic shape."""
-    if rep.is_cyclic:
-        return rep
-    if rep.lo != 1 or rep.hi % 2 == 0:
-        raise ShapeMismatch("expected a window 1..2m+1")
-    m = (rep.hi - 1) // 2
-    if m < 1 or rep.dims[rep.lo] or rep.dims[rep.hi]:
-        raise ShapeMismatch("end slots must vanish to close the window")
-    alphas = [rep.alpha(i) for i in range(1, m + 1)]
-    betas = [rep.beta(i) for i in range(1, m + 1)]
-    return rep_from_lists(rep.field, alphas, betas, cyclic=True)
-
-
 def _offsets(dims: Sequence[int]) -> List[int]:
     out = [0]
     for d in dims:
@@ -401,7 +382,6 @@ def canonical_matrix(rep) -> CanonicalData:
     """The block matrix from the sum of regular fibers to the sum of
     critical fibers: alpha blocks on the diagonal, negated beta blocks on
     the superdiagonal, the wrap-around beta in the bottom-left corner."""
-    rep = cyclic_embedding(rep)
     f = rep.field
     m = rep.m
     row_dims = [rep.dims[2 * i] for i in range(1, m + 1)]

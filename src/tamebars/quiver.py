@@ -1,15 +1,19 @@
-"""Zigzag and cyclic graph representations and their certified decomposition.
+"""Graph representations of the cyclic quiver G_2m and their certified
+decomposition.
 
-Two quiver shapes appear.  The linear shape has vertices x_lo..x_hi on a path
-with arrows pointing from every odd vertex to both even neighbours
-(a_i: x_{2i-1} -> x_{2i}, b_i: x_{2i+1} -> x_{2i}).  The cyclic shape G_2m has
-vertices x_1..x_2m arranged on a circle with the same alternating pattern and
-the closing arrow b_m: x_1 -> x_2m.
+There is one quiver shape.  G_2m has vertices x_1..x_2m on a circle with
+arrows pointing from every odd vertex to both even neighbours
+(a_i: x_{2i-1} -> x_{2i}, b_i: x_{2i+1} -> x_{2i}) and the closing arrow
+b_m: x_1 -> x_2m.  A real-valued map is an angle-valued map that misses a
+point of the circle, so its representation is one whose vertex x_1, the
+empty regular fiber past both ends of the line, is zero.  A representation
+of the linear shape on a window lo..hi is placed the same way by
+`line_rep`: it is cut open at a zero x_1.
 
-Indecomposables over the linear shape are interval ("bar") modules; over the
-cyclic shape they are bars that may wind around the circle plus Jordan cells
-attached to the monodromy of the fully invertible part.  `decompose_zigzag`
-and `decompose_circle` produce the multiset of summands together with a
+Indecomposables are bars that may wind around the circle, plus Jordan cells
+attached to the monodromy of the fully invertible part; with a zero vertex
+only bars that do not wind remain.  `decompose_zigzag` and
+`decompose_circle` produce the multiset of summands together with a
 certificate: one invertible base change per vertex conjugating the input
 matrices to the exact block diagonal of the canonical summand matrices.
 
@@ -52,7 +56,7 @@ class Bar:
     """An interval summand.
 
     Ends are indices of critical values: the bar spans from the i-th to the
-    j-th critical value (j shifted by `wraps` full turns on the cyclic shape).
+    j-th critical value, j shifted by `wraps` full turns.
     Closed ends sit on even vertices x_2i, open ends on the flanking odd
     vertices, so the support is recovered from the indices and the two flags.
     """
@@ -63,16 +67,11 @@ class Bar:
     right_closed: bool
     wraps: int = 0
 
-    def right_index(self, m: Optional[int] = None) -> int:
-        """The unshifted right end index: j + m * wraps on the cyclic shape."""
-        if m is None:
-            return self.j
-        return self.j + m * self.wraps
-
-    def support(self, m: Optional[int] = None) -> Tuple[int, int]:
-        """Inclusive range of (unrolled) vertex positions carrying the bar."""
+    def support(self, m: int) -> Tuple[int, int]:
+        """Inclusive range of unrolled vertex positions carrying the bar on
+        G_2m: the right end index is unshifted to j + m * wraps."""
         a = 2 * self.i if self.left_closed else 2 * self.i + 1
-        jj = self.right_index(m)
+        jj = self.j + m * self.wraps
         b = 2 * jj if self.right_closed else 2 * jj - 1
         return a, b
 
@@ -93,16 +92,14 @@ class Bar:
         return (self.i, self.j + 10**9 * self.wraps, not self.left_closed, not self.right_closed)
 
 
-def bar_from_support(a: int, b: int, m: Optional[int] = None) -> Bar:
-    """Recover the Bar whose support is positions a..b (unrolled for cyclic)."""
+def bar_from_support(a: int, b: int, m: int) -> Bar:
+    """Recover the Bar whose support is the unrolled positions a..b on G_2m."""
     if b < a:
         raise ValueError("empty support")
     left_closed = a % 2 == 0
     right_closed = b % 2 == 0
     i0 = a // 2 if left_closed else (a - 1) // 2
     j0 = b // 2 if right_closed else (b + 1) // 2
-    if m is None:
-        return Bar(i=i0, j=j0, left_closed=left_closed, right_closed=right_closed)
     shift = (i0 - 1) // m  # bring i into 1..m
     i = i0 - m * shift
     jj = j0 - m * shift
@@ -122,31 +119,28 @@ def summand_sort_key(s: Summand):
 # -- representations ----------------------------------------------------------
 
 
-class _Rep:
-    """Geometry and data shared by both shapes.
+class CircleRep:
+    """A representation of the cyclic shape G_2m.
 
-    `dims[x]` is the dimension at vertex x.  An arrow slot (o, d) is the
-    arrow from the odd vertex x_o to its neighbour in direction d = +-1;
-    `slots` maps each slot of the shape to its target vertex, in sorted slot
-    order, and `maps[(o, d)]` is its matrix; `maps` None builds the zero
-    arrows.  A subclass fixes the vertex set, `vertex_of`, which sends a
-    position on the (unrolled) path to its vertex, or to None off the shape,
-    and `like`, which builds a representation of the same shape.  `alpha(i)`
-    and `beta(i)` are the arrows into x_2i, so no other module spells a slot.
+    Vertices are 1..2m and `dims[x]` is the dimension at x.  An arrow slot
+    (o, d) is the arrow from the odd vertex x_o to x_{o+d}, d = +-1, with
+    position arithmetic mod 2m, so (1, -1) is the closing arrow
+    b_m: x_1 -> x_2m.  `slots` maps each slot to its target vertex, in sorted
+    slot order, and `maps[(o, d)]` is its matrix; `maps` None builds the zero
+    arrows.  `vertex_of` sends a position on the unrolled path to its vertex.
+    `alpha(i)` and `beta(i)` are the arrows into x_2i, so no other module
+    spells a slot.
     """
 
-    is_cyclic = False
-
-    def _setup(self, field: Field, vertices: range, dims: Dict[int, int],
-               maps: Optional[Dict[Tuple[int, int], Mat]]) -> None:
+    def __init__(self, field: Field, m: int, dims: Dict[int, int],
+                 maps: Optional[Dict[Tuple[int, int], Mat]]):
+        if m < 1:
+            raise RepresentationError("m must be at least 1")
         self.field = field
-        self.dims = {x: int(dims.get(x, 0)) for x in vertices}
-        self.slots: Dict[Tuple[int, int], int] = {}
-        for o in vertices:
-            for d in (-1, +1):
-                t = self.vertex_of(o + d)
-                if o % 2 and t is not None:
-                    self.slots[(o, d)] = t
+        self.m = m
+        self.dims = {x: int(dims.get(x, 0)) for x in range(1, 2 * m + 1)}
+        self.slots: Dict[Tuple[int, int], int] = {
+            (o, d): self.vertex_of(o + d) for o in range(1, 2 * m, 2) for d in (-1, +1)}
         if maps is None:
             maps = {(o, d): Mat.zeros(field, self.dims[t], self.dims[o])
                     for (o, d), t in self.slots.items()}
@@ -166,83 +160,30 @@ class _Rep:
         if extra:
             raise RepresentationError(f"unexpected arrow keys: {sorted(extra)}")
 
-    def alpha(self, i: int) -> Mat:
-        """a_i: x_{2i-1} -> x_{2i}."""
-        return self.maps[(2 * i - 1, +1)]
-
-    def beta(self, i: int) -> Mat:
-        """b_i: x_{2i+1} -> x_{2i}; on the cyclic shape b_m: x_1 -> x_2m."""
-        return self.maps[(self.vertex_of(2 * i + 1), -1)]
-
-    def dim_at(self, pos: int) -> int:
-        x = self.vertex_of(pos)
-        return 0 if x is None else self.dims[x]
-
-    def arrow_at(self, pos: int, d: int) -> Mat:
-        """Matrix of the arrow from odd position pos to pos+d (zero off the shape)."""
-        M = self.maps.get((self.vertex_of(pos), d))
-        if M is not None:
-            return M
-        return Mat.zeros(self.field, self.dim_at(pos + d), self.dim_at(pos))
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-
-class ZigzagRep(_Rep):
-    """A representation of the linear shape on the vertex window lo..hi.
-
-    `maps[(o, d)]` for odd o and d = +-1 is the matrix of the arrow
-    x_o -> x_{o+d} whenever both ends lie in the window.  Everything outside
-    the window is the zero space.
-    """
-
-    def __init__(self, field: Field, lo: int, hi: int, dims: Dict[int, int],
-                 maps: Optional[Dict[Tuple[int, int], Mat]]):
-        if lo > hi:
-            raise RepresentationError("window is empty")
-        self.lo = lo
-        self.hi = hi
-        self._setup(field, range(lo, hi + 1), dims, maps)
-
-    def vertex_of(self, pos: int) -> Optional[int]:
-        return pos if self.lo <= pos <= self.hi else None
-
-    def like(self, dims, maps) -> "ZigzagRep":
-        return ZigzagRep(self.field, self.lo, self.hi, dims, maps)
-
-
-class CircleRep(_Rep):
-    """A representation of the cyclic shape G_2m.
-
-    Vertices are 1..2m; `maps[(o, d)]` for odd o is the arrow x_o -> x_{o+d}
-    with position arithmetic mod 2m, so (1, -1) is the closing arrow
-    b_m: x_1 -> x_2m.
-    """
-
-    is_cyclic = True
-
-    def __init__(self, field: Field, m: int, dims: Dict[int, int],
-                 maps: Optional[Dict[Tuple[int, int], Mat]]):
-        if m < 1:
-            raise RepresentationError("m must be at least 1")
-        self.m = m
-        self._setup(field, range(1, 2 * m + 1), dims, maps)
-
     def vertex_of(self, pos: int) -> int:
         return (pos - 1) % (2 * self.m) + 1
 
     def like(self, dims, maps) -> "CircleRep":
         return CircleRep(self.field, self.m, dims, maps)
 
+    def alpha(self, i: int) -> Mat:
+        """a_i: x_{2i-1} -> x_{2i}."""
+        return self.maps[(2 * i - 1, +1)]
 
-Rep = Union[ZigzagRep, CircleRep]
+    def beta(self, i: int) -> Mat:
+        """b_i: x_{2i+1} -> x_{2i}; b_m: x_1 -> x_2m."""
+        return self.maps[(self.vertex_of(2 * i + 1), -1)]
+
+    def arrow_at(self, pos: int, d: int) -> Mat:
+        """Matrix of the arrow from odd position pos to pos+d."""
+        return self.maps[(self.vertex_of(pos), d)]
+
+    def total_dim(self) -> int:
+        return sum(self.dims.values())
 
 
-def rep_from_lists(field: Field, alphas: Sequence[Mat], betas: Sequence[Mat],
-                   cyclic: bool) -> Rep:
-    """The representation with arrows alpha_1..alpha_m and beta_1..beta_m:
-    on the cyclic shape G_2m, or on the linear shape on the window 1..2m+1."""
+def rep_from_lists(field: Field, alphas: Sequence[Mat], betas: Sequence[Mat]) -> CircleRep:
+    """The representation of G_2m with arrows alpha_1..alpha_m and beta_1..beta_m."""
     m = len(alphas)
     if len(betas) != m or m < 1:
         raise RepresentationError("need equal nonzero numbers of alphas and betas")
@@ -251,11 +192,42 @@ def rep_from_lists(field: Field, alphas: Sequence[Mat], betas: Sequence[Mat],
     for i, (a, b) in enumerate(zip(alphas, betas), 1):
         dims[2 * i - 1], dims[2 * i] = a.ncols, a.nrows
         maps[(2 * i - 1, +1)] = a
-        maps[(2 * i % (2 * m) + 1 if cyclic else 2 * i + 1, -1)] = b
-    if cyclic:
-        return CircleRep(field, m, dims, maps)
-    dims[2 * m + 1] = betas[-1].ncols
-    return ZigzagRep(field, 1, 2 * m + 1, dims, maps)
+        maps[(2 * i % (2 * m) + 1, -1)] = b
+    return CircleRep(field, m, dims, maps)
+
+
+def line_slots(lo: int, hi: int) -> Dict[Tuple[int, int], int]:
+    """The arrow slots of the linear shape on the vertex window lo..hi, each
+    with its target: (o, d) for odd o with x_o and x_{o+d} in the window."""
+    if lo > hi:
+        raise RepresentationError("window is empty")
+    return {(o, d): o + d for o in range(lo, hi + 1) if o % 2
+            for d in (-1, +1) if lo <= o + d <= hi}
+
+
+def line_rep(field: Field, lo: int, hi: int, dims: Dict[int, int],
+             maps: Dict[Tuple[int, int], Mat]) -> Tuple[CircleRep, int]:
+    """A representation of the linear shape on the window lo..hi, with
+    `maps` keyed by `line_slots(lo, hi)`, placed on the cyclic shape.
+
+    Window vertex p goes to x_{p-s}.  The shift s is even, so arrows keep
+    their direction, and leaves x_1 and the vertex after hi outside the
+    window, where the space is zero.  The placed representation is the
+    window cut open at x_1: its bars never wrap, and its bar on i..j is the
+    window's bar on i+s/2..j+s/2.  Returns the representation and s.
+    """
+    slots = line_slots(lo, hi)
+    for o, d in slots:
+        if (o, d) not in maps:
+            raise RepresentationError(f"missing arrow matrix at ({o}, {d:+d})")
+    extra = set(maps) - set(slots)
+    if extra:
+        raise RepresentationError(f"unexpected arrow keys: {sorted(extra)}")
+    s = lo - 2 - lo % 2
+    zero = CircleRep(field, (hi - s + 1) // 2,
+                     {p - s: dims.get(p, 0) for p in range(lo, hi + 1)}, None)
+    placed = {(o - s, d): M for (o, d), M in maps.items()}
+    return zero.like(zero.dims, {**zero.maps, **placed}), s
 
 
 # -- canonical summand modules -------------------------------------------------
@@ -273,21 +245,14 @@ def _bar_arrow_matrix(field: Field, cross: Dict[int, List[int]], a: int, b: int,
     return M
 
 
-def _interval_rep(bar: Bar, shape: Rep) -> Rep:
+def _interval_rep(bar: Bar, shape: CircleRep) -> CircleRep:
     """The interval summand of `bar` on the shape of `shape`."""
-    a, b = bar.support(shape.m if shape.is_cyclic else None)
+    a, b = bar.support(shape.m)
     cross = bar.crossings(shape.vertex_of, a, b)
-    if None in cross:
-        raise ValueError("bar support exceeds the window")
     dims = {x: len(cross.get(x, [])) for x in shape.dims}
     maps = {(o, d): _bar_arrow_matrix(shape.field, cross, a, b, o, d, t)
             for (o, d), t in shape.slots.items()}
     return shape.like(dims, maps)
-
-
-def zero_zigzag(field: Field, lo: int, hi: int) -> ZigzagRep:
-    """The zero representation on the window lo..hi."""
-    return ZigzagRep(field, lo, hi, {}, None)
 
 
 def zero_circle(field: Field, m: int) -> CircleRep:
@@ -299,15 +264,13 @@ def cell_module(field: Field, cell: Cell, m: int) -> CircleRep:
     """The canonical cyclic summand of a primary component (block at alpha_1)."""
     B = cell.block(field)
     eye = Mat.identity(field, B.nrows)
-    return rep_from_lists(field, [B] + [eye] * (m - 1), [eye] * m, cyclic=True)
+    return rep_from_lists(field, [B] + [eye] * (m - 1), [eye] * m)
 
 
-def summand_module(field: Field, s: Summand, rep: Rep) -> Rep:
+def summand_module(field: Field, s: Summand, rep: CircleRep) -> CircleRep:
     """The canonical module of one summand on the shape of `rep`."""
     if isinstance(s, Bar):
         return _interval_rep(s, rep)
-    if not rep.is_cyclic:
-        raise RepresentationError("Jordan cells only exist on the cyclic shape")
     return cell_module(field, s, rep.m)
 
 
@@ -325,7 +288,7 @@ class Certificate:
     base_changes: Dict[int, Mat]
 
 
-def verify_certificate(rep: Rep, summands: Sequence[Summand], cert: Certificate) -> bool:
+def verify_certificate(rep: CircleRep, summands: Sequence[Summand], cert: Certificate) -> bool:
     """Exact check: base changes invertible and every conjugated arrow equals
     the block diagonal of the claimed canonical summand matrices."""
     field = rep.field
@@ -392,16 +355,10 @@ class _State:
     """The part of the input not split off yet, as a representation, with its
     embedding into the input."""
 
-    def __init__(self, rep: Rep):
+    def __init__(self, rep: CircleRep):
         self.rep = rep
         self.field = rep.field
         self.embed = {x: Mat.identity(rep.field, d) for x, d in rep.dims.items()}
-
-    def walk_bound(self) -> int:
-        n = len(self.rep.dims)
-        if self.rep.is_cyclic:
-            return n * (max(self.rep.dims.values(), default=0) + 3) + 2
-        return n + 1
 
     def restrict(self, comp: Dict[int, Mat]) -> None:
         """Replace the state by the subrepresentation spanned by `comp`."""
@@ -416,18 +373,14 @@ class _State:
         self.embed = {x: self.embed[x].mul(comp[x]) for x in self.embed}
 
 
-def _dual(rep: Rep, s: int) -> Rep:
+def _dual(rep: CircleRep, s: int) -> CircleRep:
     """The dual representation, every position moved by s = +-1: the arrow
     x_o -> x_t with matrix M becomes x_{t+s} -> x_{o+s} with M^T, so sinks
     become odd sources, and the bar on a..b becomes the bar on a+s..b+s."""
-    def at(x: int) -> int:
-        return rep.vertex_of(x + s) if rep.is_cyclic else x + s
-
-    dims = {at(x): dx for x, dx in rep.dims.items()}
-    maps = {(at(t), -d): rep.maps[(o, d)].transpose() for (o, d), t in rep.slots.items()}
-    if rep.is_cyclic:
-        return CircleRep(rep.field, rep.m, dims, maps)
-    return ZigzagRep(rep.field, rep.lo + s, rep.hi + s, dims, maps)
+    at = rep.vertex_of
+    dims = {at(x + s): dx for x, dx in rep.dims.items()}
+    maps = {(at(t + s), -d): rep.maps[(o, d)].transpose() for (o, d), t in rep.slots.items()}
+    return rep.like(dims, maps)
 
 
 def _find_peel_start(st: _State):
@@ -456,12 +409,12 @@ def _walk_chain(st: _State, src: int, dead_dir: int, K: Mat):
     riders reachable from zero; the walk stops when S/R vanishes, and the
     chain is reconstructed backwards with honest death at the far end.
     """
-    field = st.field
+    field, dims = st.field, st.rep.dims
     walk = -dead_dir
     S = [K.column_reduced()]
-    R = [Mat.zeros(field, st.rep.dims[src], 0)]
+    R = [Mat.zeros(field, dims[src], 0)]
     steps: List[Mat] = []
-    bound = st.walk_bound()
+    bound = len(dims) * (max(dims.values(), default=0) + 3) + 2
     # src is odd: even steps leave an odd source along its arrow, odd steps
     # take preimages back across the arrow into the next odd source
     n = 0
@@ -543,7 +496,7 @@ def _peel_phase(st: _State, found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]
         pos0, dead, K = hit
         positions, chain = _walk_chain(st, pos0, dead, K)
         a, b = positions[0], positions[-1]
-        bar = bar_from_support(a, b, st.rep.m if st.rep.is_cyclic else None)
+        bar = bar_from_support(a, b, st.rep.m)
         cross = bar.crossings(st.rep.vertex_of, a, b)
         by_pos = dict(zip(positions, chain))
         chain_at = {x: [by_pos[p] for p in plist] for x, plist in cross.items()}
@@ -566,15 +519,14 @@ def _peel_dual(st: _State, found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]
     so M Q_o^-T = Q_t^-T C, and the columns of Q^-T split the input into the
     same blocks, the last one carrying `_dual(dual residue, -1)`.
 
-    After `_peel_phase` every arrow is injective.  On the cyclic shape, a
-    residue whose arrows are all square is then all isomorphisms, and the
-    dual scan can find no cokernel.  (On a linear shape square arrows are
-    not enough: the dual's end vertices have zero arrows off the shape.)
+    After `_peel_phase` every arrow is injective.  A residue whose arrows
+    are all square is then all isomorphisms, and the dual scan can find no
+    cokernel.
     """
-    if st.rep.is_cyclic and all(M.is_square() for M in st.rep.maps.values()):
+    if all(M.is_square() for M in st.rep.maps.values()):
         return
     field = st.field
-    m = st.rep.m if st.rep.is_cyclic else None
+    m = st.rep.m
     dual = _State(_dual(st.rep, +1))
     dual_found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]] = []
     _peel_phase(dual, dual_found)
@@ -607,8 +559,14 @@ def _monodromy(rep: CircleRep, beta_inv: Sequence[Mat]) -> Mat:
 
 
 def _residual_cells(st: _State) -> List[Tuple[Cell, Dict[int, List[List[Scalar]]]]]:
-    """Split the all-isomorphism residual part into Jordan cells with bases."""
+    """Split the all-isomorphism residual part into Jordan cells with bases.
+
+    On a representation with a zero vertex, a line cut open there, a
+    nonzero residue has an arrow that is not an isomorphism: an error.
+    """
     rep = st.rep
+    if rep.total_dim() == 0:
+        return []
     m = rep.m
     # a singular alpha would otherwise show up as an eigenvalue-0 cell
     if not all(rep.alpha(i).is_invertible() for i in range(1, m + 1)):
@@ -617,8 +575,6 @@ def _residual_cells(st: _State) -> List[Tuple[Cell, Dict[int, List[List[Scalar]]
         beta_inv = [rep.beta(i).inverse() for i in range(1, m + 1)]
     except ValueError:  # a singular or non-square beta
         raise DecompositionError("residual arrows must be isomorphisms") from None
-    if rep.dims[2] == 0:
-        return []
     cells, P = primary_components(_monodromy(rep, beta_inv))
     # propagate: P_2 = P, P_{2i} = alpha_i P_{2i-1}, P_{2i+1} = beta_i^{-1} P_{2i}
     bases: Dict[int, Mat] = {2: P}
@@ -637,7 +593,7 @@ def _residual_cells(st: _State) -> List[Tuple[Cell, Dict[int, List[List[Scalar]]
     return out
 
 
-def _assemble(rep: Rep, bar_recs, cell_recs) -> Tuple[List[Summand], Certificate]:
+def _assemble(rep: CircleRep, bar_recs, cell_recs) -> Tuple[List[Summand], Certificate]:
     field = rep.field
     entries: List[Tuple[Summand, Dict[int, List[List[Scalar]]]]] = list(bar_recs) + list(cell_recs)
     entries.sort(key=lambda e: summand_sort_key(e[0]))
@@ -653,22 +609,20 @@ def _assemble(rep: Rep, bar_recs, cell_recs) -> Tuple[List[Summand], Certificate
     return [s for s, _ in entries], Certificate(base_changes=changes)
 
 
-def _decompose(rep: Rep) -> Tuple[List[Summand], Certificate]:
+def _decompose(rep: CircleRep) -> Tuple[List[Summand], Certificate]:
     st = _State(rep)
     found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]] = []
     _peel_phase(st, found)
     _peel_dual(st, found)
-    if not rep.is_cyclic and st.rep.total_dim():
-        raise DecompositionError("nonzero residue on the linear shape")
-    cells = _residual_cells(st) if rep.is_cyclic else []
-    summands, cert = _assemble(rep, found, cells)
+    summands, cert = _assemble(rep, found, _residual_cells(st))
     if not verify_certificate(rep, summands, cert):
         raise DecompositionError("certificate verification failed")
     return summands, cert
 
 
-def decompose_zigzag(rep: ZigzagRep) -> Tuple[List[Bar], Certificate]:
-    """Decompose a linear-shape representation into bars with a certificate."""
+def decompose_zigzag(rep: CircleRep) -> Tuple[List[Bar], Certificate]:
+    """Decompose a representation with a zero vertex, a line cut open there,
+    into bars with a certificate."""
     return _decompose(rep)
 
 

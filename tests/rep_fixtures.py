@@ -1,5 +1,11 @@
 """Shared builders for representation tests: canonical summand modules,
-direct sums, morphism-space dimensions, planted sums and conjugations."""
+direct sums, morphism-space dimensions, planted sums and conjugations.
+
+Line windows lo..hi are placed on the cyclic shape by `line_rep`, which
+moves window position p to p - s; `placed` moves a window bar the same way.
+"""
+
+from dataclasses import replace
 
 from tamebars.canonical import Cell, jordan_block
 from tamebars.field import QQ, PrimeField
@@ -8,10 +14,11 @@ from tamebars.quiver import (
     RepresentationError,
     _intertwiner_rows,
     bar_from_support,
+    line_rep,
+    line_slots,
     rep_from_lists,
     summand_module,
     zero_circle,
-    zero_zigzag,
 )
 
 from oracles import from_int_rows
@@ -19,9 +26,23 @@ from oracles import from_int_rows
 GF5 = PrimeField(5)
 
 
+def line_shell(field, lo, hi):
+    """The zero representation of the window lo..hi, placed on the cyclic
+    shape, and the shift s of the placement."""
+    zeros = {slot: Mat.zeros(field, 0, 0) for slot in line_slots(lo, hi)}
+    return line_rep(field, lo, hi, {}, zeros)
+
+
+def placed(bar, s):
+    """A bar of a window placed with shift s, as a bar of the cyclic shape."""
+    return replace(bar, i=bar.i - s // 2, j=bar.j - s // 2)
+
+
 def interval_module(field, bar, lo, hi):
-    """The interval summand as a representation on the window lo..hi."""
-    return summand_module(field, bar, zero_zigzag(field, lo, hi))
+    """The interval summand of a bar of the window lo..hi, placed on the
+    cyclic shape, and the shift s of the placement."""
+    shell, s = line_shell(field, lo, hi)
+    return summand_module(field, placed(bar, s), shell), s
 
 
 def interval_module_circle(field, bar, m):
@@ -34,12 +55,11 @@ def jordan_module(field, lam, k, m=1):
     if k < 1:
         raise ValueError("Jordan cell size must be positive")
     eye = Mat.identity(field, k)
-    return rep_from_lists(field, [jordan_block(field, lam, k)] + [eye] * (m - 1), [eye] * m,
-                          cyclic=True)
+    return rep_from_lists(field, [jordan_block(field, lam, k)] + [eye] * (m - 1), [eye] * m)
 
 
 def same_shape(rep1, rep2):
-    return rep1.is_cyclic == rep2.is_cyclic and rep1.dims.keys() == rep2.dims.keys()
+    return rep1.dims.keys() == rep2.dims.keys()
 
 
 def direct_sum(reps):
@@ -83,13 +103,13 @@ def conjugated(rep, rng):
     return rep.like(rep.dims, maps)
 
 
-def random_bar_z(lo, hi, rng, closed=False):
+def random_support_z(lo, hi, rng, closed=False):
+    """The support a..b of a random bar in the window lo..hi."""
     if closed:  # both ends on even vertices
         a = 2 * rng.randrange((lo + 1) // 2, hi // 2 + 1)
-        return bar_from_support(a, 2 * rng.randrange(a // 2, hi // 2 + 1))
+        return a, 2 * rng.randrange(a // 2, hi // 2 + 1)
     a = rng.randrange(lo, hi + 1)
-    b = rng.randrange(a, hi + 1)
-    return bar_from_support(a, b)
+    return a, rng.randrange(a, hi + 1)
 
 
 def random_bar_g(m, rng, closed=False):
@@ -124,8 +144,11 @@ def random_cell(field, rng):
 
 
 def planted_zigzag(field, lo, hi, n_bars, rng, closed=False):
-    bars = [random_bar_z(lo, hi, rng, closed) for _ in range(n_bars)]
-    shell = zero_zigzag(field, lo, hi)
+    """Random bars of the window lo..hi and their scrambled sum, both placed
+    on the cyclic shape."""
+    supports = [random_support_z(lo, hi, rng, closed) for _ in range(n_bars)]
+    shell, s = line_shell(field, lo, hi)
+    bars = [bar_from_support(a - s, b - s, shell.m) for a, b in supports]
     mods = [summand_module(field, b, shell) for b in bars]
     return bars, conjugated(direct_sum(mods), rng)
 

@@ -28,9 +28,9 @@ from tamebars.invariants import (InvariantBundle, ValuedBar, canonical_check,
                                  fiber_betti_at, global_betti, image_dim_at,
                                  novikov_betti)
 from tamebars.matrix import Mat
-from tamebars.quiver import (CircleRep, ZigzagRep, decompose_circle,
-                             decompose_zigzag, summand_module, summand_sort_key,
-                             verify_certificate, zero_circle, zero_zigzag)
+from tamebars.quiver import (CircleRep, decompose_circle, decompose_zigzag, line_rep,
+                             summand_module, summand_sort_key, verify_certificate,
+                             zero_circle)
 from tamebars.stability import stability_experiment
 
 pytestmark = pytest.mark.acceptance
@@ -132,6 +132,7 @@ def _rand_matrix(field, nrows, ncols, rng):
 
 
 def _raw_zigzag(field, rng):
+    """A random window, nonzero ends allowed, placed on the cycle."""
     lo = rng.randrange(1, 4)
     hi = lo + rng.randrange(1, 7)
     dims = {x: rng.choice([0, 1, 1, 2, 2, 3, 3, 4, 5, 6])
@@ -141,7 +142,7 @@ def _raw_zigzag(field, rng):
         for d in (1, -1):
             if lo <= o + d <= hi:
                 maps[(o, d)] = _rand_matrix(field, dims[o + d], dims[o], rng)
-    return ZigzagRep(field, lo, hi, dims, maps)
+    return line_rep(field, lo, hi, dims, maps)[0]
 
 
 def _raw_circle(field, rng):
@@ -156,20 +157,18 @@ def _raw_circle(field, rng):
     return CircleRep(field, m, dims, maps)
 
 
-def _check_certified(rep):
-    if rep.is_cyclic:
-        bars, cells, cert = decompose_circle(rep)
-        summands = list(bars) + list(cells)
-    else:
+def _check_certified(rep, line):
+    if line:
         bars, cert = decompose_zigzag(rep)
         summands = list(bars)
+    else:
+        bars, cells, cert = decompose_circle(rep)
+        summands = list(bars) + list(cells)
     assert verify_certificate(rep, summands, cert)
     if summands:
         recon = direct_sum([summand_module(rep.field, s, rep) for s in summands])
-    elif rep.is_cyclic:
-        recon = zero_circle(rep.field, rep.m)
     else:
-        recon = zero_zigzag(rep.field, rep.lo, rep.hi)
+        recon = zero_circle(rep.field, rep.m)
     mirror = hom_dim(recon, recon)
     assert hom_dim(rep, recon) == mirror
     assert hom_dim(recon, rep) == mirror
@@ -195,10 +194,10 @@ def test_fuzzed_decompositions_certified_with_matching_hom_counts():
                                               rng.randrange(1, 4), rng)
                 if max(rep.dims.values()) <= 6:
                     break
-            found = _check_certified(rep)
+            found = _check_certified(rep, line=True)
             assert found == sorted(planted, key=summand_sort_key)
         else:
-            _check_certified(_raw_zigzag(field, rng))
+            _check_certified(_raw_zigzag(field, rng), line=True)
         checked += 1
     for i in range(525):
         field = fields[i % 3]
@@ -209,10 +208,10 @@ def test_fuzzed_decompositions_certified_with_matching_hom_counts():
                                               rng.randrange(1, 3), rng)
                 if max(rep.dims.values()) <= 6:
                     break
-            found = _check_certified(rep)
+            found = _check_certified(rep, line=False)
             assert found == sorted(planted, key=summand_sort_key)
         else:
-            _check_certified(_raw_circle(field, rng))
+            _check_certified(_raw_circle(field, rng), line=False)
         checked += 1
     assert checked >= 1000
     assert time.monotonic() - t0 < 300

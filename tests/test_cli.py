@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,9 +12,12 @@ from pathlib import Path
 
 import pytest
 
+from rep_fixtures import conjugated, direct_sum, line_shell
 from tamebars import cli
 from tamebars.cli import main
+from tamebars.field import field_from_spec
 from tamebars.matrix import Mat
+from tamebars.quiver import bar_from_support, line_slots, summand_module
 
 HEIGHT_DOC = {
     "field": "Q",
@@ -468,6 +472,65 @@ def test_decompose_accepts_negative_vertex_keys(tmp_path, capsys):
     code, out, _ = run(capsys, "decompose", write(tmp_path, "r.json", doc))
     assert code == 0
     assert [b["label"] for b in json.loads(out)["bars"]] == ["(-1, 0]"]
+
+
+def _line_bar(a, b):
+    """The `decompose` record of the bar on window positions a..b: closed ends
+    on even positions, open ends on odd ones."""
+    i, j = a // 2, (b + 1) // 2
+    label = f"{'[' if a % 2 == 0 else '('}{i}, {j}{']' if b % 2 == 0 else ')'}"
+    return {"i": i, "j": j, "wraps": 0, "left_closed": a % 2 == 0,
+            "right_closed": b % 2 == 0, "label": label}
+
+
+def _planted_line_doc(spec, lo, hi):
+    """A `line` document of a scrambled sum of bars on the window lo..hi,
+    some touching both ends, and the `decompose` records of those bars."""
+    field = field_from_spec(spec)
+    mid = (lo + hi) // 2
+    supports = [(lo, hi), (lo, lo), (hi, hi), (lo, mid), (mid, hi), (mid, mid)]
+    shell, s = line_shell(field, lo, hi)
+    mods = [summand_module(field, bar_from_support(a - s, b - s, shell.m), shell)
+            for a, b in supports]
+    rep = conjugated(direct_sum(mods), random.Random(hi - lo))
+    doc = {"field": spec, "shape": "line", "lo": lo, "hi": hi,
+           "dims": {str(p): rep.dims[p - s] for p in range(lo, hi + 1)},
+           "arrows": [{"at": o, "dir": d,
+                       "matrix": [[field.to_str(x) for x in row]
+                                  for row in rep.maps[(o - s, d)].rows]}
+                      for o, d in line_slots(lo, hi)]}
+    want = sorted((_line_bar(a, b) for a, b in supports),
+                  key=lambda r: (r["i"], r["j"], not r["left_closed"], not r["right_closed"]))
+    return doc, want
+
+
+@pytest.mark.parametrize("spec", ["Q", {"Fp": 5}], ids=["Q", "F5"])
+@pytest.mark.parametrize("lo, hi", [(1, 5), (2, 6), (-3, 1), (-2, 3), (4, 4), (5, 5)])
+def test_decompose_line_format_is_pinned(tmp_path, capsys, spec, lo, hi):
+    # bars print in the window's frame whatever the placement on the cycle
+    doc, want = _planted_line_doc(spec, lo, hi)
+    assert doc["dims"][str(lo)] > 0 and doc["dims"][str(hi)] > 0
+    code, out, err = run(capsys, "decompose", write(tmp_path, "r.json", doc))
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    assert got == {"field": spec, "shape": "line", "total_dim": sum(doc["dims"].values()),
+                   "bars": want, "certified": True}
+
+    o = hi if hi % 2 else hi + 1  # an arrow between hi and hi + 1
+    d = 1 if hi % 2 else -1
+    bad = [(_with(doc, lo=hi + 1), "RepresentationError", "window is empty"),
+           (_with(doc, arrows=doc["arrows"] + [{"at": o, "dir": d, "matrix": []}]),
+            "RepresentationError", f"unexpected arrow key ({o}, {d:+d})"),
+           (_with(doc, dims={**doc["dims"], str(lo - 1): 0, str(hi + 1): 1}),
+            "MalformedInput", f"dims name vertices outside the shape: {[lo - 1, hi + 1]}")]
+    if doc["arrows"]:
+        last = doc["arrows"][-1]
+        bad.append((_with(doc, arrows=doc["arrows"][:-1]), "RepresentationError",
+                    f"missing arrow matrix at ({last['at']}, {last['dir']:+d})"))
+    for broken, error, detail in bad:
+        code, out, err = run(capsys, "decompose", write(tmp_path, "bad.json", broken))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"ok": False, "error": error, "detail": detail}
 
 
 # -- render ------------------------------------------------------------------------

@@ -41,6 +41,12 @@ REP_DOCS = [
      "dims": {"1": 1, "2": 1, "3": 1},
      "arrows": [{"at": 1, "dir": 1, "matrix": [[1]]},
                 {"at": 3, "dir": -1, "matrix": [["2"]]}]},
+    # an even, negative lo with nonzero ends, placed on the cycle with a shift
+    {"field": "Q", "shape": "line", "lo": -2, "hi": 1,
+     "dims": {"-2": 1, "-1": 2, "0": 1, "1": 1},
+     "arrows": [{"at": -1, "dir": -1, "matrix": [[1, 0]]},
+                {"at": -1, "dir": 1, "matrix": [["1", "1"]]},
+                {"at": 1, "dir": -1, "matrix": [[1]]}]},
 ]
 
 INVARIANT_DOCS = [

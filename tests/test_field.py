@@ -19,6 +19,15 @@ def test_rational_zero_division():
         QQ.inv(Fraction(0))
 
 
+def test_rational_inverse_of_an_int_is_a_fraction():
+    # 0.5 == Fraction(1, 2) holds, so the type is asserted too
+    for a, want in ((2, Fraction(1, 2)), (-3, Fraction(-1, 3))):
+        got = QQ.inv(a)
+        assert type(got) is Fraction and got == want
+    with pytest.raises(FieldError):
+        QQ.inv(0)
+
+
 def test_prime_field_arithmetic():
     f5 = PrimeField(5)
     assert f5.add(3, 4) == 2

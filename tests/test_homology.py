@@ -116,8 +116,9 @@ def test_assemble_edge_rep():
     crit = critical_candidates(t, f)
     cc = cut_at_levels(t, f, crit.criticals + crit.regulars)
     rep = assemble_rep(cc, crit, 0, QQ)
-    assert (rep.lo, rep.hi) == (1, 5)
-    assert [rep.dims[x] for x in range(1, 6)] == [0, 1, 1, 1, 0]
+    # the empty fibers below and above the line are both x_1, a turn apart
+    assert rep.m == 2
+    assert [rep.dims[rep.vertex_of(x)] for x in range(1, 6)] == [0, 1, 1, 1, 0]
     assert rep.maps[(3, -1)].rows == [[1]]
     assert rep.maps[(3, 1)].rows == [[1]]
 
@@ -128,7 +129,7 @@ def test_assemble_merging_arcs_rep():
     crit = critical_candidates(t, f)
     cc = cut_at_levels(t, f, crit.criticals + crit.regulars)
     rep = assemble_rep(cc, crit, 0, QQ)
-    assert [rep.dims[x] for x in range(1, 6)] == [0, 1, 2, 1, 0]
+    assert [rep.dims[rep.vertex_of(x)] for x in range(1, 6)] == [0, 1, 2, 1, 0]
     assert rep.maps[(3, -1)].rows == [[1, 1]]
     assert rep.maps[(3, 1)].rows == [[1, 1]]
     rep1 = assemble_rep(cc, crit, 1, QQ)
@@ -161,7 +162,7 @@ def test_assemble_matches_direct_fiber_homology():
     for i, theta in enumerate(crit.criticals, start=1):
         assert rep.dims[2 * i] == homology(fiber(cc, theta), 0, QQ).dim
     for i, treg in enumerate(crit.regulars):
-        assert rep.dims[2 * i + 1] == homology(fiber(cc, treg), 0, QQ).dim
+        assert rep.dims[rep.vertex_of(2 * i + 1)] == homology(fiber(cc, treg), 0, QQ).dim
 
 
 def test_cover_slice_homology_degree_one():

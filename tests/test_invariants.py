@@ -13,16 +13,16 @@ from tamebars.cutting import fiber, unroll_cover
 from tamebars.field import GF2, QQ
 from tamebars.homology import betti_numbers, homology, homology_of, induced_map
 from tamebars.invariants import (BeyondFloatRange, Configuration, IndexOutOfRange,
-                                 InvariantBundle, ShapeMismatch, ValuedBar,
+                                 InvariantBundle, ValuedBar,
                                  _bar_end_check, bundle_to_json,
                                  canonical_check, canonical_matrix,
                                  compute_invariants, configuration,
                                  convert_bars, cover_formulas, cylinder_embed,
-                                 cyclic_embedding, fiber_betti_at, global_betti,
+                                 fiber_betti_at, global_betti,
                                  image_dim_at, monodromy_assemble,
                                  novikov_betti, polynomial)
 from tamebars.matrix import Mat
-from tamebars.quiver import Bar, DecompositionError, ZigzagRep, rep_from_lists, zero_circle
+from tamebars.quiver import Bar, DecompositionError, line_rep, rep_from_lists, zero_circle
 
 
 def real_crit(values):
@@ -328,7 +328,7 @@ def test_monodromy_jordan_block():
 
 def test_canonical_single_slot():
     one = Mat.identity(QQ, 1)
-    rep = rep_from_lists(QQ, [one], [one], cyclic=True)
+    rep = rep_from_lists(QQ, [one], [one])
     data = canonical_matrix(rep)
     assert data.matrix == from_int_rows(QQ, [[0]])
     assert data.dim_coker == 1 and data.dim_ker == 1
@@ -348,24 +348,31 @@ def test_canonical_zero_rep():
 @pytest.mark.parametrize("cyclic", [False, True])
 def test_bar_end_check_names_a_bar_at_a_transparent_level(cyclic):
     # both arrows at level 1 are isomorphisms; beta_2 is zero
-    one = Mat.identity(QQ, 1)
-    rep = rep_from_lists(QQ, [one, one], [one, Mat.zeros(QQ, 1, 1)], cyclic)
-    _bar_end_check(rep, [Bar(2, 2, True, True)], 2)
-    with pytest.raises(DecompositionError, match=r"bar \[1, 2\) ends at a transparent level 1"):
-        _bar_end_check(rep, [Bar(2, 2, True, True), Bar(1, 2, True, False)], 2)
+    one, zero = Mat.identity(QQ, 1), Mat.zeros(QQ, 1, 1)
+    if cyclic:
+        rep, k = rep_from_lists(QQ, [one, one], [one, zero]), 0
+    else:  # the window 1..5 placed on the cycle, where level i is level i + k
+        rep, s = line_rep(QQ, 1, 5, {x: 1 for x in range(1, 6)},
+                          {(1, +1): one, (3, -1): one, (3, +1): one, (5, -1): zero})
+        k = -s // 2
+    _bar_end_check(rep, [Bar(2 + k, 2 + k, True, True)], rep.m)
+    with pytest.raises(DecompositionError,
+                       match=rf"bar \[{1 + k}, {2 + k}\) ends at a transparent level {1 + k}"):
+        _bar_end_check(rep, [Bar(2 + k, 2 + k, True, True), Bar(1 + k, 2 + k, True, False)],
+                       rep.m)
 
 
-def test_cyclic_embedding_needs_zero_ends():
+def test_real_map_rep_is_cut_open_at_a_zero_x1():
+    # canonical_matrix takes a real map's representation as it is: the empty
+    # fibers below and above the line are the one zero vertex x_1
     t = SimplexTable(["a", "b"], [(0, 1)])
     bundle = compute_invariants(t, RealMap([F(0), F(1)]), QQ)
     rep = bundle.reps[0]
-    assert cyclic_embedding(rep).m == 2
-    dims = dict(rep.dims)
-    dims[rep.hi] = 1
-    maps = dict(rep.maps)
-    maps[(rep.hi, -1)] = Mat.zeros(QQ, dims[rep.hi - 1], 1)
-    with pytest.raises(ShapeMismatch):
-        cyclic_embedding(ZigzagRep(QQ, rep.lo, rep.hi, dims, maps))
+    assert rep.m == 2 and rep.dims[1] == 0
+    assert rep.alpha(1).ncols == 0 and rep.beta(2).ncols == 0
+    data = canonical_matrix(rep)
+    assert (data.matrix.nrows, data.matrix.ncols) == (2, 1)
+    assert (data.dim_ker, data.dim_coker) == (0, 1)
 
 
 # -- random identity suites ----------------------------------------------------------

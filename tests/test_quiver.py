@@ -1,4 +1,5 @@
-"""Decomposition of zigzag and cyclic representations.
+"""Decomposition of representations of the cyclic shape, line windows
+placed on it included.
 
 Fixed examples are worked out by hand (kernel chases on two- and
 three-dimensional spaces); randomized cases plant a known direct sum behind
@@ -19,17 +20,16 @@ from tamebars.quiver import (
     CircleRep,
     DecompositionError,
     RepresentationError,
-    ZigzagRep,
     _dual,
     bar_from_support,
     cell_module,
     decompose_circle,
     decompose_zigzag,
+    line_rep,
     rep_from_lists,
     summand_module,
     verify_certificate,
     zero_circle,
-    zero_zigzag,
 )
 
 from oracles import from_int_rows, scale
@@ -40,6 +40,8 @@ from rep_fixtures import (
     interval_module,
     interval_module_circle,
     jordan_module,
+    line_shell,
+    placed,
     planted_circle,
     planted_zigzag,
 )
@@ -55,10 +57,13 @@ def _q(*ints):
 
 
 def test_bar_support_round_trip():
+    # supports of a line window, placed between a zero x_1 and a zero x_2m
+    s, m = -6, 11
     for a in range(-3, 8):
         for b in range(a, a + 9):
-            bar = bar_from_support(a, b)
-            assert bar.support() == (a, b)
+            bar = bar_from_support(a - s, b - s, m)
+            assert bar.wraps == 0
+            assert bar.support(m) == (a - s, b - s)
 
 
 def test_bar_support_round_trip_cyclic():
@@ -79,9 +84,11 @@ def test_bar_validity_labels():
 
 
 def test_interval_module_z_shapes():
-    # open-open bar on positions 3..3 inside window 2..4
-    rep = interval_module(QQ, Bar(1, 2, False, False), 2, 4)
-    assert rep.dims == {2: 0, 3: 1, 4: 0}
+    # open-open bar on positions 3..3 inside window 2..4, which stays where
+    # it is, after a zero x_1
+    rep, s = interval_module(QQ, Bar(1, 2, False, False), 2, 4)
+    assert s == 0
+    assert rep.dims == {1: 0, 2: 0, 3: 1, 4: 0}
     assert rep.maps[(3, +1)].nrows == 0 and rep.maps[(3, +1)].ncols == 1
 
 
@@ -114,7 +121,7 @@ def test_jordan_module_matches_equation():
 def test_decompose_two_surjections():
     # kappa <- kappa^2 -> kappa with both maps (1 1): one long closed bar
     # plus one open singleton in the middle
-    rep = ZigzagRep(
+    rep, s = line_rep(
         QQ,
         2,
         4,
@@ -125,14 +132,15 @@ def test_decompose_two_surjections():
         },
     )
     bars, cert = decompose_zigzag(rep)
+    assert s == 0
     assert sorted(b.label() for b in bars) == ["(1, 2)", "[1, 2]"]
     assert verify_certificate(rep, bars, cert)
 
 
 def test_decompose_single_closed_bar_needs_dual_phase():
-    rep = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
+    rep, s = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
     bars, cert = decompose_zigzag(rep)
-    assert bars == [Bar(1, 2, True, True)]
+    assert bars == [placed(Bar(1, 2, True, True), s)]
     assert verify_certificate(rep, bars, cert)
 
 
@@ -165,17 +173,19 @@ def test_nilpotent_alpha_is_a_winding_bar():
     ([Mat.zeros(QQ, 1, 1)], [Mat.identity(QQ, 1)]),
     ([Mat.identity(QQ, 1)], [Mat.zeros(QQ, 1, 1)]),
     ([Mat.identity(QQ, 1), Mat.identity(QQ, 2)], [Mat.zeros(QQ, 1, 2), Mat.zeros(QQ, 2, 1)]),
-], ids=["singular-alpha", "singular-beta", "non-square-beta"])
+    ([Mat.zeros(QQ, 1, 0)], [Mat.zeros(QQ, 1, 0)]),
+], ids=["singular-alpha", "singular-beta", "non-square-beta", "zero-vertex"])
 def test_residue_with_a_non_isomorphism_is_an_error(alphas, betas):
     # the residue left by the peel has isomorphisms only; a singular alpha
-    # must not become an eigenvalue-0 cell
-    st = quiver._State(rep_from_lists(QQ, alphas, betas, cyclic=True))
+    # must not become an eigenvalue-0 cell, and a nonzero residue with a
+    # zero vertex, a line cut open there, is no residue of a peel
+    st = quiver._State(rep_from_lists(QQ, alphas, betas))
     with pytest.raises(DecompositionError, match="residual arrows must be isomorphisms"):
         quiver._residual_cells(st)
 
 
 def test_decompose_zero_rep():
-    bars, cert = decompose_zigzag(zero_zigzag(QQ, 1, 5))
+    bars, cert = decompose_zigzag(line_shell(QQ, 1, 5)[0])
     assert bars == []
     bars, cells, cert = decompose_circle(zero_circle(QQ, 2))
     assert bars == [] and cells == []
@@ -202,7 +212,7 @@ def test_companion_cell_round_trip():
 
 
 def test_certificate_accepts_rescaled_bases():
-    rep = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
+    rep, _ = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
     bars, cert = decompose_zigzag(rep)
     scaled = Certificate(
         base_changes={x: scale(P, QQ.from_int(2)) for x, P in cert.base_changes.items()}
@@ -211,30 +221,31 @@ def test_certificate_accepts_rescaled_bases():
 
 
 def test_certificate_rejects_wrong_summands():
-    rep = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
+    rep, s = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
     bars, cert = decompose_zigzag(rep)
-    wrong = [Bar(1, 2, False, True)]
+    wrong = [placed(Bar(1, 2, False, True), s)]
     assert not verify_certificate(rep, wrong, cert)
 
 
 def test_certificate_rejects_singular_base_change():
-    rep = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
+    # window vertex 2 is x_{2-s}
+    rep, s = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
     bars, cert = decompose_zigzag(rep)
     bad = dict(cert.base_changes)
-    bad[2] = Mat.zeros(QQ, 1, 1)
+    bad[2 - s] = Mat.zeros(QQ, 1, 1)
     assert not verify_certificate(rep, bars, Certificate(base_changes=bad))
 
 
 @pytest.mark.parametrize("spoil", [
-    lambda bad: bad.update({2: scale(bad[2], QQ.from_int(2))}),  # invertible, conjugates nothing
-    lambda bad: bad.pop(2),
-    lambda bad: bad.update({2: Mat.identity(QQ, 2)}),
+    lambda bad, x: bad.update({x: scale(bad[x], QQ.from_int(2))}),  # invertible, conjugates nothing
+    lambda bad, x: bad.pop(x),
+    lambda bad, x: bad.update({x: Mat.identity(QQ, 2)}),
 ], ids=["not-conjugating", "missing", "misshaped"])
 def test_certificate_rejects_a_bad_base_change(spoil):
-    rep = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
+    rep, s = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
     bars, cert = decompose_zigzag(rep)
     bad = dict(cert.base_changes)
-    spoil(bad)
+    spoil(bad, 2 - s)  # at window vertex 2
     assert not verify_certificate(rep, bars, Certificate(base_changes=bad))
 
 
@@ -242,9 +253,9 @@ def test_certificate_rejects_a_bad_base_change(spoil):
 
 
 def test_hom_dims_between_intervals():
-    shell = zero_zigzag(QQ, 1, 5)
-    long = summand_module(QQ, Bar(1, 2, True, True), shell)
-    short = summand_module(QQ, Bar(1, 2, False, False), shell)
+    shell, s = line_shell(QQ, 1, 5)
+    long = summand_module(QQ, placed(Bar(1, 2, True, True), s), shell)
+    short = summand_module(QQ, placed(Bar(1, 2, False, False), s), shell)
     assert hom_dim(long, long) == 1
     assert hom_dim(short, short) == 1
     # the long bar surjects onto the middle open one, not conversely
@@ -264,7 +275,7 @@ def test_hom_dims_between_jordan_cells():
 
 def test_rep_validation_errors():
     with pytest.raises(RepresentationError):
-        ZigzagRep(QQ, 2, 4, {2: 1, 3: 1, 4: 1}, {})
+        line_rep(QQ, 2, 4, {2: 1, 3: 1, 4: 1}, {})
     with pytest.raises(RepresentationError):
         CircleRep(QQ, 1, {1: 1, 2: 1}, {(1, +1): Mat.zeros(QQ, 2, 1), (1, -1): Mat.zeros(QQ, 1, 1)})
 
@@ -384,12 +395,13 @@ def test_dual_scan_skipped_on_jordan_cells(monkeypatch):
 
 @pytest.mark.parametrize("lo, hi", [(1, 5), (2, 6), (-3, 1), (-2, 3)])
 def test_dual_round_trip_line(lo, hi):
+    # a window placed on the cycle: the dual moves every vertex by one
     _, rep = planted_zigzag(GF5, lo, hi, 3, random.Random(lo))
     dual = _dual(rep, +1)
-    assert (dual.lo, dual.hi) == (lo + 1, hi + 1)
+    assert dual.dims == {rep.vertex_of(x + 1): dx for x, dx in rep.dims.items()}
     for s in (+1, -1):
         back = _dual(_dual(rep, s), -s)
-        assert (back.lo, back.hi, back.dims, back.maps) == (lo, hi, rep.dims, rep.maps)
+        assert (back.m, back.dims, back.maps) == (rep.m, rep.dims, rep.maps)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -403,10 +415,13 @@ def test_dual_round_trip_circle(m):
 def test_dual_of_a_bar_is_the_shifted_bar():
     # the dual peel reads a dual bar on a..b as the bar on a-1..b-1: the
     # transposed canonical matrices are the canonical ones, crossing for crossing
+    shell, s = line_shell(QQ, 1, 6)
+    m = shell.m
     for a in range(1, 7):
         for b in range(a, 7):
-            dual = _dual(interval_module(QQ, bar_from_support(a, b), 1, 6), +1)
-            want = summand_module(QQ, bar_from_support(a + 1, b + 1), dual)
+            bar = bar_from_support(a - s, b - s, m)
+            dual = _dual(summand_module(QQ, bar, shell), +1)
+            want = summand_module(QQ, bar_from_support(a + 1 - s, b + 1 - s, m), dual)
             assert (dual.dims, dual.maps) == (want.dims, want.maps)
     for m in (1, 2):
         for a in range(1, 2 * m + 1):

@@ -51,6 +51,13 @@ LINE_REP = {"field": "Q", "shape": "line", "lo": 1, "hi": 3,
             "dims": {"1": 1, "2": 2, "3": 1},
             "arrows": [{"at": 1, "dir": 1, "matrix": [[1], [0]]},
                        {"at": 3, "dir": -1, "matrix": [[1], [1]]}]}
+# an even, negative lo and nonzero ends: the window is placed on the cycle
+# with a shift, and its bars are moved back
+NEGATIVE_LINE_REP = {"field": "Q", "shape": "line", "lo": -2, "hi": 1,
+                     "dims": {"-2": 1, "-1": 2, "0": 1, "1": 1},
+                     "arrows": [{"at": -1, "dir": -1, "matrix": [[1, 0]]},
+                                {"at": -1, "dir": 1, "matrix": [[1, 1]]},
+                                {"at": 1, "dir": -1, "matrix": [[1]]}]}
 # monodromy t^2 - 7: irreducible over Q, so Hensel lifting and recombination run
 Q_REP = {"field": "Q", "shape": "cyclic", "m": 1, "dims": {"1": 2, "2": 2},
          "arrows": [{"at": 1, "dir": 1, "matrix": [[0, "14/2"], [1, 0]]},
@@ -102,6 +109,7 @@ def _corpus(tmp_path):
         ["stability", real, "--schedule", "1/10", "--trials", "2"],
         ["stability", circle, "--schedule", "1/100", "--trials", "2"],
         ["decompose", path("line.json", LINE_REP)],
+        ["decompose", path("negative-line.json", NEGATIVE_LINE_REP)],
         ["decompose", path("q.json", Q_REP)],
         ["decompose", path("f5.json", F5_REP)],
     ]
