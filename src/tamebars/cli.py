@@ -43,13 +43,14 @@ from .invariants import (
 )
 from .matrix import Mat
 from .quiver import (
+    CircleRep,
     RepresentationError,
     decompose_circle,
     decompose_zigzag,
     line_rep,
-    line_slots,
+    slot_target,
     verify_certificate,
-    zero_circle,
+    window_slots,
 )
 from .stability import CardinalityMismatch, stability_experiment
 
@@ -308,29 +309,34 @@ def rep_from_json(doc):
         m = doc.get("m")
         if not _is_int(m) or m < 1:
             raise MalformedInput("cyclic shape needs an integer m >= 1")
-        zero = zero_circle(field, m)
-        vertices, slots = zero.dims, zero.slots
+        lo, hi = 1, 2 * m
     elif shape == "line":
         lo, hi = doc.get("lo"), doc.get("hi")
         if not _is_int(lo) or not _is_int(hi):
             raise MalformedInput("line shape needs integer lo and hi")
-        slots = line_slots(lo, hi)
-        vertices = range(lo, hi + 1)
+        if lo > hi:
+            raise RepresentationError("window is empty")
     else:
         raise MalformedInput(f"shape must be 'line' or 'cyclic', got {shape!r}")
-    outside = sorted(set(dims) - set(vertices))
+    cyclic = shape == "cyclic"
+    outside = sorted(x for x in dims if not lo <= x <= hi)
     if outside:
         raise MalformedInput(f"dims name vertices outside the shape: {outside}")
-    full = {x: dims.get(x, 0) for x in vertices}
     maps = {}
     for (o, d), rows in arrows.items():
-        t = slots.get((o, d))
+        t = slot_target(o, d, lo, hi, cyclic)
         if t is None:
             raise RepresentationError(f"unexpected arrow key ({o}, {d:+d})")
-        maps[(o, d)] = _mat_from_json(field, rows, full[t], full[o], f"({o}, {d:+d})")
-    if shape == "cyclic":
-        return zero.like(full, maps), None
-    return line_rep(field, lo, hi, full, maps)
+        maps[(o, d)] = _mat_from_json(field, rows, dims.get(t, 0), dims.get(o, 0),
+                                      f"({o}, {d:+d})")
+    # the first missing slot comes at most len(maps) slots in, so a long
+    # shape with few arrows is refused before anything of its length is built
+    for (o, d), _ in window_slots(lo, hi, cyclic):
+        if (o, d) not in maps:
+            raise RepresentationError(f"missing arrow matrix at ({o}, {d:+d})")
+    if cyclic:
+        return CircleRep(field, m, dims, maps), None
+    return line_rep(field, lo, hi, dims, maps)
 
 
 def cmd_decompose(args) -> Tuple[int, str]:

@@ -77,10 +77,6 @@ class ValuedBar:
             return False
         return True
 
-    def translated(self, k: int) -> "ValuedBar":
-        return ValuedBar(self.lo + k, self.hi + k,
-                         self.left_closed, self.right_closed)
-
     def n_containing(self, theta: Fraction) -> int:
         """How many integer translates of the angle land inside the bar."""
         lo_k = floor(self.lo - theta)
@@ -220,65 +216,46 @@ def novikov_betti(bundle: InvariantBundle, r: int) -> int:
 # -- windows of the infinite cyclic cover ----------------------------------------
 
 
-def _translate_range(bar: ValuedBar, a: Fraction, b: Fraction) -> range:
-    return range(ceil(a - bar.hi) - 1, floor(b - bar.lo) + 2)
+def _meets(bar: ValuedBar, a: Fraction, b: Fraction, closed: bool = False) -> range:
+    """The integers k for which bar + k meets [a, b] or, with `closed`,
+    meets it in a closed interval: an open end of the bar is then kept only
+    where it sticks out of the window."""
+    # an open right end must pass past_hi, an open left end stay below past_lo
+    past_hi, past_lo = (b, a) if closed else (a, b)
+    first = ceil(a - bar.hi) if bar.right_closed else floor(past_hi - bar.hi) + 1
+    last = floor(b - bar.lo) if bar.left_closed else ceil(past_lo - bar.lo) - 1
+    return range(first, last + 1)
 
 
-def _meets_window(bar: ValuedBar, a: Fraction, b: Fraction) -> bool:
-    return ((bar.lo < b or (bar.lo == b and bar.left_closed))
-            and (bar.hi > a or (bar.hi == a and bar.right_closed)))
-
-
-def _closed_meet(bar: ValuedBar, a: Fraction, b: Fraction) -> bool:
-    # The intersection with [a, b] keeps an open end of the bar only when
-    # that end sticks out of the window.
-    return (_meets_window(bar, a, b)
-            and (bar.lo < a or bar.left_closed)
-            and (bar.hi > b or bar.right_closed))
-
-
-def _inside_window(bar: ValuedBar, a: Fraction, b: Fraction) -> bool:
-    return a <= bar.lo and bar.hi <= b
+def _inside(bar: ValuedBar, a: Fraction, b: Fraction) -> range:
+    """The integers k for which bar + k lies in [a, b]."""
+    return range(ceil(a - bar.lo), floor(b - bar.hi) + 1)
 
 
 def cover_formulas(bundle: InvariantBundle, r: int, a, b) -> Tuple[int, int, int]:
     """Interval counts for the part of the infinite cyclic cover over a
     window [a, b]: its Betti number, the rank of its homology in the whole
-    cover, and the rank in the base space."""
+    cover, and the rank in the base space.  The translates of one bar that
+    count form a run of integers, so each count costs O(1) per bar."""
     if not bundle.circular:
         raise ShapeMismatch("cover formulas need a circle-valued map")
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("cover window needs a < b")
-    bars_r = bundle.degree_bars(r)
     closed_r = bundle.closed_bars(r)
     open_prev = bundle.open_bars(r - 1)
-
-    inside_prev = sum(1 for bar in open_prev
-                      for k in _translate_range(bar, a, b)
-                      if _inside_window(bar.translated(k), a, b))
-
-    slice_betti = bundle.jordan_dim(r) + inside_prev
-    for bar in bars_r:
-        slice_betti += sum(1 for k in _translate_range(bar, a, b)
-                           if _closed_meet(bar.translated(k), a, b))
-
-    into_cover = bundle.jordan_dim(r) + inside_prev
-    for bar in closed_r:
-        into_cover += sum(1 for k in _translate_range(bar, a, b)
-                          if _meets_window(bar.translated(k), a, b))
-
+    inside_prev = sum(len(_inside(bar, a, b)) for bar in open_prev)
+    slice_betti = bundle.jordan_dim(r) + inside_prev + sum(
+        len(_meets(bar, a, b, closed=True)) for bar in bundle.degree_bars(r))
+    into_cover = bundle.jordan_dim(r) + inside_prev + sum(
+        len(_meets(bar, a, b)) for bar in closed_r)
     # Classes landing in the base: bar families with a translate in range
     # plus fiber classes fixed by the monodromy.  Degree r-1 cells feed the
     # base space's homology through the angle direction, which dies in the
     # cover, so they do not appear here.
-    into_base = bundle.eigenvalue_one_count(r)
-    into_base += sum(1 for bar in closed_r
-                     if any(_meets_window(bar.translated(k), a, b)
-                            for k in _translate_range(bar, a, b)))
-    into_base += sum(1 for bar in open_prev
-                     if any(_inside_window(bar.translated(k), a, b)
-                            for k in _translate_range(bar, a, b)))
+    into_base = (bundle.eigenvalue_one_count(r)
+                 + sum(1 for bar in closed_r if _meets(bar, a, b))
+                 + sum(1 for bar in open_prev if _inside(bar, a, b)))
     return slice_betti, into_cover, into_base
 
 

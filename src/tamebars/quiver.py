@@ -17,23 +17,20 @@ only bars that do not wind remain.  `decompose_zigzag` and
 certificate: one invertible base change per vertex conjugating the input
 matrices to the exact block diagonal of the canonical summand matrices.
 
-The algorithm peels one summand at a time.  A bar with an open end leaves a
-kernel vector at the odd vertex where it dies; walking that vector as far as
-it survives (images across forward arrows, preimages across backward ones,
-rider subspaces quotiented out) yields a maximal chain, which splits off via
-an explicit retraction.  A bar closed on both ends leaves no kernel, but its
-ends are open in the dual representation (each arrow reversed, with the
-transpose of its matrix, each position moved by one, so sinks become odd
-sources), so the same peel runs once more on the dual of what is left, and
-the inverse transpose of the dual base change splits the input.  What
-remains has all arrows invertible; its monodromy composite is cut into
-primary components, giving the Jordan cells.
+The algorithm peels one summand at a time, starting where a bar ends.  An
+open end is a kernel vector of an arrow out of the odd source where the bar
+dies; a closed end is the part of an even sink that the arrow into it from
+beyond the bar does not reach.  Walking the start space as far as it
+survives (images out of odd sources, preimages back into even sinks, rider
+subspaces quotiented out) yields a maximal chain, which splits off via an
+explicit retraction.  What remains has all arrows invertible; its monodromy
+composite is cut into primary components, giving the Jordan cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .canonical import Cell, cell_sort_key, primary_components
 from .field import Field, Scalar
@@ -139,8 +136,7 @@ class CircleRep:
         self.field = field
         self.m = m
         self.dims = {x: int(dims.get(x, 0)) for x in range(1, 2 * m + 1)}
-        self.slots: Dict[Tuple[int, int], int] = {
-            (o, d): self.vertex_of(o + d) for o in range(1, 2 * m, 2) for d in (-1, +1)}
+        self.slots = dict(window_slots(1, 2 * m, cyclic=True))
         if maps is None:
             maps = {(o, d): Mat.zeros(field, self.dims[t], self.dims[o])
                     for (o, d), t in self.slots.items()}
@@ -196,13 +192,26 @@ def rep_from_lists(field: Field, alphas: Sequence[Mat], betas: Sequence[Mat]) ->
     return CircleRep(field, m, dims, maps)
 
 
+def slot_target(o: int, d: int, lo: int, hi: int, cyclic: bool = False) -> Optional[int]:
+    """The target of the arrow slot (o, d) on the vertex window lo..hi, or
+    None if there is no such slot: x_o is odd and in the window, and so is
+    x_{o+d}, up to a turn on the cyclic shape, whose window is 1..2m."""
+    if o % 2 and lo <= o <= hi and (cyclic or lo <= o + d <= hi):
+        return (o + d - lo) % (hi - lo + 1) + lo
+    return None
+
+
+def window_slots(lo: int, hi: int, cyclic: bool = False) -> Iterator[Tuple[Tuple[int, int], int]]:
+    """The arrow slots of the window in sorted order, each with its target."""
+    return (((o, d), t) for o in range(lo, hi + 1) for d in (-1, +1)
+            if (t := slot_target(o, d, lo, hi, cyclic)) is not None)
+
+
 def line_slots(lo: int, hi: int) -> Dict[Tuple[int, int], int]:
-    """The arrow slots of the linear shape on the vertex window lo..hi, each
-    with its target: (o, d) for odd o with x_o and x_{o+d} in the window."""
+    """The arrow slots of the linear shape on the vertex window lo..hi."""
     if lo > hi:
         raise RepresentationError("window is empty")
-    return {(o, d): o + d for o in range(lo, hi + 1) if o % 2
-            for d in (-1, +1) if lo <= o + d <= hi}
+    return dict(window_slots(lo, hi))
 
 
 def line_rep(field: Field, lo: int, hi: int, dims: Dict[int, int],
@@ -253,11 +262,6 @@ def _interval_rep(bar: Bar, shape: CircleRep) -> CircleRep:
     maps = {(o, d): _bar_arrow_matrix(shape.field, cross, a, b, o, d, t)
             for (o, d), t in shape.slots.items()}
     return shape.like(dims, maps)
-
-
-def zero_circle(field: Field, m: int) -> CircleRep:
-    """The zero representation on the cyclic shape G_2m."""
-    return CircleRep(field, m, {}, None)
 
 
 def cell_module(field: Field, cell: Cell, m: int) -> CircleRep:
@@ -373,24 +377,26 @@ class _State:
         self.embed = {x: self.embed[x].mul(comp[x]) for x in self.embed}
 
 
-def _dual(rep: CircleRep, s: int) -> CircleRep:
-    """The dual representation, every position moved by s = +-1: the arrow
-    x_o -> x_t with matrix M becomes x_{t+s} -> x_{o+s} with M^T, so sinks
-    become odd sources, and the bar on a..b becomes the bar on a+s..b+s."""
-    at = rep.vertex_of
-    dims = {at(x + s): dx for x, dx in rep.dims.items()}
-    maps = {(at(t + s), -d): rep.maps[(o, d)].transpose() for (o, d), t in rep.slots.items()}
-    return rep.like(dims, maps)
-
-
 def _find_peel_start(st: _State):
-    for pos, dx in st.rep.dims.items():
+    """Where a bar ends: (position, side d, start space S0, riders R0).
+
+    Open ends first: (ker A, 0) for the arrow A out of an odd source to side
+    d.  Then every arrow is injective, and the arrow A into an even sink t
+    from side d misses part of V_t just when A is taller than wide: (V_t, im A).
+    """
+    rep = st.rep
+    for pos, dx in rep.dims.items():
         if pos % 2 == 0 or dx == 0:
             continue
         for d in (+1, -1):
-            K = st.rep.arrow_at(pos, d).kernel_basis()
+            K = rep.arrow_at(pos, d).kernel_basis()
             if K.ncols:
-                return pos, d, K
+                return pos, d, K.column_reduced(), Mat.zeros(st.field, dx, 0)
+    for t in range(2, 2 * rep.m + 1, 2):
+        for d in (+1, -1):
+            A = rep.arrow_at(t + d, -d)
+            if A.nrows > A.ncols:
+                return t, d, Mat.identity(st.field, rep.dims[t]), A
     return None
 
 
@@ -402,25 +408,24 @@ def _not_in_span(space: Mat, candidates: Mat) -> Optional[List[Scalar]]:
     return None
 
 
-def _walk_chain(st: _State, src: int, dead_dir: int, K: Mat):
-    """Follow a kernel vector as far as it survives; return (positions, chain).
+def _walk_chain(st: _State, src: int, dead_dir: int, S0: Mat, R0: Mat):
+    """Follow a bar end as far as it survives; return (positions, chain).
 
-    The subspace S carries everything reachable from ker(dead arrow), R the
-    riders reachable from zero; the walk stops when S/R vanishes, and the
-    chain is reconstructed backwards with honest death at the far end.
+    The subspace S carries everything reachable from the start space S0,
+    R the riders reachable from R0; the walk stops when S/R vanishes, and
+    the chain is reconstructed backwards with honest death at the far end.
     """
     field, dims = st.field, st.rep.dims
     walk = -dead_dir
-    S = [K.column_reduced()]
-    R = [Mat.zeros(field, dims[src], 0)]
+    S, R = [S0], [R0]
     steps: List[Mat] = []
     bound = len(dims) * (max(dims.values(), default=0) + 3) + 2
-    # src is odd: even steps leave an odd source along its arrow, odd steps
-    # take preimages back across the arrow into the next odd source
+    # an odd source steps along its arrow to an image; an even sink takes
+    # the preimage back across the arrow from the next odd source
     n = 0
     while True:
         pos = src + walk * n
-        if n % 2 == 0:
+        if pos % 2:
             M = st.rep.arrow_at(pos, walk)
             S1, R1 = image(M, S[n]), image(M, R[n])
         else:
@@ -434,7 +439,7 @@ def _walk_chain(st: _State, src: int, dead_dir: int, K: Mat):
         n += 1
         if n > bound:
             raise DecompositionError("walk exceeded the support bound")
-    cand = subspace_intersect(S[n], M.kernel_basis()) if n % 2 == 0 else S[n]
+    cand = subspace_intersect(S[n], M.kernel_basis()) if pos % 2 else S[n]
     w = _not_in_span(R[n], cand)
     if w is None:
         raise DecompositionError("no honest chain end available")
@@ -442,7 +447,7 @@ def _walk_chain(st: _State, src: int, dead_dir: int, K: Mat):
     chain[n] = w
     for k in range(n - 1, -1, -1):
         M = steps[k]
-        if k % 2:
+        if (src + walk * k) % 2 == 0:
             chain[k] = M.matvec(chain[k + 1])
         else:
             MS = M.mul(S[k])
@@ -486,15 +491,12 @@ def _solve_retraction(st: _State, cross: Dict[int, List[int]], a: int, b: int,
     return {x: _unknown(field, z, offs[x], *shapes[x]) for x in rep.dims}
 
 
-def _peel_phase(st: _State, found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]]) -> None:
-    """Split off bars with an open end until no odd source has a kernel;
-    each goes to `found` with its chain in input coordinates."""
-    while True:
-        hit = _find_peel_start(st)
-        if hit is None:
-            return
-        pos0, dead, K = hit
-        positions, chain = _walk_chain(st, pos0, dead, K)
+def _peel_phase(st: _State) -> List[Tuple[Bar, Dict[int, List[List[Scalar]]]]]:
+    """Split off bars while an end is left, open ends first; return each bar
+    with its chain in input coordinates."""
+    found = []
+    while (hit := _find_peel_start(st)) is not None:
+        positions, chain = _walk_chain(st, *hit)
         a, b = positions[0], positions[-1]
         bar = bar_from_support(a, b, st.rep.m)
         cross = bar.crossings(st.rep.vertex_of, a, b)
@@ -509,44 +511,7 @@ def _peel_phase(st: _State, found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]
         found.append((bar, {x: [st.embed[x].matvec(v) for v in vecs]
                             for x, vecs in chain_at.items()}))
         st.restrict(comp)
-
-
-def _peel_dual(st: _State, found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]]) -> None:
-    """Split off the bars closed at both ends, which are open in the dual.
-
-    The dual peel's bar columns and residue embedding form an invertible Q
-    at each dual vertex, with M^T Q_t = Q_o C^T for every arrow M: x_o -> x_t;
-    so M Q_o^-T = Q_t^-T C, and the columns of Q^-T split the input into the
-    same blocks, the last one carrying `_dual(dual residue, -1)`.
-
-    After `_peel_phase` every arrow is injective.  A residue whose arrows
-    are all square is then all isomorphisms, and the dual scan can find no
-    cokernel.
-    """
-    if all(M.is_square() for M in st.rep.maps.values()):
-        return
-    field = st.field
-    m = st.rep.m
-    dual = _State(_dual(st.rep, +1))
-    dual_found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]] = []
-    _peel_phase(dual, dual_found)
-    if not dual_found:  # Q is the identity: nothing to split
-        return
-    at = {x: dual.rep.vertex_of(x + 1) for x in st.rep.dims}
-    pulled, embed = {}, {}
-    for x, y in at.items():
-        cols = [v for _, rec in dual_found for v in rec.get(y, [])]
-        Q = Mat.from_cols(field, cols + dual.embed[y].cols(), st.rep.dims[x])
-        P = st.embed[x].mul(Q.inverse().transpose())
-        k = len(cols)
-        pulled[x] = iter(P.cols()[:k])
-        embed[x] = Mat(field, [row[k:] for row in P.rows], P.ncols - k)
-    for bar, rec in dual_found:
-        a, b = bar.support(m)
-        found.append((bar_from_support(a - 1, b - 1, m),
-                      {x: [next(pulled[x]) for _ in rec.get(y, [])] for x, y in at.items()}))
-    st.rep = _dual(dual.rep, -1)
-    st.embed = embed
+    return found
 
 
 def _monodromy(rep: CircleRep, beta_inv: Sequence[Mat]) -> Mat:
@@ -611,9 +576,7 @@ def _assemble(rep: CircleRep, bar_recs, cell_recs) -> Tuple[List[Summand], Certi
 
 def _decompose(rep: CircleRep) -> Tuple[List[Summand], Certificate]:
     st = _State(rep)
-    found: List[Tuple[Bar, Dict[int, List[List[Scalar]]]]] = []
-    _peel_phase(st, found)
-    _peel_dual(st, found)
+    found = _peel_phase(st)
     summands, cert = _assemble(rep, found, _residual_cells(st))
     if not verify_certificate(rep, summands, cert):
         raise DecompositionError("certificate verification failed")
@@ -621,8 +584,10 @@ def _decompose(rep: CircleRep) -> Tuple[List[Summand], Certificate]:
 
 
 def decompose_zigzag(rep: CircleRep) -> Tuple[List[Bar], Certificate]:
-    """Decompose a representation with a zero vertex, a line cut open there,
-    into bars with a certificate."""
+    """Decompose a representation with a zero vertex x_1, a line cut open
+    there, into bars with a certificate."""
+    if rep.dims[1]:
+        raise DecompositionError("a line must be cut open at a zero x_1")
     return _decompose(rep)
 
 

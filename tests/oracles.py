@@ -1,9 +1,10 @@
 """Helpers that only the tests use: boundary matrices of a whole complex, the
 Euler characteristic, subspace predicates, the lift of a refined simplex,
 integer-built and scaled matrices, direct lookups on cut complexes,
-homology bases and invariant bundles, homology without clearing on
-field-element chains, the lifted map and the deck transformation of a cover
-window, the Euclidean gcd over Q and polynomial factoring by sympy.
+homology bases and invariant bundles, cover counts by enumeration, homology
+without clearing on field-element chains, the lifted map and the deck
+transformation of a cover window, the Euclidean gcd over Q and polynomial
+factoring by sympy.
 
 The package computes homology through its sparse reducer on integer chains,
 reads fibers and slabs off the level index and factors polynomials itself;
@@ -13,6 +14,7 @@ these direct versions check it from outside.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from kernel_oracles import DenseReducer
@@ -200,6 +202,38 @@ def bar_multiplicity(bundle: InvariantBundle, r: int, lo, hi,
     when the bar is absent."""
     probe = ValuedBar(Fraction(lo), Fraction(hi), left_closed, right_closed)
     return sum(1 for b in bundle.degree_bars(r) if b == probe)
+
+
+def enumerated_cover_formulas(bundle: InvariantBundle, r: int, a, b) -> Tuple[int, int, int]:
+    """`cover_formulas` by testing every integer translate of every bar that
+    can reach the window [a, b]: time in proportion to its length."""
+    a, b = Fraction(a), Fraction(b)
+
+    def translates(bar):
+        return [ValuedBar(bar.lo + k, bar.hi + k, bar.left_closed, bar.right_closed)
+                for k in range(ceil(a - bar.hi) - 1, floor(b - bar.lo) + 2)]
+
+    def meets(t):
+        return ((t.lo < b or (t.lo == b and t.left_closed))
+                and (t.hi > a or (t.hi == a and t.right_closed)))
+
+    def closed_meet(t):
+        # an open end survives the cut to [a, b] only outside the window
+        return meets(t) and (t.lo < a or t.left_closed) and (t.hi > b or t.right_closed)
+
+    def inside(t):
+        return a <= t.lo and t.hi <= b
+
+    closed_r, open_prev = bundle.closed_bars(r), bundle.open_bars(r - 1)
+    inside_prev = sum(inside(t) for bar in open_prev for t in translates(bar))
+    slice_betti = bundle.jordan_dim(r) + inside_prev + sum(
+        closed_meet(t) for bar in bundle.degree_bars(r) for t in translates(bar))
+    into_cover = bundle.jordan_dim(r) + inside_prev + sum(
+        meets(t) for bar in closed_r for t in translates(bar))
+    into_base = (bundle.eigenvalue_one_count(r)
+                 + sum(any(map(meets, translates(bar))) for bar in closed_r)
+                 + sum(any(map(inside, translates(bar))) for bar in open_prev))
+    return slice_betti, into_cover, into_base
 
 
 # -- subspaces: any Mat with n rows spans a subspace of kappa^n by its columns

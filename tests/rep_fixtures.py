@@ -11,6 +11,7 @@ from tamebars.canonical import Cell, jordan_block
 from tamebars.field import QQ, PrimeField
 from tamebars.matrix import Mat, block_diag
 from tamebars.quiver import (
+    CircleRep,
     RepresentationError,
     _intertwiner_rows,
     bar_from_support,
@@ -18,12 +19,16 @@ from tamebars.quiver import (
     line_slots,
     rep_from_lists,
     summand_module,
-    zero_circle,
 )
 
 from oracles import from_int_rows
 
 GF5 = PrimeField(5)
+
+
+def zero_circle(field, m):
+    """The zero representation on the cyclic shape G_2m."""
+    return CircleRep(field, m, {}, None)
 
 
 def line_shell(field, lo, hi):

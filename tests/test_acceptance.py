@@ -15,7 +15,7 @@ import pytest
 from map_fixtures import random_circle_input, random_real_input
 from oracles import from_int_rows
 from rep_fixtures import (GF5, direct_sum, hom_dim, jordan_module, planted_circle,
-                          planted_zigzag)
+                          planted_zigzag, zero_circle)
 from tamebars.canonical import Cell, cell_sort_key, primary_components
 from tamebars.cli import main
 from tamebars.complexes import (CircleMap, CriticalData, RealMap, SimplexTable,
@@ -29,8 +29,7 @@ from tamebars.invariants import (InvariantBundle, ValuedBar, canonical_check,
                                  novikov_betti)
 from tamebars.matrix import Mat
 from tamebars.quiver import (CircleRep, decompose_circle, decompose_zigzag, line_rep,
-                             summand_module, summand_sort_key, verify_certificate,
-                             zero_circle)
+                             summand_module, summand_sort_key, verify_certificate)
 from tamebars.stability import stability_experiment
 
 pytestmark = pytest.mark.acceptance

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from rep_fixtures import conjugated, direct_sum, line_shell
+from test_reachability import CIRCLE
 from tamebars import cli
 from tamebars.cli import main
 from tamebars.field import field_from_spec
@@ -533,6 +535,25 @@ def test_decompose_line_format_is_pinned(tmp_path, capsys, spec, lo, hi):
         assert json.loads(err) == {"ok": False, "error": error, "detail": detail}
 
 
+@pytest.mark.parametrize("doc, detail", [
+    ({"field": "Q", "shape": "cyclic", "m": 10**9, "dims": {}, "arrows": []},
+     "missing arrow matrix at (1, -1)"),
+    ({"field": "Q", "shape": "cyclic", "m": 10**9, "dims": {"1": 1, "2": 1, str(2 * 10**9): 1},
+      "arrows": [{"at": 1, "dir": 1, "matrix": [[1]]}, {"at": 1, "dir": -1, "matrix": [[1]]}]},
+     "missing arrow matrix at (3, -1)"),
+    ({"field": "Q", "shape": "line", "lo": 1, "hi": 2 * 10**9, "dims": {}, "arrows": []},
+     "missing arrow matrix at (1, +1)"),
+], ids=["cyclic", "cyclic-two-arrows", "line"])
+def test_decompose_refuses_a_long_shape_with_few_arrows_at_once(tmp_path, capsys, doc, detail):
+    # the first missing slot is found before anything of the shape's length
+    # is built, so memory and time do not grow with m or the window
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", write(tmp_path, "r.json", doc))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"ok": False, "error": "RepresentationError", "detail": detail}
+
+
 # -- render ------------------------------------------------------------------------
 
 
@@ -646,6 +667,18 @@ def test_cover_degree_filter_and_errors(tmp_path, capsys):
     code, _, err = run(capsys, "cover", real, "--window", "0", "1")
     assert code == 2
     assert "circle" in json.loads(err)["detail"]
+
+
+def test_cover_counts_a_long_window_at_once(tmp_path, capsys):
+    # two degree-1 classes per turn over 10^9 turns, counted without
+    # visiting the translates one by one
+    path = write(tmp_path, "c.json", CIRCLE)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "cover", path, "--window", "0", "1000000000")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(out)["degrees"]["1"] == {"slice_betti": 2 * 10**9,
+                                               "into_cover": 2 * 10**9, "into_base": 2}
 
 
 # -- stability ---------------------------------------------------------------------

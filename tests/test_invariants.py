@@ -3,10 +3,12 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from map_fixtures import random_circle_input, random_real_input
-from oracles import bar_multiplicity, from_int_rows, mixed_bars
-from rep_fixtures import jordan_module
+from oracles import bar_multiplicity, enumerated_cover_formulas, from_int_rows, mixed_bars
+from rep_fixtures import jordan_module, zero_circle
 from tamebars.canonical import Cell
 from tamebars.complexes import CircleMap, CriticalData, RealMap, SimplexTable, validate_circle_map
 from tamebars.cutting import fiber, unroll_cover
@@ -22,7 +24,7 @@ from tamebars.invariants import (BeyondFloatRange, Configuration, IndexOutOfRang
                                  image_dim_at, monodromy_assemble,
                                  novikov_betti, polynomial)
 from tamebars.matrix import Mat
-from tamebars.quiver import Bar, DecompositionError, line_rep, rep_from_lists, zero_circle
+from tamebars.quiver import Bar, DecompositionError, line_rep, rep_from_lists
 
 
 def real_crit(values):
@@ -201,6 +203,31 @@ def test_fixture_slope(glued_cylinders_bundle):
     counts = [cover_formulas(b, 1, F(0), F(p))[0] for p in range(3, 7)]
     assert [y - x for x, y in zip(counts, counts[1:])] == [1, 1, 1]
     assert novikov_betti(b, 1) == 1
+
+
+# quarter steps: integer and non-integer ends, and windows with ends on bar ends
+_QUARTERS = st.integers(-12, 12).map(lambda n: F(n, 4))
+
+
+@st.composite
+def _valued_bars(draw):
+    lo = draw(_QUARTERS)
+    length = F(draw(st.integers(0, 16)), 4)
+    if length == 0:  # a point bar is closed
+        return ValuedBar(lo, lo, True, True)
+    return ValuedBar(lo, lo + length, draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bars=st.lists(st.lists(_valued_bars(), max_size=5), min_size=2, max_size=2),
+       fixed=st.booleans(), a=_QUARTERS, width=st.integers(1, 24))
+def test_cover_counts_match_enumeration(bars, fixed, a, width):
+    # the closed-form counts against testing every translate in range
+    cells = {0: [Cell((F(-1), F(1)), 1)] if fixed else [], 1: [Cell((F(-2), F(1)), 2)]}
+    bundle = manual_bundle(QQ, True, circle_crit([]), dict(enumerate(map(sorted, bars))), cells)
+    b = a + F(width, 4)
+    for r in (0, 1, 2):
+        assert cover_formulas(bundle, r, a, b) == enumerated_cover_formulas(bundle, r, a, b)
 
 
 def test_fixture_fiber_betti(glued_cylinders_bundle):

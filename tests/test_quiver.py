@@ -20,7 +20,6 @@ from tamebars.quiver import (
     CircleRep,
     DecompositionError,
     RepresentationError,
-    _dual,
     bar_from_support,
     cell_module,
     decompose_circle,
@@ -29,7 +28,6 @@ from tamebars.quiver import (
     rep_from_lists,
     summand_module,
     verify_certificate,
-    zero_circle,
 )
 
 from oracles import from_int_rows, scale
@@ -44,6 +42,7 @@ from rep_fixtures import (
     placed,
     planted_circle,
     planted_zigzag,
+    zero_circle,
 )
 
 
@@ -137,11 +136,29 @@ def test_decompose_two_surjections():
     assert verify_certificate(rep, bars, cert)
 
 
-def test_decompose_single_closed_bar_needs_dual_phase():
+def test_decompose_single_closed_bar():
     rep, s = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
     bars, cert = decompose_zigzag(rep)
     assert bars == [placed(Bar(1, 2, True, True), s)]
     assert verify_certificate(rep, bars, cert)
+
+
+def test_a_closed_bar_starts_at_a_cokernel():
+    # a bar closed at both ends leaves no kernel: its walk starts at the even
+    # sink x_{2-s} it begins at, with the image of the arrow into it from the
+    # left, the zero space at x_{1-s}, as riders
+    rep, s = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
+    pos, d, S0, R0 = quiver._find_peel_start(quiver._State(rep))
+    assert (pos, d) == (2 - s, -1)
+    assert S0 == Mat.identity(QQ, 1)
+    assert R0 == rep.arrow_at(pos + d, -d)
+
+
+def test_decompose_zigzag_needs_a_zero_x1():
+    # a Jordan cell has no zero vertex, so it is no line cut open at x_1;
+    # its cell must not come back among the bars
+    with pytest.raises(DecompositionError, match="zero x_1"):
+        decompose_zigzag(jordan_module(QQ, QQ.from_int(2), 2))
 
 
 def test_decompose_circle_one_wrap():
@@ -290,7 +307,7 @@ def _planted_zigzag_cases(field):
         lo = rng.choice([1, 2])
         hi = lo + rng.randrange(2, 6)
         cases.append(planted_zigzag(field, lo, hi, rng.randrange(1, 5), rng))
-    # closed bars only, which the dual peel splits off, on windows with odd,
+    # closed bars only, whose walks start at a cokernel, on windows with odd,
     # even and negative lo
     for lo in (-3, -2, 1, 2):
         hi = lo + rng.randrange(2, 6)
@@ -346,89 +363,27 @@ def test_planted_circle_sums(field):
         _check_planted_circle(planted, rep)
 
 
-@pytest.mark.parametrize("field", [QQ, GF2, GF5])
-def test_dual_peel_skip_changes_no_summand(field, monkeypatch):
-    # `_peel_dual` returns early on a residue of square arrows.  Whenever it
-    # leaves the state as it was, the full dual scan must find nothing too:
-    # then summands and certificates are those the scan would give.
-    unchanged = 0
-    peel_dual = quiver._peel_dual
-
-    def checked(st, found):
-        nonlocal unchanged
-        rep, embed, n = st.rep, st.embed, len(found)
-        peel_dual(st, found)
-        if st.rep is rep:
-            unchanged += 1
-            assert st.embed is embed and len(found) == n
-            dual_found = []
-            quiver._peel_phase(quiver._State(_dual(rep, +1)), dual_found)
-            assert dual_found == []
-
-    monkeypatch.setattr(quiver, "_peel_dual", checked)
-    for planted, rep in _planted_zigzag_cases(field):
-        _check_planted_zigzag(planted, rep)
-    cases, closed = _planted_circle_cases(field)
-    for planted, rep in cases + closed:
-        _check_planted_circle(planted, rep)
-    assert unchanged > 0
-
-
-def test_dual_scan_skipped_on_jordan_cells(monkeypatch):
+def test_peel_start_found_nowhere_on_jordan_cells(monkeypatch):
     # every arrow of a sum of Jordan cells is square and invertible: the
-    # peel's scan finds no kernel, and the dual scan, which could find no
-    # cokernel, never runs
+    # scan finds no kernel and no arrow with more rows than columns, once
     scanned = []
     find = quiver._find_peel_start
-    monkeypatch.setattr(quiver, "_find_peel_start", lambda st: scanned.append(st) or find(st))
+
+    def counted(st):
+        hit = find(st)
+        scanned.append((st, hit))
+        return hit
+
+    monkeypatch.setattr(quiver, "_find_peel_start", counted)
     rng = random.Random(404)
     for field in (QQ, GF2, GF5):
         for m in (1, 2, 3):
             planted, rep = planted_circle(field, m, 0, 2, rng)
             scanned.clear()
             _check_planted_circle(planted, rep)
-            assert len(scanned) == 1 and scanned[0].rep is rep
-
-
-# -- the dual representation -------------------------------------------------------
-
-
-@pytest.mark.parametrize("lo, hi", [(1, 5), (2, 6), (-3, 1), (-2, 3)])
-def test_dual_round_trip_line(lo, hi):
-    # a window placed on the cycle: the dual moves every vertex by one
-    _, rep = planted_zigzag(GF5, lo, hi, 3, random.Random(lo))
-    dual = _dual(rep, +1)
-    assert dual.dims == {rep.vertex_of(x + 1): dx for x, dx in rep.dims.items()}
-    for s in (+1, -1):
-        back = _dual(_dual(rep, s), -s)
-        assert (back.m, back.dims, back.maps) == (rep.m, rep.dims, rep.maps)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_dual_round_trip_circle(m):
-    _, rep = planted_circle(GF5, m, 2, 1, random.Random(m))
-    for s in (+1, -1):
-        back = _dual(_dual(rep, s), -s)
-        assert (back.m, back.dims, back.maps) == (m, rep.dims, rep.maps)
-
-
-def test_dual_of_a_bar_is_the_shifted_bar():
-    # the dual peel reads a dual bar on a..b as the bar on a-1..b-1: the
-    # transposed canonical matrices are the canonical ones, crossing for crossing
-    shell, s = line_shell(QQ, 1, 6)
-    m = shell.m
-    for a in range(1, 7):
-        for b in range(a, 7):
-            bar = bar_from_support(a - s, b - s, m)
-            dual = _dual(summand_module(QQ, bar, shell), +1)
-            want = summand_module(QQ, bar_from_support(a + 1 - s, b + 1 - s, m), dual)
-            assert (dual.dims, dual.maps) == (want.dims, want.maps)
-    for m in (1, 2):
-        for a in range(1, 2 * m + 1):
-            for b in range(a, a + 4 * m + 1):
-                dual = _dual(interval_module_circle(QQ, bar_from_support(a, b, m), m), +1)
-                want = summand_module(QQ, bar_from_support(a + 1, b + 1, m), dual)
-                assert (dual.dims, dual.maps) == (want.dims, want.maps)
+            assert len(scanned) == 1
+            st, hit = scanned[0]
+            assert st.rep is rep and hit is None
 
 
 def test_decompose_is_deterministic():
