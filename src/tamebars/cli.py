@@ -52,7 +52,7 @@ from .quiver import (
     verify_certificate,
     window_slots,
 )
-from .stability import CardinalityMismatch, stability_experiment
+from .stability import CardinalityMismatch, ExperimentError, stability_experiment
 
 
 class MissingDegree(ValueError):
@@ -76,6 +76,7 @@ _INPUT_ERRORS = (
     IndexOutOfRange,
     MissingDegree,
     CardinalityMismatch,
+    ExperimentError,
     NotTame,
     BeyondFloatRange,
     OSError,

@@ -77,12 +77,6 @@ class ValuedBar:
             return False
         return True
 
-    def n_containing(self, theta: Fraction) -> int:
-        """How many integer translates of the angle land inside the bar."""
-        lo_k = floor(self.lo - theta)
-        hi_k = ceil(self.hi - theta)
-        return sum(1 for k in range(lo_k, hi_k + 1) if self.contains(theta + k))
-
 
 def convert_bars(bars: Sequence[Bar], crit: CriticalData) -> List[ValuedBar]:
     """Replace index ends by the critical values they name.
@@ -187,7 +181,8 @@ def fiber_betti_at(bundle: InvariantBundle, r: int, value) -> int:
     bars = bundle.degree_bars(r)
     if not bundle.circular:
         return sum(1 for b in bars if b.contains(value))
-    return sum(b.n_containing(value) for b in bars) + bundle.jordan_dim(r)
+    # the translates bar + k that contain the angle
+    return sum(len(_meets(b, value, value)) for b in bars) + bundle.jordan_dim(r)
 
 
 def image_dim_at(bundle: InvariantBundle, r: int, value) -> int:
@@ -196,7 +191,7 @@ def image_dim_at(bundle: InvariantBundle, r: int, value) -> int:
     closed = bundle.closed_bars(r)
     if not bundle.circular:
         return sum(1 for b in closed if b.contains(value))
-    hits = sum(1 for b in closed if b.n_containing(value) > 0)
+    hits = sum(1 for b in closed if _meets(b, value, value))
     return hits + bundle.eigenvalue_one_count(r)
 
 

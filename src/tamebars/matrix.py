@@ -5,9 +5,7 @@ lists.  Reduction always picks the first nonzero entry scanning columns left to
 right and rows top to bottom, so every derived object (ranks, kernels, solved
 systems, certificates) is reproducible bit for bit.
 
-Subspaces of kappa^n are represented by matrices whose columns span them; the
-canonical representative is the reduced column echelon form with zero columns
-dropped, which is unique, so subspace equality is matrix equality.
+Subspaces of kappa^n are represented by matrices whose columns span them.
 """
 
 from __future__ import annotations
@@ -90,11 +88,6 @@ class Mat:
         return f"Mat({self.field.name}, {self.nrows}x{self.ncols}: [{body}])"
 
     # -- arithmetic --------------------------------------------------------
-
-    def transpose(self) -> "Mat":
-        if not self.rows:  # 0 x n becomes n x 0: n empty rows
-            return Mat(self.field, [[] for _ in range(self.ncols)], 0)
-        return Mat(self.field, [list(c) for c in zip(*self.rows)], self.nrows)
 
     def mul(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
@@ -250,40 +243,29 @@ class Mat:
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.nrows
 
-    def column_reduced(self) -> "Mat":
-        """Unique reduced column echelon form with zero columns dropped."""
-        R, pivots = self.transpose().rref()
-        if not pivots:
-            return Mat.zeros(self.field, self.nrows, 0)
-        rows = [R.rows[i] for i in range(len(pivots))]
-        return Mat(self.field, rows, self.nrows).transpose()
+    def basis(self) -> "Mat":
+        """The columns at the pivots of the row echelon form: a basis of the
+        column space, taken from the columns themselves."""
+        pivots = self.rref()[1]
+        return Mat(self.field, [[row[j] for j in pivots] for row in self.rows], len(pivots))
 
 
 # -- subspace helpers -------------------------------------------------------
 # A subspace of kappa^n is any Mat with n rows; its columns span the space.
 
 
-def image(M: Mat, S: Optional[Mat] = None) -> Mat:
-    """Canonical basis of M(span S), or of the column space of M."""
-    MS = M if S is None else M.mul(S)
-    return MS.column_reduced()
+def image(M: Mat, S: Mat) -> Mat:
+    """A basis of M(span S)."""
+    return M.mul(S).basis()
 
 
 def preimage(M: Mat, S: Mat) -> Mat:
-    """Canonical basis of {x : M x in span(S)}."""
+    """A basis of {x : M x in span(S)}, when the columns of S are independent:
+    the kernel of [M | -S] then projects injectively onto its top rows."""
     if S.ncols == 0:
-        return M.kernel_basis().column_reduced()
+        return M.kernel_basis()
     K = M.hstack(S.neg()).kernel_basis()
-    top = Mat(M.field, [K.rows[i] for i in range(M.ncols)], K.ncols)
-    return top.column_reduced()
-
-
-def subspace_intersect(A: Mat, B: Mat) -> Mat:
-    if A.ncols == 0 or B.ncols == 0:
-        return Mat.zeros(A.field, A.nrows, 0)
-    K = A.hstack(B).kernel_basis()
-    coefA = Mat(A.field, [K.rows[i] for i in range(A.ncols)], K.ncols)
-    return A.mul(coefA).column_reduced()
+    return Mat(M.field, K.rows[:M.ncols], K.ncols)
 
 
 def block_diag(field: Field, blocks: Sequence[Mat]) -> Mat:

@@ -17,24 +17,29 @@ only bars that do not wind remain.  `decompose_zigzag` and
 certificate: one invertible base change per vertex conjugating the input
 matrices to the exact block diagonal of the canonical summand matrices.
 
-The algorithm peels one summand at a time, starting where a bar ends.  An
-open end is a kernel vector of an arrow out of the odd source where the bar
-dies; a closed end is the part of an even sink that the arrow into it from
-beyond the bar does not reach.  Walking the start space as far as it
-survives (images out of odd sources, preimages back into even sinks, rider
-subspaces quotiented out) yields a maximal chain, which splits off via an
-explicit retraction.  What remains has all arrows invertible; its monodromy
-composite is cut into primary components, giving the Jordan cells.
+The algorithm peels one bar at a time in a single pass over the arrow
+slots, starting where a bar ends.  An open end is a kernel vector of an
+arrow out of the odd source where the bar dies; a closed end is the part of
+an even sink that the arrow into it from beyond the bar does not reach.
+Open ends are taken first; splitting a bar off keeps an injective arrow
+injective, so a slot without ends is never visited again.  Walking the
+start space as far as it survives (images out of odd sources, preimages
+back into even sinks, rider subspaces quotiented out) yields a maximal
+chain.  It splits off via a retraction written as one functional per bar
+position, and the split changes only the arrows with an end on the bar.
+What remains has all arrows invertible; its monodromy composite is cut into
+primary components, giving the Jordan cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .canonical import Cell, cell_sort_key, primary_components
 from .field import Field, Scalar
-from .matrix import Mat, block_diag, image, preimage, subspace_intersect
+from .matrix import Mat, block_diag, image, preimage
 
 
 class RepresentationError(ValueError):
@@ -312,46 +317,6 @@ def verify_certificate(rep: CircleRep, summands: Sequence[Summand], cert: Certif
     return True
 
 
-# -- the intertwiner system ------------------------------------------------------
-
-
-def _intertwiner_rows(field: Field, arrows, shapes: Dict[int, Tuple[int, int]]):
-    """The linear system X_t A = B X_s of a morphism between two representations.
-
-    `arrows` lists (s, t, A, B): the arrow s -> t has matrix A in the source
-    representation and B in the target one.  The unknown X_x is a matrix of
-    shape `shapes[x]`; the unknowns are its entries row-major, vertices
-    ascending.  Returns the nonzero rows of X_t A - B X_s = 0, the offset of
-    each X_x among the unknowns and their number.
-    """
-    offs: Dict[int, int] = {}
-    total = 0
-    for x in sorted(shapes):
-        offs[x] = total
-        total += shapes[x][0] * shapes[x][1]
-    zero, neg = field.zero, field.neg
-    rows: List[List[Scalar]] = []
-    for s, t, A, B in arrows:
-        (nr, nt), ns = shapes[t], shapes[s][1]
-        for a in range(nr):
-            brow = B.rows[a]
-            for b in range(ns):
-                # entry (a, b): sum_k X_t[a][k] A[k][b] - sum_k B[a][k] X_s[k][b]
-                terms = [(offs[t] + a * nt + k, A.rows[k][b]) for k in range(nt) if A.rows[k][b]]
-                terms += [(offs[s] + k * ns + b, neg(v)) for k, v in enumerate(brow) if v]
-                if terms:
-                    row = [zero] * total
-                    for idx, v in terms:
-                        row[idx] = v
-                    rows.append(row)
-    return rows, offs, total
-
-
-def _unknown(field: Field, z: List[Scalar], off: int, nr: int, nc: int) -> Mat:
-    """The unknown matrix stored row-major at offset `off` of the vector z."""
-    return Mat(field, [z[off + i * nc: off + (i + 1) * nc] for i in range(nr)], nc)
-
-
 # -- the peeling decomposition ---------------------------------------------------
 
 
@@ -365,39 +330,21 @@ class _State:
         self.embed = {x: Mat.identity(rep.field, d) for x, d in rep.dims.items()}
 
     def restrict(self, comp: Dict[int, Mat]) -> None:
-        """Replace the state by the subrepresentation spanned by `comp`."""
+        """Replace the state by the subrepresentation spanned by `comp` at the
+        vertices it names, and by the whole space at the others; only the
+        arrows with an end at a named vertex change."""
         rep = self.rep
         maps = {}
         for (o, d), t in rep.slots.items():
-            Z = comp[t].try_solve(rep.maps[(o, d)].mul(comp[o]))
-            if Z is None:
+            A = rep.maps[(o, d)]
+            if o in comp:
+                A = A.mul(comp[o])
+            if t in comp and (A := comp[t].try_solve(A)) is None:
                 raise DecompositionError("complement is not arrow-invariant")
-            maps[(o, d)] = Z
-        self.rep = rep.like({x: comp[x].ncols for x in rep.dims}, maps)
-        self.embed = {x: self.embed[x].mul(comp[x]) for x in self.embed}
-
-
-def _find_peel_start(st: _State):
-    """Where a bar ends: (position, side d, start space S0, riders R0).
-
-    Open ends first: (ker A, 0) for the arrow A out of an odd source to side
-    d.  Then every arrow is injective, and the arrow A into an even sink t
-    from side d misses part of V_t just when A is taller than wide: (V_t, im A).
-    """
-    rep = st.rep
-    for pos, dx in rep.dims.items():
-        if pos % 2 == 0 or dx == 0:
-            continue
-        for d in (+1, -1):
-            K = rep.arrow_at(pos, d).kernel_basis()
-            if K.ncols:
-                return pos, d, K.column_reduced(), Mat.zeros(st.field, dx, 0)
-    for t in range(2, 2 * rep.m + 1, 2):
-        for d in (+1, -1):
-            A = rep.arrow_at(t + d, -d)
-            if A.nrows > A.ncols:
-                return t, d, Mat.identity(st.field, rep.dims[t]), A
-    return None
+            maps[(o, d)] = A
+        self.rep = rep.like({**rep.dims, **{x: C.ncols for x, C in comp.items()}}, maps)
+        for x, C in comp.items():
+            self.embed[x] = self.embed[x].mul(C)
 
 
 def _not_in_span(space: Mat, candidates: Mat) -> Optional[List[Scalar]]:
@@ -414,6 +361,8 @@ def _walk_chain(st: _State, src: int, dead_dir: int, S0: Mat, R0: Mat):
     The subspace S carries everything reachable from the start space S0,
     R the riders reachable from R0; the walk stops when S/R vanishes, and
     the chain is reconstructed backwards with honest death at the far end.
+    Every subspace is a matrix with independent columns, so its number of
+    columns is its dimension.
     """
     field, dims = st.field, st.rep.dims
     walk = -dead_dir
@@ -439,7 +388,8 @@ def _walk_chain(st: _State, src: int, dead_dir: int, S0: Mat, R0: Mat):
         n += 1
         if n > bound:
             raise DecompositionError("walk exceeded the support bound")
-    cand = subspace_intersect(S[n], M.kernel_basis()) if pos % 2 else S[n]
+    # at an odd far end the chain must die: the part of S that M kills
+    cand = S[n].mul(M.mul(S[n]).kernel_basis()) if pos % 2 else S[n]
     w = _not_in_span(R[n], cand)
     if w is None:
         raise DecompositionError("no honest chain end available")
@@ -460,57 +410,85 @@ def _walk_chain(st: _State, src: int, dead_dir: int, S0: Mat, R0: Mat):
     return positions, chain
 
 
-def _solve_retraction(st: _State, cross: Dict[int, List[int]], a: int, b: int,
-                      chain_at: Dict[int, List[List[Scalar]]]) -> Dict[int, Mat]:
-    """Solve for a retraction r: rep -> interval with r restricted to the
-    chain being the identity; returns r_x per vertex.
+def _retraction(st: _State, a: int, b: int, chain_a: List[Scalar]) -> Dict[int, List[Scalar]]:
+    """A retraction r onto the interval on positions a..b, as one functional
+    phi_p per position p; r at a vertex stacks the phi_p of its crossings.
 
-    The interval has support positions a..b and crossings `cross`.
+    r is a morphism when phi_p A = phi_q for every arrow A from q into an
+    even p, with phi_q = 0 for q off a..b.  Then phi_p(chain_p) is one scalar
+    for all p, the diagonal of the endomorphism r.i of the interval, i the
+    chain's embedding.  An endomorphism of an interval is a scalar plus
+    shifts of positions by whole turns, all to one side, so
+    phi_a(chain_a) = 1 makes r.i unipotent and ker r a complement of the
+    chain.
     """
     field, rep = st.field, st.rep
-    arrows = [(o, t, rep.maps[(o, d)], _bar_arrow_matrix(field, cross, a, b, o, d, t))
-              for (o, d), t in rep.slots.items()]
-    shapes = {x: (len(cross.get(x, [])), dx) for x, dx in rep.dims.items()}
-    rows, offs, total = _intertwiner_rows(field, arrows, shapes)
-    zero, one = field.zero, field.one
-    rhs: List[List[Scalar]] = [[zero] for _ in rows]
-    for x, vecs in chain_at.items():
-        cx, dx = shapes[x]
-        for i in range(cx):
-            for j in range(cx):
-                row = [zero] * total
-                for k in range(dx):
-                    if vecs[j][k] != zero:
-                        row[offs[x] + i * dx + k] = vecs[j][k]
-                rows.append(row)
-                rhs.append([one if i == j else zero])
-    z = Mat(field, rows, total).try_solve(Mat(field, rhs, 1))
+    zero, minus_one = field.zero, field.neg(field.one)
+    dims = [rep.dims[rep.vertex_of(p)] for p in range(a, b + 1)]
+    offs = [0, *accumulate(dims)]  # phi_p sits at offs[p - a]:offs[p - a + 1]
+    rows: List[List[Scalar]] = []
+    for p in range(a + a % 2, b + 1, 2):
+        for d in (+1, -1):
+            A = rep.arrow_at(p - d, d)
+            for j in range(A.ncols):  # column j of phi_p A - phi_{p-d}
+                row = [zero] * offs[-1]
+                row[offs[p - a]:offs[p - a + 1]] = A.col(j)
+                if a <= p - d <= b:
+                    row[offs[p - d - a] + j] = minus_one
+                if any(row):
+                    rows.append(row)
+    norm = [zero] * offs[-1]
+    norm[:dims[0]] = chain_a
+    rhs = [[zero] for _ in rows] + [[field.one]]
+    z = Mat(field, rows + [norm], offs[-1]).try_solve(Mat(field, rhs, 1))
     if z is None:
         raise DecompositionError("maximal chain does not split")
     z = z.col(0)
-    return {x: _unknown(field, z, offs[x], *shapes[x]) for x in rep.dims}
+    return {p: z[offs[p - a]:offs[p - a + 1]] for p in range(a, b + 1)}
+
+
+def _split(st: _State, src: int, d: int, S0: Mat, R0: Mat):
+    """Split off the bar that starts at position src with start space S0 and
+    riders R0, dead on side d; return the bar with its chain in input
+    coordinates."""
+    positions, chain = _walk_chain(st, src, d, S0, R0)
+    a, b = positions[0], positions[-1]
+    rep = st.rep
+    bar = bar_from_support(a, b, rep.m)
+    cross = bar.crossings(rep.vertex_of, a, b)
+    by_pos = dict(zip(positions, chain))
+    phi = _retraction(st, a, b, by_pos[a])
+    comp = {}
+    for x, plist in cross.items():
+        comp[x] = Mat(st.field, [phi[p] for p in plist], rep.dims[x]).kernel_basis()
+        if comp[x].ncols != rep.dims[x] - len(plist):
+            raise DecompositionError("complement dimension mismatch")
+    chain_at = {x: [st.embed[x].matvec(by_pos[p]) for p in plist] for x, plist in cross.items()}
+    st.restrict(comp)
+    return bar, chain_at
 
 
 def _peel_phase(st: _State) -> List[Tuple[Bar, Dict[int, List[List[Scalar]]]]]:
-    """Split off bars while an end is left, open ends first; return each bar
-    with its chain in input coordinates."""
-    found = []
-    while (hit := _find_peel_start(st)) is not None:
-        positions, chain = _walk_chain(st, *hit)
-        a, b = positions[0], positions[-1]
-        bar = bar_from_support(a, b, st.rep.m)
-        cross = bar.crossings(st.rep.vertex_of, a, b)
-        by_pos = dict(zip(positions, chain))
-        chain_at = {x: [by_pos[p] for p in plist] for x, plist in cross.items()}
-        r = _solve_retraction(st, cross, a, b, chain_at)
-        dims = st.rep.dims
-        comp = {x: r[x].kernel_basis() if r[x].nrows else Mat.identity(st.field, dx)
-                for x, dx in dims.items()}
-        if any(comp[x].ncols != dims[x] - len(cross[x]) for x in cross):
-            raise DecompositionError("complement dimension mismatch")
-        found.append((bar, {x: [st.embed[x].matvec(v) for v in vecs]
-                            for x, vecs in chain_at.items()}))
-        st.restrict(comp)
+    """Split off a bar at every bar end, visiting each arrow slot once;
+    return each bar with its chain in input coordinates.
+
+    Open ends come first: while the arrow A out of an odd source to side d
+    has a kernel, a bar starts there at (ker A, 0).  Then every arrow is
+    injective, and while the arrow A into an even sink t from side d is
+    taller than wide, a bar starts at (V_t, im A).  A split restricts every
+    arrow to a subrepresentation, which keeps an injective arrow injective
+    and an isomorphism an isomorphism, so a finished slot needs no second
+    look.
+    """
+    field, m, found = st.field, st.rep.m, []
+    for o in range(1, 2 * m, 2):
+        for d in (+1, -1):
+            while (K := st.rep.arrow_at(o, d).kernel_basis()).ncols:
+                found.append(_split(st, o, d, K, Mat.zeros(field, st.rep.dims[o], 0)))
+    for t in range(2, 2 * m + 1, 2):
+        for d in (+1, -1):
+            while (A := st.rep.arrow_at(t + d, -d)).nrows > A.ncols:
+                found.append(_split(st, t, d, Mat.identity(field, st.rep.dims[t]), A))
     return found
 
 

@@ -27,6 +27,11 @@ class CardinalityMismatch(ValueError):
     """Raised when two configurations cannot be matched point for point."""
 
 
+class ExperimentError(ValueError):
+    """A perturbation experiment that cannot run as asked: a negative degree
+    or epsilon, no trials, or an epsilon with no collision-free draw."""
+
+
 _GRID = 1 << 20
 _MAX_DRAWS = 1000
 
@@ -46,7 +51,7 @@ def perturb(mapping: Union[RealMap, CircleMap], eps, seed, table: SimplexTable):
     """
     eps = Fraction(eps)
     if eps < 0:
-        raise ValueError("perturbation size must be nonnegative")
+        raise ExperimentError(f"epsilon {eps} is negative")
     circular = isinstance(mapping, CircleMap)
     old = list(mapping.angles) if circular else list(mapping.values)
     if eps == 0:
@@ -64,7 +69,8 @@ def perturb(mapping: Union[RealMap, CircleMap], eps, seed, table: SimplexTable):
                 new.append(cand)
                 break
             else:
-                raise RuntimeError(f"no collision-free draw for vertex {i}")
+                raise ExperimentError(
+                    f"no collision-free draw for vertex {i} at epsilon {eps}")
     if circular:
         shaken = CircleMap(new, dict(mapping.windings))
         validate_circle_map(table, shaken)
@@ -172,14 +178,19 @@ def stability_experiment(table: SimplexTable, mapping, r: int, schedule,
     exact epsilons and distances, and decimal distances that are null when
     a distance is beyond float range.
     """
+    schedule = [Fraction(eps) for eps in schedule]
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise ExperimentError("need at least one trial")
+    if r < 0:
+        raise ExperimentError(f"degree {r} is negative")
+    for eps in schedule:
+        if eps < 0:
+            raise ExperimentError(f"epsilon {eps} is negative")
     base = compute_invariants(table, mapping, field)
     base_config = configuration(base, r)
     results = []
     counter = 0
     for eps in schedule:
-        eps = Fraction(eps)
         dists: List[Fraction] = []
         violations = 0
         for _ in range(trials):
@@ -201,6 +212,6 @@ def stability_experiment(table: SimplexTable, mapping, r: int, schedule,
         "cardinality": len(base_config.points),
         "trials": trials,
         "seed": seed,
-        "schedule": [str(Fraction(e)) for e in schedule],
+        "schedule": [str(eps) for eps in schedule],
         "results": results,
     }

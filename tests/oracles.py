@@ -1,14 +1,14 @@
 """Helpers that only the tests use: boundary matrices of a whole complex, the
-Euler characteristic, subspace predicates, the lift of a refined simplex,
-integer-built and scaled matrices, direct lookups on cut complexes,
-homology bases and invariant bundles, cover counts by enumeration, homology
-without clearing on field-element chains, the lifted map and the deck
-transformation of a cover window, the Euclidean gcd over Q and polynomial
-factoring by sympy.
+Euler characteristic, transposes, the canonical column reduction and
+subspace predicates, the lift of a refined simplex, integer-built and scaled
+matrices, direct lookups on cut complexes, homology bases and invariant
+bundles, fiber and cover counts by enumeration, homology without clearing on
+field-element chains, the lifted map and the deck transformation of a cover
+window, the Euclidean gcd over Q and polynomial factoring by sympy.
 
 The package computes homology through its sparse reducer on integer chains,
-reads fibers and slabs off the level index and factors polynomials itself;
-these direct versions check it from outside.
+reads fibers and slabs off the level index, counts translates in closed form
+and factors polynomials itself; these direct versions check it from outside.
 """
 
 from __future__ import annotations
@@ -236,23 +236,48 @@ def enumerated_cover_formulas(bundle: InvariantBundle, r: int, a, b) -> Tuple[in
     return slice_betti, into_cover, into_base
 
 
+def n_containing(bar: ValuedBar, theta) -> int:
+    """How many integer translates of the angle land inside the bar, by
+    testing every translate that can."""
+    theta = Fraction(theta)
+    return sum(1 for k in range(floor(bar.lo - theta), ceil(bar.hi - theta) + 1)
+               if bar.contains(theta + k))
+
+
 # -- subspaces: any Mat with n rows spans a subspace of kappa^n by its columns
 
 
+def transpose(A: Mat) -> Mat:
+    """The transpose; a 0 x n matrix becomes n x 0, with n empty rows."""
+    return Mat(A.field, [list(c) for c in zip(*A.rows)] or [[] for _ in range(A.ncols)], A.nrows)
+
+
+def column_reduced(A: Mat) -> Mat:
+    """The reduced column echelon form with zero columns dropped: unique for
+    a subspace, so subspace equality is matrix equality."""
+    R, pivots = transpose(A).rref()
+    return transpose(Mat(A.field, R.rows[:len(pivots)], A.nrows))
+
+
 def span(field: Field, n: int, vectors: Sequence[Sequence[Scalar]]) -> Mat:
-    return Mat.from_cols(field, vectors, n).column_reduced()
+    return column_reduced(Mat.from_cols(field, vectors, n))
 
 
 def subspace_sum(A: Mat, B: Mat) -> Mat:
-    return A.hstack(B).column_reduced()
+    return column_reduced(A.hstack(B))
+
+
+def subspace_intersect(A: Mat, B: Mat) -> Mat:
+    K = A.hstack(B).kernel_basis()
+    return column_reduced(A.mul(Mat(A.field, K.rows[:A.ncols], K.ncols)))
 
 
 def subspace_dim(A: Mat) -> int:
-    return A.column_reduced().ncols
+    return column_reduced(A).ncols
 
 
 def subspace_eq(A: Mat, B: Mat) -> bool:
-    return A.column_reduced() == B.column_reduced()
+    return column_reduced(A) == column_reduced(B)
 
 
 def subspace_contains(A: Mat, v: Sequence[Scalar]) -> bool:

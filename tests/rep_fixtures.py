@@ -13,7 +13,6 @@ from tamebars.matrix import Mat, block_diag
 from tamebars.quiver import (
     CircleRep,
     RepresentationError,
-    _intertwiner_rows,
     bar_from_support,
     line_rep,
     line_slots,
@@ -80,13 +79,33 @@ def direct_sum(reps):
 
 
 def hom_dim(rep1, rep2):
-    """Dimension of the space of morphisms rep1 -> rep2 (same shape)."""
+    """Dimension of the space of morphisms rep1 -> rep2 (same shape).
+
+    The unknown X_x is a matrix of shape dims2[x] x dims1[x], its entries
+    row-major and the vertices ascending; every arrow s -> t, with matrix A
+    in rep1 and B in rep2, gives the rows of X_t A - B X_s = 0.
+    """
     if not same_shape(rep1, rep2):
         raise RepresentationError("hom between different shapes")
-    shapes = {x: (rep2.dims[x], rep1.dims[x]) for x in rep1.dims}
-    arrows = [(o, t, rep1.maps[(o, d)], rep2.maps[(o, d)]) for (o, d), t in rep1.slots.items()]
-    rows, _, total = _intertwiner_rows(rep1.field, arrows, shapes)
-    return total - Mat(rep1.field, rows, total).rank()
+    field = rep1.field
+    offs, total = {}, 0
+    for x in sorted(rep1.dims):
+        offs[x] = total
+        total += rep2.dims[x] * rep1.dims[x]
+    rows = []
+    for (o, d), t in rep1.slots.items():
+        A, B = rep1.maps[(o, d)], rep2.maps[(o, d)]
+        nt, ns = rep1.dims[t], rep1.dims[o]
+        for i in range(rep2.dims[t]):
+            for j in range(ns):
+                # entry (i, j): sum_k X_t[i][k] A[k][j] - sum_k B[i][k] X_s[k][j]
+                row = [field.zero] * total
+                for k in range(nt):
+                    row[offs[t] + i * nt + k] = A.rows[k][j]
+                for k, v in enumerate(B.rows[i]):
+                    row[offs[o] + k * ns + j] = field.neg(v)
+                rows.append(row)
+    return total - Mat(field, rows, total).rank()
 
 
 def rand_invertible(field, n, rng):

@@ -714,6 +714,33 @@ def test_stability_rejects_bad_flags(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc, flags, detail", [
+    (HEIGHT_DOC, ["--schedule=-1/10"], "epsilon -1/10 is negative"),
+    (WRAP_DOC, ["--schedule", "0,-1/10"], "epsilon -1/10 is negative"),
+    (HEIGHT_DOC, ["--schedule", "1/10", "--degree", "-1"], "degree -1 is negative"),
+    (WRAP_DOC, ["--schedule", "1/10", "--degree", "-1"], "degree -1 is negative"),
+], ids=["epsilon-real", "epsilon-circle", "degree-real", "degree-circle"])
+def test_stability_refuses_a_negative_epsilon_or_degree_at_once(
+        tmp_path, capsys, monkeypatch, doc, flags, detail):
+    def no_compute(*args):
+        raise AssertionError("computed before the flags were checked")
+
+    monkeypatch.setattr(import_module("tamebars.stability"), "compute_invariants", no_compute)
+    code, out, err = run(capsys, "stability", write(tmp_path, "doc.json", doc), *flags)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"ok": False, "error": "ExperimentError", "detail": detail}
+
+
+def test_stability_names_an_epsilon_without_a_draw(tmp_path, capsys):
+    # every draw of size 1e400 turns lands outside [0, 1) but the zero one
+    code, out, err = run(capsys, "stability", write(tmp_path, "doc.json", WRAP_DOC),
+                         "--schedule", "1e400", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "ok": False, "error": "ExperimentError",
+        "detail": f"no collision-free draw for vertex 0 at epsilon {10 ** 400}"}
+
+
 @pytest.mark.parametrize("doc, where", [
     (HEIGHT_DOC, "degree 0, critical value 0, slab [-1, 0]"),
     (WRAP_DOC, "degree 0, critical value 0, slab [-1/6, 0]"),

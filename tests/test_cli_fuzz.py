@@ -1,8 +1,9 @@
 """The error contract under mutated documents.
 
-Valid `validate`, `compute`, `decompose` and `render` documents are mutated
-at random places (a value replaced, a key or item deleted, an item added)
-and run through `cli.main`.  Whatever the document, the exit code is 0, 2 or
+Valid `validate`, `compute`, `cover`, `stability`, `decompose` and `render`
+documents are mutated at random places (a value replaced, a key or item
+deleted, an item added) and run through `cli.main`, with flags drawn from
+small pools of valid and invalid values.  Whatever the document, the exit code is 0, 2 or
 3, and a failure is reported as a JSON object: on stderr, or on stdout for
 `validate`, which reports there.
 """
@@ -139,6 +140,22 @@ def test_validate_keeps_the_error_contract(doc):
 @given(mutated(MAP_DOCS))
 def test_compute_keeps_the_error_contract(doc):
     _check("compute", doc)
+
+
+@fuzz
+@given(mutated(MAP_DOCS), st.sampled_from([["1", "0"], ["x", "1"], ["0", "1e400"], ["0", "1"],
+                                           ["1/3", "7/3"]]),
+       st.sampled_from([[], ["--degrees", "0"], ["--degrees", "0,1"], ["--degrees", "-1"]]))
+def test_cover_keeps_the_error_contract(doc, window, degrees):
+    _check("cover", doc, "--window", *window, *degrees)
+
+
+@fuzz
+@given(mutated(MAP_DOCS), st.sampled_from(["-1/10", "0", "1/10", "1e400", "1/10,-1/10"]),
+       st.integers(0, 2), st.integers(-1, 2))
+def test_stability_keeps_the_error_contract(doc, schedule, trials, degree):
+    _check("stability", doc, f"--schedule={schedule}", "--trials", str(trials),
+           "--degree", str(degree))
 
 
 @fuzz

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from map_fixtures import random_circle_input, random_real_input
-from oracles import bar_multiplicity, enumerated_cover_formulas, from_int_rows, mixed_bars
+from oracles import (bar_multiplicity, enumerated_cover_formulas, from_int_rows, mixed_bars,
+                     n_containing)
 from rep_fixtures import jordan_module, zero_circle
 from tamebars.canonical import Cell
 from tamebars.complexes import CircleMap, CriticalData, RealMap, SimplexTable, validate_circle_map
@@ -16,7 +17,7 @@ from tamebars.field import GF2, QQ
 from tamebars.homology import betti_numbers, homology, homology_of, induced_map
 from tamebars.invariants import (BeyondFloatRange, Configuration, IndexOutOfRange,
                                  InvariantBundle, ValuedBar,
-                                 _bar_end_check, bundle_to_json,
+                                 _bar_end_check, _meets, bundle_to_json,
                                  canonical_check, canonical_matrix,
                                  compute_invariants, configuration,
                                  convert_bars, cover_formulas, cylinder_embed,
@@ -228,6 +229,29 @@ def test_cover_counts_match_enumeration(bars, fixed, a, width):
     b = a + F(width, 4)
     for r in (0, 1, 2):
         assert cover_formulas(bundle, r, a, b) == enumerated_cover_formulas(bundle, r, a, b)
+
+
+@st.composite
+def _any_bars(draw):
+    # point bars too, open ends included: an open point bar holds nothing
+    lo = draw(_QUARTERS)
+    return ValuedBar(lo, lo + F(draw(st.integers(0, 16)), 4), draw(st.booleans()),
+                     draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bars=st.lists(_any_bars(), max_size=5), fixed=st.booleans(), theta=_QUARTERS)
+def test_fiber_counts_match_enumeration(bars, fixed, theta):
+    # translates of a bar that contain an angle, counted in closed form,
+    # against testing each translate
+    for bar in bars:
+        assert len(_meets(bar, theta, theta)) == n_containing(bar, theta)
+    cells = {1: [Cell((F(-1), F(1)), 1)] if fixed else []}
+    bundle = manual_bundle(QQ, True, circle_crit([]), {1: sorted(bars)}, cells)
+    assert fiber_betti_at(bundle, 1, theta) == fixed + sum(
+        n_containing(bar, theta) for bar in bars)
+    assert image_dim_at(bundle, 1, theta) == fixed + sum(
+        n_containing(bar, theta) > 0 for bar in bars if bar.is_closed)
 
 
 def test_fixture_fiber_betti(glued_cylinders_bundle):

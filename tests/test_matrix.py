@@ -6,15 +6,20 @@ from fractions import Fraction
 import pytest
 
 from tamebars.field import GF2, QQ, PrimeField
-from tamebars.matrix import (
-    LinearSolveError,
-    Mat,
-    block_diag,
-    image,
-    preimage,
+from tamebars.matrix import LinearSolveError, Mat, block_diag, image, preimage
+from oracles import (
+    column_reduced,
+    from_int_rows,
+    is_zero,
+    span,
+    subspace_contains,
+    subspace_dim,
+    subspace_eq,
     subspace_intersect,
+    subspace_leq,
+    subspace_sum,
+    transpose,
 )
-from oracles import from_int_rows, is_zero, span, subspace_contains, subspace_dim, subspace_eq, subspace_leq, subspace_sum
 
 F5 = PrimeField(5)
 
@@ -98,7 +103,7 @@ def test_gf5_elimination_matches_manual():
 
 def test_column_reduced_keeps_row_count_when_zero():
     Z = Mat.zeros(QQ, 3, 2)
-    C = Z.column_reduced()
+    C = column_reduced(Z)
     assert C.nrows == 3 and C.ncols == 0
     # transporting the zero subspace through maps must stay well-shaped
     M = from_int_rows(QQ, [[1, 0, 0], [0, 1, 0]])
@@ -111,14 +116,31 @@ def test_column_reduced_keeps_row_count_when_zero():
 def test_transpose_keeps_empty_shapes():
     for n in (0, 1, 3):
         for shape in ((0, n), (n, 0)):
-            T = Mat.zeros(QQ, *shape).transpose()
+            T = transpose(Mat.zeros(QQ, *shape))
             assert (T.nrows, T.ncols) == shape[::-1]
 
 
 def test_column_reduced_unique_for_same_span():
     A = Mat.from_cols(QQ, [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]], 2)
     B = Mat.from_cols(QQ, [[Fraction(3), Fraction(3)]], 2)
-    assert A.column_reduced() == B.column_reduced()
+    assert column_reduced(A) == column_reduced(B)
+
+
+def test_basis_keeps_empty_shapes():
+    # no columns, or columns in the zero space: an empty basis with the
+    # matrix's row count
+    for n in (0, 1, 3):
+        for field in (QQ, F5):
+            B = Mat.zeros(field, n, 0).basis()
+            assert (B.nrows, B.ncols) == (n, 0)
+            B = Mat.zeros(field, 0, n).basis()
+            assert (B.nrows, B.ncols) == (0, 0)
+
+
+def test_basis_takes_the_pivot_columns():
+    A = _mat(QQ, [[0, 1, 2, 0], [0, 1, 2, 1]])
+    assert A.basis() == _mat(QQ, [[1, 0], [1, 1]])
+    assert subspace_eq(A.basis(), A)
 
 
 def test_subspace_operations():
@@ -139,12 +161,31 @@ def test_subspace_operations():
 def test_image_and_preimage():
     # projection onto first coordinate of Q^2
     P = _mat(QQ, [[1, 0], [0, 0]])
-    img = image(P)
+    img = image(P, Mat.identity(QQ, 2))
     assert subspace_eq(img, span(QQ, 2, [[Fraction(1), Fraction(0)]]))
     pre = preimage(P, span(QQ, 2, [[Fraction(1), Fraction(0)]]))
     assert subspace_dim(pre) == 2  # everything maps into the x-axis
     pre0 = preimage(P, Mat.zeros(QQ, 2, 0))
     assert subspace_eq(pre0, span(QQ, 2, [[Fraction(0), Fraction(1)]]))
+
+
+def test_image_and_preimage_return_independent_columns():
+    # a walk counts dimensions by columns: from independent columns, both
+    # return a basis of the right subspace
+    rng = random.Random(11)
+    for trial in range(60):
+        field = [QQ, GF2, F5][trial % 3]
+        n, m, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 4)
+        M = from_int_rows(field, [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)])
+        S = Mat.from_cols(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(n)]
+                                  for _ in range(k)], n).basis()
+        T = Mat.from_cols(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(m)]
+                                  for _ in range(k)], m).basis()
+        img, pre = image(M, T), preimage(M, S)
+        assert img.rank() == img.ncols and subspace_eq(img, M.mul(T))
+        assert pre.rank() == pre.ncols and subspace_leq(M.mul(pre), S)
+        meet = subspace_dim(subspace_intersect(M, S))
+        assert pre.ncols == m - M.rank() + meet
 
 
 def test_block_diag_layout():
@@ -169,4 +210,5 @@ def test_randomized_rank_agrees_with_kernel_dimension():
         assert A.rank() + K.ncols == m
         if K.ncols:
             assert is_zero(A.mul(K))
-        assert A.rank() == A.transpose().rank()
+        At = Mat(field, [list(c) for c in zip(*A.rows)], n)
+        assert A.rank() == At.rank()

@@ -143,12 +143,28 @@ def test_decompose_single_closed_bar():
     assert verify_certificate(rep, bars, cert)
 
 
-def test_a_closed_bar_starts_at_a_cokernel():
+def _spy_walks(monkeypatch):
+    """Record the arguments (state, position, side, S0, R0) of every walk."""
+    walks = []
+    walk = quiver._walk_chain
+
+    def spied(st, src, d, S0, R0):
+        walks.append((st, src, d, S0, R0))
+        return walk(st, src, d, S0, R0)
+
+    monkeypatch.setattr(quiver, "_walk_chain", spied)
+    return walks
+
+
+def test_a_closed_bar_starts_at_a_cokernel(monkeypatch):
     # a bar closed at both ends leaves no kernel: its walk starts at the even
     # sink x_{2-s} it begins at, with the image of the arrow into it from the
     # left, the zero space at x_{1-s}, as riders
     rep, s = interval_module(QQ, Bar(1, 2, True, True), 1, 5)
-    pos, d, S0, R0 = quiver._find_peel_start(quiver._State(rep))
+    walks = _spy_walks(monkeypatch)
+    decompose_zigzag(rep)
+    assert len(walks) == 1
+    st, pos, d, S0, R0 = walks[0]
     assert (pos, d) == (2 - s, -1)
     assert S0 == Mat.identity(QQ, 1)
     assert R0 == rep.arrow_at(pos + d, -d)
@@ -363,27 +379,95 @@ def test_planted_circle_sums(field):
         _check_planted_circle(planted, rep)
 
 
+def _spy_arrow_kernels(monkeypatch):
+    """Count, per arrow slot, the kernels taken of the current arrow matrices
+    outside of walks, which is where a peel looks for bar ends; also record
+    the walks."""
+    states, kernels, in_walk = [], {}, []
+    walks = _spy_walks(monkeypatch)
+    walk, kernel = quiver._walk_chain, Mat.kernel_basis
+
+    class Spied(quiver._State):
+        def __init__(self, rep):
+            super().__init__(rep)
+            states.append(self)
+
+    def walked(*args):
+        in_walk.append(True)
+        try:
+            return walk(*args)
+        finally:
+            in_walk.pop()
+
+    def counted(M):
+        if states and not in_walk:
+            for slot, A in states[-1].rep.maps.items():
+                if A is M:
+                    kernels[slot] = kernels.get(slot, 0) + 1
+        return kernel(M)
+
+    monkeypatch.setattr(quiver, "_State", Spied)
+    monkeypatch.setattr(quiver, "_walk_chain", walked)
+    monkeypatch.setattr(Mat, "kernel_basis", counted)
+    return kernels, walks
+
+
 def test_peel_start_found_nowhere_on_jordan_cells(monkeypatch):
-    # every arrow of a sum of Jordan cells is square and invertible: the
-    # scan finds no kernel and no arrow with more rows than columns, once
-    scanned = []
-    find = quiver._find_peel_start
-
-    def counted(st):
-        hit = find(st)
-        scanned.append((st, hit))
-        return hit
-
-    monkeypatch.setattr(quiver, "_find_peel_start", counted)
+    # every arrow of a sum of Jordan cells is square and invertible: no walk
+    # starts, and the kernel of each of the 2m arrows out of odd sources is
+    # taken once
+    kernels, walks = _spy_arrow_kernels(monkeypatch)
     rng = random.Random(404)
     for field in (QQ, GF2, GF5):
         for m in (1, 2, 3):
             planted, rep = planted_circle(field, m, 0, 2, rng)
-            scanned.clear()
+            kernels.clear()
             _check_planted_circle(planted, rep)
-            assert len(scanned) == 1
-            st, hit = scanned[0]
-            assert st.rep is rep and hit is None
+            assert walks == []
+            assert kernels == {slot: 1 for slot in rep.slots}
+
+
+def test_a_peel_takes_each_kernel_once_per_bar_start(monkeypatch):
+    # a split keeps an injective arrow injective, so the peel looks at an
+    # arrow out of an odd source once more than the bars that start there
+    kernels, walks = _spy_arrow_kernels(monkeypatch)
+    cases = [(_check_planted_zigzag, case) for case in _planted_zigzag_cases(GF5)]
+    circle, closed = _planted_circle_cases(GF5)
+    cases += [(_check_planted_circle, case) for case in circle + closed]
+    n_walks = 0
+    for check, (planted, rep) in cases:
+        kernels.clear()
+        walks.clear()
+        check(planted, rep)
+        starts = {}
+        for st, src, d, _, _ in walks:
+            if src % 2:
+                slot = (st.rep.vertex_of(src), d)
+                starts[slot] = starts.get(slot, 0) + 1
+        assert all(n <= starts.get(slot, 0) + 1 for slot, n in kernels.items())
+        n_walks += len(walks)
+    assert n_walks > len(cases)
+
+
+def test_a_split_keeps_the_arrows_off_its_bar(monkeypatch):
+    # restricting to the complement of a bar changes the space only where
+    # the bar crosses, and leaves every arrow with no end there as it was
+    restrict = quiver._State.restrict
+    kept = []
+
+    def spied(st, comp):
+        dims, maps = dict(st.rep.dims), dict(st.rep.maps)
+        restrict(st, comp)
+        on_bar = {x for x in dims if st.rep.dims[x] < dims[x]}
+        for (o, d), t in st.rep.slots.items():
+            if o not in on_bar and t not in on_bar:
+                assert st.rep.maps[(o, d)] is maps[(o, d)]
+                kept.append((o, d))
+
+    monkeypatch.setattr(quiver._State, "restrict", spied)
+    for planted, rep in _planted_zigzag_cases(QQ):
+        _check_planted_zigzag(planted, rep)
+    assert kept
 
 
 def test_decompose_is_deterministic():
