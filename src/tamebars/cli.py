@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -59,6 +60,11 @@ class MissingDegree(ValueError):
     """The requested degree is absent from the invariants document."""
 
 
+class UsageError(ValueError):
+    """The command line does not parse: an unknown option or subcommand, a
+    missing or extra argument, or a value of the wrong type."""
+
+
 class IdentityCheckFailure(RuntimeError):
     """One of the re-derived counting identities does not match."""
 
@@ -75,6 +81,7 @@ _INPUT_ERRORS = (
     LevelNotCut,
     IndexOutOfRange,
     MissingDegree,
+    UsageError,
     CardinalityMismatch,
     ExperimentError,
     NotTame,
@@ -134,13 +141,16 @@ def _parse_degrees(text: str, rmax: int) -> List[int]:
         tok = tok.strip()
         if not tok.isdigit():
             raise MalformedInput(f"bad degree {tok!r}")
-        r = int(tok)
-        if r > rmax:
-            raise MalformedInput(f"degree {r} exceeds the complex dimension {rmax}")
-        out.append(r)
+        out.append(_check_degree(int(tok), rmax))
     if not out:
         raise MalformedInput("empty degree list")
     return sorted(set(out))
+
+
+def _check_degree(r: int, rmax: int) -> int:
+    if r > rmax:
+        raise MalformedInput(f"degree {r} exceeds the complex dimension {rmax}")
+    return r
 
 
 # -- validate ----------------------------------------------------------------------
@@ -527,6 +537,7 @@ def cmd_stability(args) -> Tuple[int, str]:
         raise MalformedInput("schedule must list at least one epsilon")
     if args.trials < 1:
         raise MalformedInput("need at least one trial")
+    _check_degree(args.degree, max(loaded.table.dim, 0))
     report = stability_experiment(loaded.table, loaded.map, args.degree,
                                   schedule, args.trials, args.seed, loaded.field)
     return 0, _dumps(report)
@@ -535,8 +546,24 @@ def cmd_stability(args) -> Tuple[int, str]:
 # -- parser ------------------------------------------------------------------------
 
 
+def _usage_error(message: str):
+    raise UsageError(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise `UsageError`, so that they leave
+    through the JSON error contract, and which reads a token that starts with
+    a minus and a digit, such as ``-1/2`` or ``-.5``, as a value: no option
+    of this program starts that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self.error = _usage_error
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tamebars",
         description="Bar codes, Jordan cells, and derived invariants of tame "
                     "simplicial maps to the line or the circle.")
@@ -594,8 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, text = args.func(args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

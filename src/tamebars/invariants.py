@@ -227,6 +227,12 @@ def _inside(bar: ValuedBar, a: Fraction, b: Fraction) -> range:
     return range(ceil(a - bar.lo), floor(b - bar.hi) + 1)
 
 
+def _count(run: range) -> int:
+    """The length of a run of integers, also past sys.maxsize, where len()
+    overflows: a window as wide as 1e400 holds that many translates."""
+    return max(run.stop - run.start, 0)
+
+
 def cover_formulas(bundle: InvariantBundle, r: int, a, b) -> Tuple[int, int, int]:
     """Interval counts for the part of the infinite cyclic cover over a
     window [a, b]: its Betti number, the rank of its homology in the whole
@@ -239,11 +245,11 @@ def cover_formulas(bundle: InvariantBundle, r: int, a, b) -> Tuple[int, int, int
         raise ValueError("cover window needs a < b")
     closed_r = bundle.closed_bars(r)
     open_prev = bundle.open_bars(r - 1)
-    inside_prev = sum(len(_inside(bar, a, b)) for bar in open_prev)
+    inside_prev = sum(_count(_inside(bar, a, b)) for bar in open_prev)
     slice_betti = bundle.jordan_dim(r) + inside_prev + sum(
-        len(_meets(bar, a, b, closed=True)) for bar in bundle.degree_bars(r))
+        _count(_meets(bar, a, b, closed=True)) for bar in bundle.degree_bars(r))
     into_cover = bundle.jordan_dim(r) + inside_prev + sum(
-        len(_meets(bar, a, b)) for bar in closed_r)
+        _count(_meets(bar, a, b)) for bar in closed_r)
     # Classes landing in the base: bar families with a translate in range
     # plus fiber classes fixed by the monodromy.  Degree r-1 cells feed the
     # base space's homology through the angle direction, which dies in the

@@ -5,11 +5,21 @@ lists.  Reduction always picks the first nonzero entry scanning columns left to
 right and rows top to bottom, so every derived object (ranks, kernels, solved
 systems, certificates) is reproducible bit for bit.
 
+Over GF(p) elimination runs on residues.  Over Q it runs fraction-free: each
+row is cleared to integers over its common denominator, rows are combined by
+integer multiples and kept primitive, and the pivot rows are divided into
+Fractions once, after the last pivot.  The reduced row echelon form is
+unique, so this returns what elimination on Fractions returns, entry for
+entry.  Products over Q are likewise integer dot products over a common
+denominator, with one `_as_integers` clearing rows for both.
+
 Subspaces of kappa^n are represented by matrices whose columns span them.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence
 
 from .field import Field, PrimeField, Scalar
@@ -21,12 +31,61 @@ class LinearSolveError(ValueError):
 
 def _as_integers(xs: Sequence[Scalar]) -> tuple[List[int], int]:
     """Rationals written as integers over their least common denominator."""
-    from math import lcm
-
     den = lcm(*[x.denominator for x in xs])
     if den == 1:
         return [x.numerator for x in xs], 1
     return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _rref_integer(qrows: List[List[Scalar]], nc: int) -> tuple[List[List[Fraction]], List[int]]:
+    """Fraction-free Gauss-Jordan over Q on integer rows: see `Mat.rref`."""
+    rows = [_as_integers(row)[0] for row in qrows]
+    nr = len(rows)
+    pivots: List[int] = []
+    r = 0
+    for c in range(nc):
+        pr = None
+        for i in range(r, nr):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        if pv < 0:  # so that a pivot of -1, like 1, needs no scaling
+            pv = -pv
+            rows[r] = [-x for x in rows[r]]
+        # entries left of c are zero in every row from r down
+        nonzeros = [(j, b) for j, b in enumerate(rows[r][c:], c) if b]
+        for i in range(nr):
+            if i == r:
+                continue
+            ri = rows[i]
+            f = ri[c]
+            if not f:
+                continue
+            # s*ri - f*prow with s = pv/g: integral, and zero in column c
+            g = gcd(pv, f)
+            s, f = pv // g, f // g
+            if s != 1:
+                ri = [s * x for x in ri]
+            for j, b in nonzeros:
+                ri[j] -= f * b
+            if s != 1:
+                g = gcd(*ri)
+                rows[i] = [x // g for x in ri] if g > 1 else ri
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    zero = Fraction(0)
+    out = []
+    for i, c in enumerate(pivots):
+        pv = rows[i][c]
+        out.append([Fraction(x, pv) if x else zero for x in rows[i]])
+    out.extend([zero] * nc for _ in range(nr - len(pivots)))
+    return out, pivots
 
 
 class Mat:
@@ -98,8 +157,6 @@ class Mat:
         if p:
             out = [[sum(a * b for a, b in zip(row, c)) % p for c in ocols] for row in self.rows]
             return Mat(self.field, out, other.ncols)
-        from fractions import Fraction
-
         icols = [_as_integers(c) for c in ocols]
         out = []
         for row in self.rows:
@@ -114,8 +171,6 @@ class Mat:
             return [sum(a * b for a, b in zip(row, v)) % p for row in self.rows]
         if not self.ncols:
             return [0] * self.nrows  # sums of no terms: the int 0, as over GF(p)
-        from fractions import Fraction
-
         iv, vden = _as_integers(v)
         out = []
         for row in self.rows:
@@ -137,9 +192,19 @@ class Mat:
     def rref(self) -> tuple["Mat", List[int]]:
         """Reduced row echelon form with deterministic first-nonzero pivoting.
 
-        Each pivot row is read once for its nonzero entries, and the other
-        rows are updated in place at those columns only: an update at a zero
-        of the pivot row could not change a value.
+        Over GF(p) the pivot row is scaled to a leading 1 and cleared from the
+        other rows by residues.  Over Q the rows are cleared to integers once
+        and eliminated fraction-free: a row ``r`` with ``f`` in the pivot
+        column becomes ``(pv/g)*r - (f/g)*pivot_row``, ``g = gcd(pv, f)``, and
+        a row that was scaled is divided by its content.  Each pivot row is
+        divided by its pivot into Fractions only after the last pivot.  The
+        reduced form is unique, so both loops return what plain Gauss-Jordan
+        on field elements returns, and every entry over Q is a Fraction.
+
+        Either way each pivot row is read once for its nonzero entries, and
+        the other rows are updated at those columns only: an update at a zero
+        of the pivot row could not change a value.  ``self.rows`` is left as
+        it is.
 
         Returns
         -------
@@ -147,7 +212,10 @@ class Mat:
         indices in order.
         """
         field = self.field
-        p = field.p if isinstance(field, PrimeField) else None
+        if not isinstance(field, PrimeField):
+            qrows, qpivots = _rref_integer(self.rows, self.ncols)
+            return Mat(field, qrows, self.ncols), qpivots
+        p = field.p
         rows = [row[:] for row in self.rows]
         nr, nc = self.nrows, self.ncols
         pivots: List[int] = []
@@ -164,7 +232,7 @@ class Mat:
             pv = rows[r][c]
             if pv != field.one:
                 ipv = field.inv(pv)
-                rows[r] = [(ipv * x) % p if p else ipv * x for x in rows[r]]
+                rows[r] = [(ipv * x) % p for x in rows[r]]
             # entries left of c are zero in every row from r down
             nonzeros = [(j, b) for j, b in enumerate(rows[r][c:], c) if b]
             for i in range(nr):
@@ -173,12 +241,8 @@ class Mat:
                 ri = rows[i]
                 f = ri[c]
                 if f:
-                    if p:
-                        for j, b in nonzeros:
-                            ri[j] = (ri[j] - f * b) % p
-                    else:
-                        for j, b in nonzeros:
-                            ri[j] = ri[j] - f * b
+                    for j, b in nonzeros:
+                        ri[j] = (ri[j] - f * b) % p
             pivots.append(c)
             r += 1
             if r == nr:

@@ -1,16 +1,17 @@
-"""Helpers that only the tests use: boundary matrices of a whole complex, the
-Euler characteristic, transposes, the canonical column reduction and
-subspace predicates, the lift of a refined simplex, integer-built and scaled
-matrices, direct lookups on cut complexes, homology bases and invariant
-bundles, fiber and cover counts by enumeration, homology without clearing on
-field-element chains, the lifted map and the deck transformation of a cover
-window, the Euclidean gcd over Q and polynomial factoring by sympy.
+"""Helpers that only the tests use: Gauss-Jordan over Q on Fractions,
+boundary matrices of a whole complex, the Euler characteristic, transposes,
+the canonical column reduction and subspace predicates, the lift of a
+refined simplex, integer-built and scaled matrices, direct lookups on cut
+complexes, homology bases and invariant bundles, fiber and cover counts by
+enumeration, homology without clearing on field-element chains, the lifted
+map and the deck transformation of a cover window, the Euclidean gcd over Q
+and polynomial factoring by sympy.
 
-The package computes homology through its sparse reducer on integer chains,
-reads fibers and slabs off the level index, counts translates in closed form
-and factors polynomials itself; these direct versions check it from outside.
+The package eliminates on integer rows, computes homology through its sparse
+reducer on integer chains, reads fibers and slabs off the level index, counts
+translates in closed form and factors polynomials itself; these direct
+versions check it from outside.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
@@ -42,6 +43,35 @@ def is_zero(M: Mat) -> bool:
 def scale(M: Mat, c: Scalar) -> Mat:
     p = M.field.p if isinstance(M.field, PrimeField) else None
     return Mat(M.field, [[(c * x) % p if p else c * x for x in row] for row in M.rows], M.ncols)
+
+
+def fraction_rref(M: Mat) -> Tuple[Mat, List[int]]:
+    """Gauss-Jordan over Q on `Fraction` entries, the loop `Mat.rref` ran
+    before it eliminated on integer rows: the pivot row is scaled to a
+    leading 1 and subtracted from the other rows at its nonzero columns."""
+    rows = [row[:] for row in M.rows]
+    nr, nc = M.nrows, M.ncols
+    pivots: List[int] = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
+        nonzeros = [(j, b) for j, b in enumerate(rows[r][c:], c) if b]
+        for i in range(nr):
+            f = rows[i][c]
+            if i != r and f:
+                for j, b in nonzeros:
+                    rows[i][j] = rows[i][j] - f * b
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return Mat(M.field, rows, nc), pivots
 
 
 # -- complexes and homology

@@ -681,6 +681,43 @@ def test_cover_counts_a_long_window_at_once(tmp_path, capsys):
                                                "into_cover": 2 * 10**9, "into_base": 2}
 
 
+def test_cover_counts_a_window_wider_than_sys_maxsize(tmp_path, capsys):
+    # the path c-a, b-c winds once: one closed bar [1/3, 1] in degree 0, so
+    # [0, N] meets N + 1 of its translates, a count len() cannot return
+    path = write(tmp_path, "p.json", _with(WRAP_DOC, simplices=[["b", "c"], ["a", "c"]]))
+    code, out, _ = run(capsys, "cover", path, "--window", "0", "1e400")
+    assert code == 0
+    assert json.loads(out)["degrees"]["0"] == {"slice_betti": 10**400 + 1,
+                                               "into_cover": 10**400 + 1, "into_base": 1}
+
+
+@pytest.mark.parametrize("window", [["-1/2", "3/2"], ["-1", "-1/3"], ["-.5", "1.5"]])
+def test_cover_takes_negative_window_ends_as_separate_tokens(tmp_path, capsys, window):
+    path = write(tmp_path, "w.json", WRAP_DOC)
+    code, out, err = run(capsys, "cover", path, "--window", *window)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["window"] == [str(Fraction(end)) for end in window]
+    assert doc["degrees"]["0"] == {"slice_betti": 1, "into_cover": 1, "into_base": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "{path}", "--bogus"],
+    ["frobnicate", "{path}"],
+    ["cover", "{path}", "--window", "0"],
+    ["stability", "{path}"],
+    ["stability", "{path}", "--schedule", "1/10", "--trials", "x"],
+    [],
+], ids=["unknown-option", "unknown-command", "one-window-end", "no-schedule",
+        "trials-not-int", "nothing"])
+def test_usage_errors_exit_2_with_json_error(tmp_path, capsys, argv):
+    path = write(tmp_path, "w.json", WRAP_DOC)
+    code, out, err = run(capsys, *[a.format(path=path) for a in argv])
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert (doc["ok"], doc["error"]) == (False, "UsageError") and doc["detail"]
+
+
 # -- stability ---------------------------------------------------------------------
 
 
@@ -716,10 +753,11 @@ def test_stability_rejects_bad_flags(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc, flags, detail", [
     (HEIGHT_DOC, ["--schedule=-1/10"], "epsilon -1/10 is negative"),
+    (HEIGHT_DOC, ["--schedule", "-1/10"], "epsilon -1/10 is negative"),
     (WRAP_DOC, ["--schedule", "0,-1/10"], "epsilon -1/10 is negative"),
     (HEIGHT_DOC, ["--schedule", "1/10", "--degree", "-1"], "degree -1 is negative"),
     (WRAP_DOC, ["--schedule", "1/10", "--degree", "-1"], "degree -1 is negative"),
-], ids=["epsilon-real", "epsilon-circle", "degree-real", "degree-circle"])
+], ids=["epsilon-real", "epsilon-token", "epsilon-circle", "degree-real", "degree-circle"])
 def test_stability_refuses_a_negative_epsilon_or_degree_at_once(
         tmp_path, capsys, monkeypatch, doc, flags, detail):
     def no_compute(*args):
@@ -729,6 +767,22 @@ def test_stability_refuses_a_negative_epsilon_or_degree_at_once(
     code, out, err = run(capsys, "stability", write(tmp_path, "doc.json", doc), *flags)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"ok": False, "error": "ExperimentError", "detail": detail}
+
+
+@pytest.mark.parametrize("doc", [HEIGHT_DOC, WRAP_DOC], ids=["real", "circle"])
+def test_stability_refuses_a_degree_above_the_complex_dimension_at_once(
+        tmp_path, capsys, monkeypatch, doc):
+    def no_compute(*args):
+        raise AssertionError("computed before the degree was checked")
+
+    path = write(tmp_path, "doc.json", doc)
+    monkeypatch.setattr(import_module("tamebars.stability"), "compute_invariants", no_compute)
+    code, out, err = run(capsys, "stability", path, "--schedule", "1/10", "--degree", "5")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"ok": False, "error": "MalformedInput",
+                               "detail": "degree 5 exceeds the complex dimension 1"}
+    monkeypatch.undo()
+    assert run(capsys, "compute", path, "--degrees", "5")[2] == err
 
 
 def test_stability_names_an_epsilon_without_a_draw(tmp_path, capsys):

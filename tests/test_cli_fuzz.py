@@ -3,9 +3,10 @@
 Valid `validate`, `compute`, `cover`, `stability`, `decompose` and `render`
 documents are mutated at random places (a value replaced, a key or item
 deleted, an item added) and run through `cli.main`, with flags drawn from
-small pools of valid and invalid values.  Whatever the document, the exit code is 0, 2 or
-3, and a failure is reported as a JSON object: on stderr, or on stdout for
-`validate`, which reports there.
+small pools of valid and invalid values, negative fractions given as separate
+tokens among them.  Whatever the document, the exit code is 0, 2 or 3, and a
+failure is reported as a JSON object: on stderr, or on stdout for `validate`,
+which reports there.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamebars.cli import main
+from tamebars.complexes import load_document
 
 MAP_DOCS = [
     {"field": "Q", "target": "R",
@@ -125,6 +127,7 @@ def _check(command, doc, *flags):
     else:
         assert command == "validate"
         assert json.loads(out)["ok"] is False
+    return code
 
 
 fuzz = settings(max_examples=300, deadline=None, derandomize=True)
@@ -144,7 +147,7 @@ def test_compute_keeps_the_error_contract(doc):
 
 @fuzz
 @given(mutated(MAP_DOCS), st.sampled_from([["1", "0"], ["x", "1"], ["0", "1e400"], ["0", "1"],
-                                           ["1/3", "7/3"]]),
+                                           ["1/3", "7/3"], ["-1/2", "3/2"], ["-1", "-1/3"]]),
        st.sampled_from([[], ["--degrees", "0"], ["--degrees", "0,1"], ["--degrees", "-1"]]))
 def test_cover_keeps_the_error_contract(doc, window, degrees):
     _check("cover", doc, "--window", *window, *degrees)
@@ -152,10 +155,12 @@ def test_cover_keeps_the_error_contract(doc, window, degrees):
 
 @fuzz
 @given(mutated(MAP_DOCS), st.sampled_from(["-1/10", "0", "1/10", "1e400", "1/10,-1/10"]),
-       st.integers(0, 2), st.integers(-1, 2))
-def test_stability_keeps_the_error_contract(doc, schedule, trials, degree):
-    _check("stability", doc, f"--schedule={schedule}", "--trials", str(trials),
-           "--degree", str(degree))
+       st.booleans(), st.integers(0, 2), st.sampled_from([-1, 0, 1, 2, 5]))
+def test_stability_keeps_the_error_contract(doc, schedule, joined, trials, degree):
+    spelled = [f"--schedule={schedule}"] if joined else ["--schedule", schedule]
+    code = _check("stability", doc, *spelled, "--trials", str(trials), "--degree", str(degree))
+    if code == 0:  # a degree above the complex dimension is an input error
+        assert degree <= max(load_document(doc).table.dim, 0)
 
 
 @fuzz

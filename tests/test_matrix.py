@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamebars.field import GF2, QQ, PrimeField
 from tamebars.matrix import LinearSolveError, Mat, block_diag, image, preimage
 from oracles import (
     column_reduced,
+    fraction_rref,
     from_int_rows,
     is_zero,
     span,
@@ -212,3 +216,77 @@ def test_randomized_rank_agrees_with_kernel_dimension():
             assert is_zero(A.mul(K))
         At = Mat(field, [list(c) for c in zip(*A.rows)], n)
         assert A.rank() == At.rank()
+
+
+# -- integer elimination over Q against the Fraction loop
+
+
+RATIONALS = st.one_of(
+    st.just(Fraction(0)), st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.integers(-40, 40).map(Fraction),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from([2, 3, 4, 6, 7, 12, 35])))
+
+
+@st.composite
+def rational_matrices(draw, nrows=None, square=False):
+    nr = draw(st.integers(0, 7)) if nrows is None else nrows
+    nc = nr if square else draw(st.integers(0, 7))
+    entries = draw(st.sampled_from([RATIONALS, st.one_of(st.just(Fraction(0)), RATIONALS)]))
+    rows = [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+    for _ in range(draw(st.integers(0, 2)) if nr > 1 else 0):
+        # a scaled or duplicated row makes the matrix rank deficient
+        i, j = draw(st.integers(0, nr - 1)), draw(st.integers(0, nr - 1))
+        c = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(3), Fraction(-2, 5)]))
+        rows[j] = [c * x for x in rows[i]]
+    return Mat(QQ, rows, nc)
+
+
+def _same_rref(M):
+    before = [row[:] for row in M.rows]
+    R, pivots = M.rref()
+    R0, pivots0 = fraction_rref(M)
+    assert M.rows == before
+    assert pivots == pivots0
+    assert (R.nrows, R.ncols) == (R0.nrows, R0.ncols) and R.rows == R0.rows
+    assert all(type(x) is Fraction for row in R.rows for x in row)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(rational_matrices())
+def test_integer_rref_matches_the_fraction_loop(M):
+    _same_rref(M)
+
+
+@pytest.mark.parametrize("rows", [
+    [[-6, 4, 2], [3, 1, 5], [0, 0, 7]],          # the first pivot is -6
+    [[0, -4, 6, 2], [0, 2, -3, 1]],               # a zero column, then -4
+    [[2**70 + 1, 3, 2**65], [5, 2**64 + 7, -1], [2**66, -(2**80), 9]],
+    [[Fraction(2**70, 3), Fraction(-1, 2**66)], [7, Fraction(5, 2**65)]],
+], ids=["negative-non-unit-pivot", "zero-column-then-negative-pivot", "beyond-2-64",
+        "fractions-beyond-2-64"])
+def test_integer_rref_pinned(rows):
+    _same_rref(Mat(QQ, [[Fraction(x) for x in row] for row in rows]))
+
+
+@st.composite
+def systems(draw):
+    A = draw(rational_matrices())
+    return A, draw(rational_matrices(nrows=A.nrows)), draw(rational_matrices(square=True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(systems())
+def test_solvers_over_q_match_the_fraction_loop(ABS):
+    # kernel_basis, try_solve and inverse read R off rref: on the Fraction
+    # loop's R they must return the same matrices
+    A, B, S = ABS
+    with mock.patch.object(Mat, "rref", fraction_rref):
+        want = (A.kernel_basis(), A.try_solve(B), _inverse_or_none(S))
+    assert (A.kernel_basis(), A.try_solve(B), _inverse_or_none(S)) == want
+
+
+def _inverse_or_none(S):
+    try:
+        return S.inverse()
+    except LinearSolveError:
+        return None

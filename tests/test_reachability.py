@@ -99,6 +99,7 @@ def _corpus(tmp_path):
     return [
         ["validate", real],
         ["validate", path("broken.json", BROKEN)],
+        ["cover", circle, "--window", "-1/2"],
         ["compute", real, "--check", "--out", real_out],
         ["compute", circle, "--check", "--out", circle_out],
         ["compute", real, "--field", "F7", "--degrees", "0"],
@@ -131,8 +132,9 @@ def test_every_function_is_entered_by_the_cli(tmp_path, capsys):
     finally:
         sys.setprofile(None)
     capsys.readouterr()
-    # the broken cocycle is refused; every other call succeeds
-    assert codes == [0, 2] + [0] * (len(calls) - 2)
+    # the broken cocycle and the window with one end are refused; every
+    # other call succeeds
+    assert codes == [0, 2, 2] + [0] * (len(calls) - 3)
 
     by_file = {}
     for filename, line in entered:
