@@ -107,17 +107,39 @@ def _unique_keys(pairs):
     return obj
 
 
+def _digits(text: str) -> Optional[int]:
+    """The number that a string of ASCII digits spells, or None for any
+    other text and for one past int()'s digit limit."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
+
+
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInput(f"integer literal of {len(text)} characters is too long") from None
+
+
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys, parse_int=_json_int)
+        except RecursionError:
+            raise MalformedInput("JSON nested too deeply to read") from None
 
 
 def _field_spec(text: str):
     if text == "Q":
         return "Q"
-    if len(text) > 1 and text[0] in "Ff" and text[1:].isdigit():
-        return {"Fp": int(text[1:])}
-    raise FieldError(f"field must be 'Q' or 'F<p>', got {text!r}")
+    p = _digits(text[1:]) if text[:1] in ("F", "f") else None
+    if p is None:
+        raise FieldError(f"field must be 'Q' or 'F<p>', got {text!r}")
+    return {"Fp": p}
 
 
 def _read_doc(path: str, field_flag: Optional[str]):
@@ -139,9 +161,10 @@ def _parse_degrees(text: str, rmax: int) -> List[int]:
     out = []
     for tok in text.split(","):
         tok = tok.strip()
-        if not tok.isdigit():
+        r = _digits(tok)
+        if r is None:
             raise MalformedInput(f"bad degree {tok!r}")
-        out.append(_check_degree(int(tok), rmax))
+        out.append(_check_degree(r, rmax))
     if not out:
         raise MalformedInput("empty degree list")
     return sorted(set(out))

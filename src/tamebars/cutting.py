@@ -157,12 +157,6 @@ class LevelIndex:
             insort(self.highs.setdefault(lo, []), hi)
         bucket.append(idx)
 
-    def at(self, r: int) -> List[int]:
-        """Simplices lying on the level of rank r, in ascending index order."""
-        if self.circular:
-            r %= self.period
-        return list(self.buckets.get((r, r), ()))
-
     def within(self, lo: int, hi: int) -> List[int]:
         """Simplices whose span fits in [lo, hi] (up to whole turns on a
         circle), in ascending index order."""
@@ -308,7 +302,7 @@ def fiber(cc: CutComplex, c: Fraction) -> SubcomplexHandle:
     r = cc.index.level_rank(Fraction(c))
     if r is None:
         raise LevelNotCut(f"level {c} was not cut")
-    return SubcomplexHandle(cc, cc.index.at(r))
+    return SubcomplexHandle(cc, cc.index.within(r, r))
 
 
 def slab(cc: CutComplex, a: Fraction, b: Fraction) -> SubcomplexHandle:

@@ -17,6 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -349,13 +350,6 @@ class CanonicalData:
     dim_coker: int
 
 
-def _offsets(dims: Sequence[int]) -> List[int]:
-    out = [0]
-    for d in dims:
-        out.append(out[-1] + d)
-    return out
-
-
 def canonical_matrix(rep) -> CanonicalData:
     """The block matrix from the sum of regular fibers to the sum of
     critical fibers: alpha blocks on the diagonal, negated beta blocks on
@@ -364,8 +358,8 @@ def canonical_matrix(rep) -> CanonicalData:
     m = rep.m
     row_dims = [rep.dims[2 * i] for i in range(1, m + 1)]
     col_dims = [rep.dims[2 * i - 1] for i in range(1, m + 1)]
-    row_off = _offsets(row_dims)
-    col_off = _offsets(col_dims)
+    row_off = [0, *accumulate(row_dims)]
+    col_off = [0, *accumulate(col_dims)]
     rows = [[f.zero] * col_off[-1] for _ in range(row_off[-1])]
 
     def put(bi: int, bj: int, mat: Mat, negate: bool) -> None:

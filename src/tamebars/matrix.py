@@ -5,13 +5,11 @@ lists.  Reduction always picks the first nonzero entry scanning columns left to
 right and rows top to bottom, so every derived object (ranks, kernels, solved
 systems, certificates) is reproducible bit for bit.
 
-Over GF(p) elimination runs on residues.  Over Q it runs fraction-free: each
-row is cleared to integers over its common denominator, rows are combined by
-integer multiples and kept primitive, and the pivot rows are divided into
-Fractions once, after the last pivot.  The reduced row echelon form is
-unique, so this returns what elimination on Fractions returns, entry for
-entry.  Products over Q are likewise integer dot products over a common
-denominator, with one `_as_integers` clearing rows for both.
+One Gauss-Jordan loop, `Mat.rref`, serves both fields.  It runs on integer
+rows: residues over GF(p), and over Q each row cleared to integers over its
+common denominator, combined fraction-free (after Bareiss) and kept
+primitive.  Products over Q are likewise integer dot products over a common
+denominator, with the same `_as_integers` clearing the rows.
 
 Subspaces of kappa^n are represented by matrices whose columns span them.
 """
@@ -35,57 +33,6 @@ def _as_integers(xs: Sequence[Scalar]) -> tuple[List[int], int]:
     if den == 1:
         return [x.numerator for x in xs], 1
     return [x.numerator * (den // x.denominator) for x in xs], den
-
-
-def _rref_integer(qrows: List[List[Scalar]], nc: int) -> tuple[List[List[Fraction]], List[int]]:
-    """Fraction-free Gauss-Jordan over Q on integer rows: see `Mat.rref`."""
-    rows = [_as_integers(row)[0] for row in qrows]
-    nr = len(rows)
-    pivots: List[int] = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv < 0:  # so that a pivot of -1, like 1, needs no scaling
-            pv = -pv
-            rows[r] = [-x for x in rows[r]]
-        # entries left of c are zero in every row from r down
-        nonzeros = [(j, b) for j, b in enumerate(rows[r][c:], c) if b]
-        for i in range(nr):
-            if i == r:
-                continue
-            ri = rows[i]
-            f = ri[c]
-            if not f:
-                continue
-            # s*ri - f*prow with s = pv/g: integral, and zero in column c
-            g = gcd(pv, f)
-            s, f = pv // g, f // g
-            if s != 1:
-                ri = [s * x for x in ri]
-            for j, b in nonzeros:
-                ri[j] -= f * b
-            if s != 1:
-                g = gcd(*ri)
-                rows[i] = [x // g for x in ri] if g > 1 else ri
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    zero = Fraction(0)
-    out = []
-    for i, c in enumerate(pivots):
-        pv = rows[i][c]
-        out.append([Fraction(x, pv) if x else zero for x in rows[i]])
-    out.extend([zero] * nc for _ in range(nr - len(pivots)))
-    return out, pivots
 
 
 class Mat:
@@ -190,63 +137,72 @@ class Mat:
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["Mat", List[int]]:
-        """Reduced row echelon form with deterministic first-nonzero pivoting.
+        """``(R, pivots)``: the reduced row echelon form and its pivot columns
+        in order, with deterministic first-nonzero pivoting.
 
-        Over GF(p) the pivot row is scaled to a leading 1 and cleared from the
-        other rows by residues.  Over Q the rows are cleared to integers once
-        and eliminated fraction-free: a row ``r`` with ``f`` in the pivot
-        column becomes ``(pv/g)*r - (f/g)*pivot_row``, ``g = gcd(pv, f)``, and
-        a row that was scaled is divided by its content.  Each pivot row is
-        divided by its pivot into Fractions only after the last pivot.  The
-        reduced form is unique, so both loops return what plain Gauss-Jordan
-        on field elements returns, and every entry over Q is a Fraction.
+        The pivot row is scaled to a leading 1 over GF(p) and made positive
+        over Q.  Every other row ``r`` with ``f`` in the pivot column becomes
+        ``(pv/g)*r - (f/g)*pivot_row``, ``g = gcd(pv, f)``: over GF(p) ``pv``
+        is 1, so this is ``r - f*pivot_row`` mod p, and over Q a row that
+        was scaled is divided by its content.  Over Q the pivot rows are
+        divided by their pivots into Fractions after the last pivot.  The
+        reduced form is unique, so this returns what plain Gauss-Jordan on
+        field elements returns, and every entry over Q is a Fraction.
 
-        Either way each pivot row is read once for its nonzero entries, and
-        the other rows are updated at those columns only: an update at a zero
-        of the pivot row could not change a value.  ``self.rows`` is left as
-        it is.
-
-        Returns
-        -------
-        (R, pivots) : R the reduced matrix, pivots the list of pivot column
-        indices in order.
+        Each pivot row is read once for its nonzero entries, and the other
+        rows are updated at those columns only: an update at a zero of the
+        pivot row could not change a value.  ``self.rows`` is left as it is.
         """
         field = self.field
-        if not isinstance(field, PrimeField):
-            qrows, qpivots = _rref_integer(self.rows, self.ncols)
-            return Mat(field, qrows, self.ncols), qpivots
-        p = field.p
-        rows = [row[:] for row in self.rows]
+        p = field.p if isinstance(field, PrimeField) else 0
+        rows = [row[:] if p else _as_integers(row)[0] for row in self.rows]
         nr, nc = self.nrows, self.ncols
         pivots: List[int] = []
         r = 0
         for c in range(nc):
-            pr = None
-            for i in range(r, nr):
-                if rows[i][c]:
-                    pr = i
+            for pr in range(r, nr):
+                if rows[pr][c]:
                     break
-            if pr is None:
+            else:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
             pv = rows[r][c]
-            if pv != field.one:
+            if p and pv != 1:
                 ipv = field.inv(pv)
                 rows[r] = [(ipv * x) % p for x in rows[r]]
+            elif pv < 0:  # so that a pivot of -1, like 1, needs no scaling
+                pv = -pv
+                rows[r] = [-x for x in rows[r]]
             # entries left of c are zero in every row from r down
             nonzeros = [(j, b) for j, b in enumerate(rows[r][c:], c) if b]
             for i in range(nr):
-                if i == r:
-                    continue
                 ri = rows[i]
                 f = ri[c]
-                if f:
+                if not f or i == r:
+                    continue
+                if p:  # the pivot is 1 now, and so are g and s below
                     for j, b in nonzeros:
                         ri[j] = (ri[j] - f * b) % p
+                    continue
+                # s*ri - f*prow with s = pv/g: integral, and zero in column c
+                g = gcd(pv, f)
+                s, f = pv // g, f // g
+                if s != 1:
+                    ri = [s * x for x in ri]
+                for j, b in nonzeros:
+                    ri[j] -= f * b
+                if s != 1:
+                    g = gcd(*ri)
+                    rows[i] = [x // g for x in ri] if g > 1 else ri
             pivots.append(c)
             r += 1
             if r == nr:
                 break
+        if not p:
+            zero = Fraction(0)
+            rows = [[Fraction(x, row[c]) if x else zero for x in row]
+                    for row, c in zip(rows, pivots)]
+            rows.extend([zero] * nc for _ in range(nr - len(pivots)))
         return Mat(field, rows, nc), pivots
 
     def rank(self) -> int:

@@ -718,6 +718,48 @@ def test_usage_errors_exit_2_with_json_error(tmp_path, capsys, argv):
     assert (doc["ok"], doc["error"]) == (False, "UsageError") and doc["detail"]
 
 
+@pytest.mark.parametrize("flag, value, error", [
+    ("--degrees", "\u00b2", "MalformedInput"),
+    ("--degrees", "\u0661", "MalformedInput"),
+    ("--degrees", "1" * 5000, "MalformedInput"),
+    ("--field", "F\u00b2", "FieldError"),
+    ("--field", "F" + "7" * 5000, "FieldError"),
+], ids=["degree-superscript", "degree-arabic-indic", "degree-overlong",
+        "field-superscript", "field-overlong"])
+def test_option_values_take_ascii_digits_only(tmp_path, capsys, flag, value, error):
+    # str.isdigit passes all of these; int() refuses the superscript and the
+    # overlong ones and reads the Arabic-Indic one as 1
+    code, out, err = run(capsys, "compute", write(tmp_path, "h.json", HEIGHT_DOC), flag, value)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == error
+
+
+def _error_of(code, out, err):
+    """The exit code and error name of a run; validate reports on stdout."""
+    return code, json.loads(out or err)["error"]
+
+
+@pytest.mark.parametrize("command", ["validate", "compute", "decompose"])
+def test_json_nested_past_the_decoder_limit_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert _error_of(*run(capsys, command, str(path))) == (2, "MalformedInput")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "{w}"], ["validate", "{w}"], ["render", "{w}", "--degree", "0"],
+    ["cover", "{w}", "--window", "0", "1"], ["compute", "{fp}"],
+], ids=["compute", "validate", "render", "cover", "compute-fp"])
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, argv):
+    # int() refuses more than 4300 digits by default: a winding and a prime
+    long = "7" * 5000
+    w, fp = tmp_path / "w.json", tmp_path / "fp.json"
+    w.write_text(json.dumps(WRAP_DOC).replace('"w": -1', '"w": ' + long))
+    fp.write_text(json.dumps(_with(HEIGHT_DOC, field={"Fp": 0})).replace('"Fp": 0', '"Fp": ' + long))
+    got = run(capsys, *[a.format(w=w, fp=fp) for a in argv])
+    assert _error_of(*got) == (2, "MalformedInput")
+
+
 # -- stability ---------------------------------------------------------------------
 
 

@@ -10,17 +10,23 @@ Fractions until they leave it.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracles as oracle
-from oracles import from_int_rows
+from oracles import fraction_rref, from_int_rows
+from rep_fixtures import GF5, planted_circle, planted_zigzag
 from tamebars.canonical import annihilates_basis_vector, minimal_polynomial, poly_mul, poly_trim
+from tamebars.complexes import RealMap, SimplexTable
 from tamebars.field import GF2, QQ, PrimeField
 from tamebars.homology import _Reducer
+from tamebars.invariants import compute_invariants
 from tamebars.matrix import Mat
+from tamebars.quiver import decompose_circle, decompose_zigzag
 
 BIG = PrimeField(2**31 - 1)
 FIELDS = [QQ, GF2, BIG]
@@ -234,3 +240,67 @@ def test_minimal_polynomial_skips_annihilated_vectors():
     assert oracle.annihilates([Fraction(-1), Fraction(1)], A, 1)
     assert minimal_polynomial(A) == oracle.minimal_polynomial(A) == [
         Fraction(2), Fraction(-3), Fraction(1)]
+
+
+# -- rref on the systems the pipeline builds ----------------------------------------
+# The drawn matrices above stop at 6x6, but the retraction systems of the
+# decomposition are hundreds of columns wide.  These runs record every matrix
+# that `Mat.rref` receives and check each result against an oracle.
+
+
+def _square_map(k: int):
+    """A k-by-k grid, two triangles per cell, vertex v valued
+    ((7 v^2 + 3 v) mod 101) / 7."""
+    n = k + 1
+    tops = []
+    for i in range(k):
+        for j in range(k):
+            a, b, c, d = i * n + j, i * n + j + 1, (i + 1) * n + j, (i + 1) * n + j + 1
+            tops += [(a, b, d), (a, c, d)]
+    table = SimplexTable(list(range(n * n)), sorted(tops))
+    return table, RealMap([Fraction((7 * v * v + 3 * v) % 101, 7) for v in range(n * n)])
+
+
+def _decompose_planted():
+    rng = random.Random(16)
+    for field in (QQ, GF5):
+        for _ in range(6):
+            lo = rng.choice([-2, 1, 2])
+            hi = lo + rng.randrange(2, 9)
+            decompose_zigzag(planted_zigzag(field, lo, hi, rng.randrange(1, 9), rng)[1])
+        for _ in range(6):
+            decompose_circle(planted_circle(field, rng.choice([1, 2, 3, 4]), rng.randrange(0, 6),
+                                            rng.randrange(1, 4), rng)[1])
+
+
+def _rref_inputs(monkeypatch, run) -> list:
+    """Copies of the matrices that `Mat.rref` receives while `run()` runs."""
+    seen = []
+    rref = Mat.rref
+
+    def recording(M):
+        seen.append(Mat(M.field, [row[:] for row in M.rows], M.ncols))
+        return rref(M)
+
+    monkeypatch.setattr(Mat, "rref", recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def _compute_square():
+    table, mapping = _square_map(5)
+    for field in (QQ, BIG):
+        compute_invariants(table, mapping, field)
+
+
+@pytest.mark.parametrize("run", [_decompose_planted, _compute_square],
+                         ids=["planted-reps", "square-5x5"])
+def test_rref_matches_its_oracle_on_pipeline_systems(monkeypatch, run):
+    inputs = _rref_inputs(monkeypatch, run)
+    assert max(M.ncols for M in inputs) > 100
+    for M in inputs:
+        R, pivots = M.rref()
+        R0, pivots0 = fraction_rref(M) if M.field is QQ else oracle.dense_rref(M)
+        assert pivots == pivots0
+        assert same(R, R0)

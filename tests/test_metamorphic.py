@@ -1,0 +1,87 @@
+"""Metamorphic gates: transformations of a map whose effect on the output is
+known without an oracle.
+
+Bars and Jordan cells are invariants of the map, not of how its vertices
+are named or listed, and a real re-valuation by an increasing affine map
+moves every bar end by that map.  The inputs come from `map_fixtures.py`;
+Hypothesis draws only their seeds, derandomized, so each run checks the
+same documents.
+"""
+
+import json
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from map_fixtures import random_circle_input, random_real_input
+from rep_fixtures import GF5
+from tamebars.complexes import CircleMap, RealMap, SimplexTable
+from tamebars.field import QQ
+from tamebars.invariants import bundle_to_json, compute_invariants
+
+gate = settings(max_examples=60, deadline=None, derandomize=True)
+seeds = st.integers(0, 2**32)
+
+
+def _output(table, mapping, field) -> str:
+    return json.dumps(bundle_to_json(compute_invariants(table, mapping, field)),
+                      sort_keys=True)
+
+
+def _relabelled(table, mapping, rng):
+    """The same map with its vertices renamed and listed in another order;
+    each winding follows its edge, negated when the edge turns around."""
+    n = len(table.vertices)
+    to = list(range(n))
+    rng.shuffle(to)  # vertex v moves to position to[v]
+    names = [None] * n
+    for v, name in enumerate(table.vertices):
+        names[to[v]] = f"renamed-{name}"
+    tops = [tuple(sorted(to[v] for v in s)) for s in table.simplices]
+    new = SimplexTable(names, sorted(tops, key=lambda s: (len(s), s)))
+    if isinstance(mapping, RealMap):
+        values = [None] * n
+        for v, x in enumerate(mapping.values):
+            values[to[v]] = x
+        return new, RealMap(values)
+    angles = [None] * n
+    for v, x in enumerate(mapping.angles):
+        angles[to[v]] = x
+    windings = {}
+    for (u, v), w in mapping.windings.items():
+        a, b = to[u], to[v]
+        windings[(a, b) if a < b else (b, a)] = w if a < b else -w
+    return new, CircleMap(angles, windings)
+
+
+@pytest.mark.parametrize("make", [random_real_input, random_circle_input],
+                         ids=["real", "circle"])
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["Q", "F5"])
+@gate
+@given(seed=seeds)
+def test_renaming_and_reordering_vertices_keeps_the_output(make, field, seed):
+    rng = random.Random(seed)
+    table, mapping = make(rng)
+    assert _output(*_relabelled(table, mapping, rng), field) == _output(table, mapping, field)
+
+
+def _affine(x: F) -> F:
+    return 3 * x - 5
+
+
+@gate
+@given(seed=seeds, field=st.sampled_from([QQ, GF5]))
+def test_affine_revaluation_moves_every_bar_end(seed, field):
+    table, mapping = random_real_input(random.Random(seed))
+    before = bundle_to_json(compute_invariants(table, mapping, field))["degrees"]
+    moved = RealMap([_affine(x) for x in mapping.values])
+    after = bundle_to_json(compute_invariants(table, moved, field))["degrees"]
+    assert after.keys() == before.keys()
+    for r, entry in before.items():
+        assert after[r]["betti"] == entry["betti"]
+        assert after[r]["bars"] == [
+            {**bar, "lo": str(_affine(F(bar["lo"]))), "hi": str(_affine(F(bar["hi"])))}
+            for bar in entry["bars"]]
