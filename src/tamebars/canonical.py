@@ -159,34 +159,50 @@ def poly_pow(field: Field, p: Poly, k: int) -> Poly:
 
 
 def poly_eval_mat(field: Field, p: Poly, A: Mat) -> Mat:
+    """p(A) by Horner's rule, from the leading coefficient times I."""
     n = A.nrows
-    out = Mat.zeros(field, n, n)
-    for c in reversed(p):
+    if not p:
+        return Mat.zeros(field, n, n)
+    out = Mat.scalar(field, n, p[-1])
+    for c in reversed(p[:-1]):
         out = out.mul(A)
         if c != field.zero:
-            for i in range(n):
-                out.rows[i][i] = field.add(out.rows[i][i], c)
+            out = out.add_scalar(c)
     return out
 
 
 # -- minimal polynomial and factorization ------------------------------------
 
 
+def _krylov(A: Mat, v: Mat, k: int) -> Mat:
+    """The k columns v, Av, ..., A^(k-1) v for a column v."""
+    K = w = v
+    for _ in range(k - 1):
+        w = A.mul(w)
+        K = K.hstack(w)
+    return K
+
+
+def _side_by_side(field: Field, n: int, blocks: List[Mat]) -> Mat:
+    out = Mat.zeros(field, n, 0)
+    for B in blocks:
+        out = out.hstack(B)
+    return out
+
+
 def annihilates_basis_vector(A: Mat, p: Poly, i: int) -> bool:
-    """Is p(A) e_i zero?  Horner's rule on the vector: deg(p) products."""
-    field = A.field
-    w = [field.zero] * A.nrows
-    w[i] = p[-1]
-    for c in reversed(p[:-1]):
-        w = A.matvec(w)
-        w[i] = field.add(w[i], c)
-    return not any(w)
+    """Is p(A) e_i zero?  It is the Krylov matrix of e_i with deg(p) + 1
+    columns times the coefficients of p."""
+    field, n = A.field, A.nrows
+    K = _krylov(A, Mat.identity(field, n).columns([i]), len(p))
+    return K.mul(Mat(field, [[c] for c in p], 1)) == Mat.zeros(field, n, 1)
 
 
 def minimal_polynomial(A: Mat) -> Poly:
     """Monic minimal polynomial via per-basis-vector Krylov relations."""
     field = A.field
     n = A.nrows
+    eye = Mat.identity(field, n)
     mp: Poly = [field.one]
     for i in range(n):
         if poly_deg(mp) == n:
@@ -194,18 +210,16 @@ def minimal_polynomial(A: Mat) -> Poly:
         # skip basis vectors already annihilated by the current candidate
         if annihilates_basis_vector(A, mp, i):
             continue
-        v = [field.zero] * n
-        v[i] = field.one
-        krylov = [v]
+        # extend e_i, A e_i, ... until the next power depends on them
+        krylov = w = eye.columns([i])
         while True:
-            w = A.matvec(krylov[-1])
-            cur = Mat.from_cols(field, krylov, n)
-            sol = cur.try_solve(Mat.from_cols(field, [w], n))
+            w = A.mul(w)
+            sol = krylov.try_solve(w)
             if sol is not None:
-                rel = [field.neg(sol.rows[j][0]) for j in range(len(krylov))] + [field.one]
-                mp = poly_lcm(field, mp, rel)
                 break
-            krylov.append(w)
+            krylov = krylov.hstack(w)
+        rel = [field.neg(c) for c in sol.col(0)] + [field.one]
+        mp = poly_lcm(field, mp, rel)
     return mp
 
 
@@ -426,24 +440,24 @@ def factor_poly(field: Field, p: Poly) -> List[Tuple[Poly, int]]:
 
 def jordan_block(field: Field, lam: Scalar, k: int) -> Mat:
     """The k-by-k upper bidiagonal block: lam on the diagonal, 1 above it."""
-    B = Mat.zeros(field, k, k)
+    rows = [[field.zero] * k for _ in range(k)]
     for i in range(k):
-        B.rows[i][i] = lam
+        rows[i][i] = lam
         if i + 1 < k:
-            B.rows[i][i + 1] = field.one
-    return B
+            rows[i][i + 1] = field.one
+    return Mat(field, rows, k)
 
 
 def companion(field: Field, p: Poly) -> Mat:
     """Companion matrix of a monic polynomial in the basis v, Av, A^2 v, ..."""
     p = poly_monic(field, p)
     d = poly_deg(p)
-    C = Mat.zeros(field, d, d)
+    rows = [[field.zero] * d for _ in range(d)]
     for j in range(d - 1):
-        C.rows[j + 1][j] = field.one
+        rows[j + 1][j] = field.one
     for i in range(d):
-        C.rows[i][d - 1] = field.neg(p[i])
-    return C
+        rows[i][d - 1] = field.neg(p[i])
+    return Mat(field, rows, d)
 
 
 @dataclass(frozen=True, order=True)
@@ -495,7 +509,7 @@ def primary_components(A: Mat) -> Tuple[List[Cell], Mat]:
     if not A.is_square():
         raise ValueError("primary_components needs a square matrix")
     mp = minimal_polynomial(A)
-    cells: List[Tuple[Cell, List[List[Scalar]]]] = []
+    cells: List[Tuple[Cell, Mat]] = []  # each cell with its basis as columns
     for q, e in factor_poly(field, mp):
         d = poly_deg(q)
         N = poly_eval_mat(field, q, A)
@@ -503,43 +517,28 @@ def primary_components(A: Mat) -> Tuple[List[Cell], Mat]:
         for _ in range(e):
             powers.append(powers[-1].mul(N))
         kernels = [Mat.zeros(field, n, 0)] + [powers[j].kernel_basis() for j in range(1, e + 1)]
-        picks: List[Tuple[List[Scalar], int]] = []  # (vector, height)
+        picks: List[Tuple[Mat, int]] = []  # (column, height)
         for j in range(e, 0, -1):
-            covered = kernels[j - 1].cols()
+            cov = kernels[j - 1]
             for v, h in picks:
                 if h > j:
-                    w = powers[h - j].matvec(v)
-                    for _ in range(d):
-                        covered.append(w)
-                        w = A.matvec(w)
-            cov = Mat.from_cols(field, covered, n)
-            for u in kernels[j].cols():
-                if cov.try_solve(Mat.from_cols(field, [u], n)) is not None:
+                    cov = cov.hstack(_krylov(A, powers[h - j].mul(v), d))
+            for k in range(kernels[j].ncols):
+                u = kernels[j].columns([k])
+                if cov.try_solve(u) is not None:
                     continue
                 picks.append((u, j))
-                w = list(u)
-                new_cols = []
-                for _ in range(d):
-                    new_cols.append(w)
-                    w = A.matvec(w)
-                cov = cov.hstack(Mat.from_cols(field, new_cols, n))
+                cov = cov.hstack(_krylov(A, u, d))
         for v, h in picks:
-            if d == 1:
-                chain = [powers[h - 1 - i].matvec(v) for i in range(h)]  # N^{h-1} v, ..., v
+            if d == 1:  # N^{h-1} v, ..., v
+                chain = _side_by_side(field, n, [powers[h - 1 - i].mul(v) for i in range(h)])
             else:
-                chain = []
-                w = list(v)
-                for _ in range(d * h):
-                    chain.append(w)
-                    w = A.matvec(w)
+                chain = _krylov(A, v, d * h)
             cells.append((Cell(poly=tuple(q), size=h), chain))
     cells.sort(key=lambda ck: cell_sort_key(ck[0]))
-    cols: List[List[Scalar]] = []
-    for _, chain in cells:
-        cols.extend(chain)
-    if len(cols) != n:
+    P = _side_by_side(field, n, [chain for _, chain in cells])
+    if P.ncols != n:
         raise CanonicalFormError("canonical basis has wrong cardinality")
-    P = Mat.from_cols(field, cols, n)
     if not P.is_invertible():
         raise CanonicalFormError("canonical basis is singular")
     expected = block_diag(field, [c.block(field) for c, _ in cells])

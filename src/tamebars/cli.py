@@ -118,6 +118,17 @@ def _digits(text: str) -> Optional[int]:
     return None
 
 
+def _int_option(text: str) -> int:
+    """An integer option value: ASCII digits after an optional minus.
+    argparse's ``type=int`` would also read other scripts' digits, a plus,
+    underscores and spaces."""
+    sign = -1 if text[:1] == "-" else 1
+    n = _digits(text[1:] if sign < 0 else text)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return sign * n
+
+
 def _json_int(text: str) -> int:
     try:
         return int(text)
@@ -617,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("render", help="draw one degree's configuration")
     r.add_argument("input", help="an invariants document produced by compute")
-    r.add_argument("--degree", type=int, required=True)
+    r.add_argument("--degree", type=_int_option, required=True)
     fmt = r.add_mutually_exclusive_group()
     fmt.add_argument("--svg", action="store_true", help="emit SVG (default)")
     fmt.add_argument("--json", action="store_true", help="emit the points as JSON")
@@ -635,9 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("input")
     s.add_argument("--schedule", required=True,
                    help="comma separated perturbation sizes, e.g. 1/10,1/100")
-    s.add_argument("--trials", type=int, default=10)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--degree", type=int, default=1)
+    s.add_argument("--trials", type=_int_option, default=10)
+    s.add_argument("--seed", type=_int_option, default=0)
+    s.add_argument("--degree", type=_int_option, default=1)
     common(s)
     s.set_defaults(func=cmd_stability)
     return p

@@ -21,8 +21,9 @@ and structure tags are Python ints, and a quotient by a pivot of +-1 is a
 product, so it stays an int.  Only a non-unit pivot makes a `Fraction`
 quotient, and the chains it touches carry Fractions from then on; ints and
 Fractions mix exactly.  Values turn into Fractions where they leave the
-reducer: `HomologyBasis.coords` returns Fractions, so every `Mat` over Q
-still holds Fractions.  Over GF(p) every value is a residue in [0, p).
+reducer: `HomologyBasis.coords` returns Fractions, and an induced map's
+`Mat` clears them once into its integer rows.  Over GF(p) every value is a
+residue in [0, p).
 """
 
 from __future__ import annotations

@@ -1,15 +1,24 @@
 """Dense exact matrices with deterministic Gaussian elimination.
 
-Matrices carry their field (see :mod:`tamebars.field`) and store rows as plain
-lists.  Reduction always picks the first nonzero entry scanning columns left to
-right and rows top to bottom, so every derived object (ranks, kernels, solved
-systems, certificates) is reproducible bit for bit.
+Matrices carry their field (see :mod:`tamebars.field`) and are never written
+after they are built.  Reduction always picks the first nonzero entry
+scanning columns left to right and rows top to bottom, so every derived
+object (ranks, kernels, solved systems, certificates) is reproducible bit for
+bit.
 
-One Gauss-Jordan loop, `Mat.rref`, serves both fields.  It runs on integer
-rows: residues over GF(p), and over Q each row cleared to integers over its
-common denominator, combined fraction-free (after Bareiss) and kept
-primitive.  Products over Q are likewise integer dot products over a common
-denominator, with the same `_as_integers` clearing the rows.
+Rows are stored as integers.  Over GF(p) a row is a list of residues in
+[0, p).  Over Q a row is a list of integers over one positive denominator,
+in lowest terms (the gcd of the entries and the denominator is 1), so equal
+rows are stored alike.  A row over Q is cleared of denominators once, when
+the matrix is built from field scalars; products, eliminations and stacks
+build their rows in that form directly (after Bareiss, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination", Math. Comp. 1968).
+`Mat.rows` is the view as field scalars, `Fraction`s over Q, made on first
+read.
+
+One Gauss-Jordan loop, `Mat.rref`, serves both fields.  Over Q it combines
+rows fraction-free and keeps a scaled row primitive, and it ends by giving
+each pivot row its pivot as denominator.
 
 Subspaces of kappa^n are represented by matrices whose columns span them.
 """
@@ -17,8 +26,10 @@ Subspaces of kappa^n are represented by matrices whose columns span them.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
-from typing import List, Optional, Sequence
+from operator import mul as _mul
+from typing import List, Optional, Sequence, Tuple
 
 from .field import Field, PrimeField, Scalar
 
@@ -27,25 +38,80 @@ class LinearSolveError(ValueError):
     """Raised when an exact linear system admits no solution."""
 
 
-def _as_integers(xs: Sequence[Scalar]) -> tuple[List[int], int]:
-    """Rationals written as integers over their least common denominator."""
-    den = lcm(*[x.denominator for x in xs])
-    if den == 1:
-        return [x.numerator for x in xs], 1
-    return [x.numerator * (den // x.denominator) for x in xs], den
+def _lowest(row: List[int], den: int) -> tuple[List[int], int]:
+    """The integer row over `den` divided by the gcd of its entries and den."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [x // g for x in row], den // g
+
+
+def _reduced(field: Field, ints: List[List[int]], dens: Optional[List[int]], ncols: int) -> "Mat":
+    """A matrix on integer rows over dens, each row over Q put in lowest
+    terms; over GF(p), where dens is None, the rows as they are."""
+    if dens is not None:
+        for i, d in enumerate(dens):
+            ints[i], dens[i] = _lowest(ints[i], d)
+    return Mat._of(field, ints, dens, ncols)
+
+
+def _common_denominator(ints: List[List[int]], dens: List[int]) -> tuple[List[List[int]], int]:
+    """Integer rows over their own denominators, rewritten over the lcm."""
+    den = lcm(*dens)
+    return [row if d == den else [x * (den // d) for x in row] for row, d in zip(ints, dens)], den
 
 
 class Mat:
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    """An exact matrix: `field`, `nrows`, `ncols` and the rows.
+
+    `_ints` holds the integer rows; `_dens` the denominators of the rows
+    over Q, and None over GF(p).  `rows` reads the entries as field scalars.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "_ints", "_dens", "_rows")
 
     def __init__(self, field: Field, rows: List[List[Scalar]], ncols: Optional[int] = None):
-        self.field = field
-        self.rows = rows
+        dens = None
+        if not isinstance(field, PrimeField):
+            ints, dens = [], []
+            for row in rows:
+                den = lcm(*[x.denominator for x in row])
+                if den == 1:
+                    ints.append([x.numerator for x in row])
+                else:
+                    # lowest terms already: a prime that divides den to its
+                    # full power divides the denominator of some entry to
+                    # that power, and that entry's numerator is then prime to it
+                    ints.append([x.numerator * (den // x.denominator) for x in row])
+                dens.append(den)
+            rows = ints
+        self.field, self._ints, self._dens = field, rows, dens
+        self._rows = rows if dens is None else None
         self.nrows = len(rows)
-        if rows:
-            self.ncols = len(rows[0])
-        else:
-            self.ncols = 0 if ncols is None else ncols
+        self.ncols = len(rows[0]) if rows else (0 if ncols is None else ncols)
+
+    @classmethod
+    def _of(cls, field: Field, ints: List[List[int]], dens: Optional[List[int]],
+            ncols: int) -> "Mat":
+        """A matrix on integer rows already in the stored form."""
+        M = cls.__new__(cls)
+        M.field, M._ints, M._dens = field, ints, dens
+        M._rows = ints if dens is None else None
+        M.nrows = len(ints)
+        M.ncols = len(ints[0]) if ints else ncols
+        return M
+
+    @property
+    def rows(self) -> List[List[Scalar]]:
+        """The entries as field scalars; read them, never write them."""
+        rows = self._rows
+        if rows is None:
+            zero = Fraction(0)
+            rows = self._rows = [
+                [Fraction(x) if x else zero for x in row] if d == 1
+                else [Fraction(x, d) if x else zero for x in row]
+                for row, d in zip(self._ints, self._dens)]
+        return rows
 
     # -- constructors ------------------------------------------------------
 
@@ -55,13 +121,21 @@ class Mat:
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Mat":
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        dens = None if isinstance(field, PrimeField) else [1] * nrows
+        return cls._of(field, [[0] * ncols for _ in range(nrows)], dens, ncols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return cls.scalar(field, n, field.one)
+
+    @classmethod
+    def scalar(cls, field: Field, n: int, c: Scalar) -> "Mat":
+        """c times the n-by-n identity."""
+        if isinstance(field, PrimeField):
+            return cls._of(field, [[c if i == j else 0 for j in range(n)] for i in range(n)], None, n)
+        num = c.numerator
+        return cls._of(field, [[num if i == j else 0 for j in range(n)] for i in range(n)],
+                       [c.denominator] * n, n)
 
     @classmethod
     def from_cols(cls, field: Field, cols: Sequence[Sequence[Scalar]], nrows: Optional[int] = None) -> "Mat":
@@ -86,53 +160,102 @@ class Mat:
             isinstance(other, Mat)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self._ints == other._ints
+            and self._dens == other._dens
         )
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(self.field.to_str(x) for x in row) for row in self.rows)
         return f"Mat({self.field.name}, {self.nrows}x{self.ncols}: [{body}])"
 
+    def columns(self, js: Sequence[int]) -> "Mat":
+        """The submatrix of the columns js, in that order."""
+        dens = None if self._dens is None else list(self._dens)
+        return _reduced(self.field, [[row[j] for j in js] for row in self._ints], dens, len(js))
+
+    def transpose(self) -> "Mat":
+        rows, dens = self._ints, self._dens
+        if dens is not None:
+            rows, den = _common_denominator(rows, dens)
+            dens = [den] * self.ncols
+        ints = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(self.ncols)]
+        return _reduced(self.field, ints, dens, self.nrows)
+
+    def head(self, k: int) -> "Mat":
+        """The first k rows."""
+        dens = None if self._dens is None else self._dens[:k]
+        return Mat._of(self.field, self._ints[:k], dens, self.ncols)
+
     # -- arithmetic --------------------------------------------------------
 
     def mul(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        # an inner dimension of 0 still gives other.ncols columns of zeros
-        ocols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        p = self.field.p if isinstance(self.field, PrimeField) else None
-        if p:
-            out = [[sum(a * b for a, b in zip(row, c)) % p for c in ocols] for row in self.rows]
-            return Mat(self.field, out, other.ncols)
-        icols = [_as_integers(c) for c in ocols]
-        out = []
-        for row in self.rows:
-            irow, rden = _as_integers(row)
-            out.append([Fraction(sum([a * b for a, b in zip(irow, ic)]), rden * cden)
-                        for ic, cden in icols])
-        return Mat(self.field, out, other.ncols)
+        field, m = self.field, other.ncols
+        if self._dens is None:
+            p = field.p
+            # an inner dimension of 0 still gives other.ncols columns of zeros
+            ocols = list(zip(*other._ints)) if other._ints else [()] * m
+            out = [[sum(a * b for a, b in zip(row, c)) % p for c in ocols] for row in self._ints]
+            return Mat._of(field, out, None, m)
+        # the columns of other over one common denominator
+        orows, cden = _common_denominator(other._ints, other._dens)
+        ocols = list(zip(*orows)) if orows else [()] * m
+        ints = [[sum(map(_mul, row, c)) for c in ocols] for row in self._ints]
+        return _reduced(field, ints, [d * cden for d in self._dens], m)
 
     def matvec(self, v: Sequence[Scalar]) -> List[Scalar]:
-        p = self.field.p if isinstance(self.field, PrimeField) else None
-        if p:
-            return [sum(a * b for a, b in zip(row, v)) % p for row in self.rows]
+        if self._dens is None:
+            p = self.field.p
+            return [sum(a * b for a, b in zip(row, v)) % p for row in self._ints]
         if not self.ncols:
             return [0] * self.nrows  # sums of no terms: the int 0, as over GF(p)
-        iv, vden = _as_integers(v)
-        out = []
-        for row in self.rows:
-            irow, rden = _as_integers(row)
-            out.append(Fraction(sum([a * b for a, b in zip(irow, iv)]), rden * vden))
-        return out
+        vden = lcm(*[x.denominator for x in v])
+        iv = [x.numerator * (vden // x.denominator) for x in v]
+        return [Fraction(sum(map(_mul, row, iv)), d * vden)
+                for row, d in zip(self._ints, self._dens)]
 
     def neg(self) -> "Mat":
-        n = self.field.neg
-        return Mat(self.field, [[n(x) for x in row] for row in self.rows], self.ncols)
+        if self._dens is None:
+            n = self.field.neg
+            return Mat._of(self.field, [[n(x) for x in row] for row in self._ints], None, self.ncols)
+        return Mat._of(self.field, [[-x for x in row] for row in self._ints], self._dens, self.ncols)
+
+    def add_scalar(self, c: Scalar) -> "Mat":
+        """``self + c*I`` for a square matrix."""
+        field = self.field
+        if self._dens is None:
+            ints = [row[:] for row in self._ints]
+            for i, row in enumerate(ints):
+                row[i] = field.add(row[i], c)
+            return Mat._of(field, ints, None, self.ncols)
+        dens = [lcm(d, c.denominator) for d in self._dens]
+        ints = [[x * (den // d) for x in row] for row, d, den in zip(self._ints, self._dens, dens)]
+        for i, (row, den) in enumerate(zip(ints, dens)):
+            row[i] += c.numerator * (den // c.denominator)
+        return _reduced(field, ints, dens, self.ncols)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.nrows != other.nrows:
             raise ValueError("hstack row mismatch")
-        return Mat(self.field, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)], self.ncols + other.ncols)
+        nc = self.ncols + other.ncols
+        if self._dens is None:
+            return Mat._of(self.field, [r1 + r2 for r1, r2 in zip(self._ints, other._ints)], None, nc)
+        ints, dens = [], []
+        # lowest terms again: a prime of the common denominator divides one
+        # side's denominator to its full power, and that side's entries are
+        # not all divisible by it
+        for r1, d1, r2, d2 in zip(self._ints, self._dens, other._ints, other._dens):
+            if d1 == d2:
+                ints.append(r1 + r2)
+                dens.append(d1)
+                continue
+            den = lcm(d1, d2)
+            s1, s2 = den // d1, den // d2
+            ints.append(([x * s1 for x in r1] if s1 != 1 else r1)
+                        + ([x * s2 for x in r2] if s2 != 1 else r2))
+            dens.append(den)
+        return Mat._of(self.field, ints, dens, nc)
 
     # -- elimination -------------------------------------------------------
 
@@ -140,22 +263,24 @@ class Mat:
         """``(R, pivots)``: the reduced row echelon form and its pivot columns
         in order, with deterministic first-nonzero pivoting.
 
+        The loop runs on copies of the integer rows; over Q a row and its
+        denominator span the same line, so the denominators are set aside.
         The pivot row is scaled to a leading 1 over GF(p) and made positive
         over Q.  Every other row ``r`` with ``f`` in the pivot column becomes
         ``(pv/g)*r - (f/g)*pivot_row``, ``g = gcd(pv, f)``: over GF(p) ``pv``
         is 1, so this is ``r - f*pivot_row`` mod p, and over Q a row that
-        was scaled is divided by its content.  Over Q the pivot rows are
-        divided by their pivots into Fractions after the last pivot.  The
-        reduced form is unique, so this returns what plain Gauss-Jordan on
-        field elements returns, and every entry over Q is a Fraction.
+        was scaled is divided by its content.  Over Q each pivot row then
+        takes its pivot as denominator, in lowest terms.  The reduced form is
+        unique, so this returns what plain Gauss-Jordan on field elements
+        returns.
 
         Each pivot row is read once for its nonzero entries, and the other
         rows are updated at those columns only: an update at a zero of the
-        pivot row could not change a value.  ``self.rows`` is left as it is.
+        pivot row could not change a value.
         """
         field = self.field
-        p = field.p if isinstance(field, PrimeField) else 0
-        rows = [row[:] if p else _as_integers(row)[0] for row in self.rows]
+        p = field.p if self._dens is None else 0
+        rows = [row[:] for row in self._ints]
         nr, nc = self.nrows, self.ncols
         pivots: List[int] = []
         r = 0
@@ -198,12 +323,10 @@ class Mat:
             r += 1
             if r == nr:
                 break
-        if not p:
-            zero = Fraction(0)
-            rows = [[Fraction(x, row[c]) if x else zero for x in row]
-                    for row, c in zip(rows, pivots)]
-            rows.extend([zero] * nc for _ in range(nr - len(pivots)))
-        return Mat(field, rows, nc), pivots
+        # over Q a pivot row takes its pivot as denominator; the rows past
+        # the pivots are zero
+        dens = None if p else [row[c] for row, c in zip(rows, pivots)] + [1] * (nr - r)
+        return _reduced(field, rows, dens, nc), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -213,37 +336,37 @@ class Mat:
 
         Free columns are scanned in increasing order; each generator carries 1
         at its free coordinate and minus the reduced coefficients at the pivot
-        coordinates, which makes the result unique for a given input.
+        coordinates, which makes the result unique for a given input.  Row pj
+        of the result is minus row i of R at the free columns, and over Q
+        keeps its denominator: the row's other nonzero entry is its pivot.
         """
         field = self.field
         R, pivots = self.rref()
         pivset = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivset]
-        neg = field.neg
-        cols = []
-        for fj in free:
-            v = [field.zero] * self.ncols
-            v[fj] = field.one
-            for i, pj in enumerate(pivots):
-                v[pj] = neg(R.rows[i][fj])
-            cols.append(v)
-        return Mat.from_cols(field, cols, self.ncols)
+        nf = len(free)
+        ints = [[0] * nf for _ in range(self.ncols)]
+        for k, fj in enumerate(free):
+            ints[fj][k] = 1
+        dens = None if R._dens is None else [1] * self.ncols
+        for i, pj in enumerate(pivots):
+            Ri = R._ints[i]
+            if dens is None:
+                ints[pj] = [-Ri[fj] % field.p for fj in free]
+            else:
+                ints[pj] = [-Ri[fj] for fj in free]
+                dens[pj] = R._dens[i]
+        return Mat._of(field, ints, dens, nf)
 
     def try_solve(self, B: "Mat") -> Optional["Mat"]:
         """One exact solution X of ``self @ X = B``, or None if inconsistent."""
         if B.nrows != self.nrows:
             raise ValueError("solve: row mismatch")
-        aug = self.hstack(B)
-        R, pivots = aug.rref()
+        R, pivots = self.hstack(B).rref()
         na = self.ncols
-        for pj in pivots:
-            if pj >= na:
-                return None
-        zero = self.field.zero
-        X = [[zero] * B.ncols for _ in range(na)]
-        for i, pj in enumerate(pivots):
-            X[pj] = R.rows[i][na:]
-        return Mat(self.field, X, B.ncols)
+        if pivots and pivots[-1] >= na:
+            return None
+        return _solution(R, pivots, na)
 
     def solve(self, B: "Mat") -> "Mat":
         X = self.try_solve(B)
@@ -258,7 +381,7 @@ class Mat:
         R, pivots = self.hstack(Mat.identity(self.field, n)).rref()
         if pivots != list(range(n)):
             raise LinearSolveError("matrix is singular")
-        return Mat(self.field, [row[n:] for row in R.rows], n)
+        return _solution(R, pivots, n)
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.nrows
@@ -266,8 +389,20 @@ class Mat:
     def basis(self) -> "Mat":
         """The columns at the pivots of the row echelon form: a basis of the
         column space, taken from the columns themselves."""
-        pivots = self.rref()[1]
-        return Mat(self.field, [[row[j] for j in pivots] for row in self.rows], len(pivots))
+        return self.columns(self.rref()[1])
+
+
+def _solution(R: Mat, pivots: List[int], na: int) -> Mat:
+    """X with A X = B, free unknowns zero, read off R, the reduced [A | B]
+    with A of width na: row pj of X is pivot row i of R past column na."""
+    w = R.ncols - na
+    ints = [[0] * w for _ in range(na)]
+    dens = None if R._dens is None else [1] * na
+    for i, pj in enumerate(pivots):
+        ints[pj] = R._ints[i][na:]
+        if dens is not None:
+            dens[pj] = R._dens[i]
+    return _reduced(R.field, ints, dens, w)
 
 
 # -- subspace helpers -------------------------------------------------------
@@ -284,18 +419,33 @@ def preimage(M: Mat, S: Mat) -> Mat:
     the kernel of [M | -S] then projects injectively onto its top rows."""
     if S.ncols == 0:
         return M.kernel_basis()
-    K = M.hstack(S.neg()).kernel_basis()
-    return Mat(M.field, K.rows[:M.ncols], K.ncols)
+    return M.hstack(S.neg()).kernel_basis().head(M.ncols)
+
+
+def stack(field: Field, ncols: int, block_rows: Sequence[Sequence[Tuple[int, Mat]]]) -> Mat:
+    """Block rows one under another.  A block row is a list of pairs
+    ``(offset, B)``: B fills its rows from column offset on.  The blocks of
+    one block row have as many rows and do not overlap, and the rest of each
+    row is zero.  Over Q a row takes the lcm of its blocks' denominators,
+    which keeps it in lowest terms, as in `Mat.hstack`."""
+    ints: List[List[int]] = []
+    dens: Optional[List[int]] = None if isinstance(field, PrimeField) else []
+    for blocks in block_rows:
+        for i in range(blocks[0][1].nrows):
+            row = [0] * ncols
+            if dens is None:
+                for off, B in blocks:
+                    row[off:off + B.ncols] = B._ints[i]
+            else:
+                den = lcm(*[B._dens[i] for _, B in blocks])
+                for off, B in blocks:
+                    s = den // B._dens[i]
+                    row[off:off + B.ncols] = B._ints[i] if s == 1 else [x * s for x in B._ints[i]]
+                dens.append(den)
+            ints.append(row)
+    return Mat._of(field, ints, dens, ncols)
 
 
 def block_diag(field: Field, blocks: Sequence[Mat]) -> Mat:
-    nr = sum(b.nrows for b in blocks)
-    nc = sum(b.ncols for b in blocks)
-    out = Mat.zeros(field, nr, nc)
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.nrows):
-            out.rows[r0 + i][c0 : c0 + b.ncols] = [x for x in b.rows[i]]
-        r0 += b.nrows
-        c0 += b.ncols
-    return out
+    offsets = [0, *accumulate(b.ncols for b in blocks)]
+    return stack(field, offsets[-1], [[(c0, b)] for c0, b in zip(offsets, blocks)])

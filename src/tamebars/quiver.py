@@ -39,7 +39,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .canonical import Cell, cell_sort_key, primary_components
 from .field import Field, Scalar
-from .matrix import Mat, block_diag, image, preimage
+from .matrix import Mat, block_diag, image, preimage, stack
 
 
 class RepresentationError(ValueError):
@@ -252,11 +252,11 @@ def _bar_arrow_matrix(field: Field, cross: Dict[int, List[int]], a: int, b: int,
     """The partial-permutation block at the arrow x_o -> x_t (step d) of the
     interval with support positions a..b, whose `Bar.crossings` are `cross`."""
     src, dst = cross.get(o, []), cross.get(t, [])
-    M = Mat.zeros(field, len(dst), len(src))
+    rows = [[field.zero] * len(src) for _ in dst]
     for cidx, p in enumerate(src):
         if a <= p + d <= b:
-            M.rows[dst.index(p + d)][cidx] = field.one
-    return M
+            rows[dst.index(p + d)][cidx] = field.one
+    return Mat(field, rows, len(src))
 
 
 def _interval_rep(bar: Bar, shape: CircleRep) -> CircleRep:
@@ -349,9 +349,8 @@ class _State:
 
 def _not_in_span(space: Mat, candidates: Mat) -> Optional[List[Scalar]]:
     for j in range(candidates.ncols):
-        v = candidates.col(j)
-        if space.try_solve(Mat.from_cols(space.field, [v], space.nrows)) is None:
-            return v
+        if space.try_solve(candidates.columns([j])) is None:
+            return candidates.col(j)
     return None
 
 
@@ -402,7 +401,7 @@ def _walk_chain(st: _State, src: int, dead_dir: int, S0: Mat, R0: Mat):
         else:
             MS = M.mul(S[k])
             y = MS.solve(Mat.from_cols(field, [chain[k + 1]], MS.nrows))
-            chain[k] = S[k].matvec(y.col(0))
+            chain[k] = S[k].mul(y).col(0)
     positions = [src + walk * k for k in range(n + 1)]
     if walk < 0:
         positions.reverse()
@@ -410,9 +409,10 @@ def _walk_chain(st: _State, src: int, dead_dir: int, S0: Mat, R0: Mat):
     return positions, chain
 
 
-def _retraction(st: _State, a: int, b: int, chain_a: List[Scalar]) -> Dict[int, List[Scalar]]:
+def _retraction(st: _State, a: int, b: int, chain_a: List[Scalar]) -> Dict[int, Mat]:
     """A retraction r onto the interval on positions a..b, as one functional
-    phi_p per position p; r at a vertex stacks the phi_p of its crossings.
+    phi_p per position p, a one-row matrix; r at a vertex stacks the phi_p
+    of its crossings.
 
     r is a morphism when phi_p A = phi_q for every arrow A from q into an
     even p, with phi_q = 0 for q off a..b.  Then phi_p(chain_p) is one scalar
@@ -423,28 +423,28 @@ def _retraction(st: _State, a: int, b: int, chain_a: List[Scalar]) -> Dict[int, 
     chain.
     """
     field, rep = st.field, st.rep
-    zero, minus_one = field.zero, field.neg(field.one)
+    minus_one = field.neg(field.one)
     dims = [rep.dims[rep.vertex_of(p)] for p in range(a, b + 1)]
     offs = [0, *accumulate(dims)]  # phi_p sits at offs[p - a]:offs[p - a + 1]
-    rows: List[List[Scalar]] = []
+    # row j of the block of an arrow A: column j of phi_p A - phi_{p-d}; a
+    # zero column of an arrow from off a..b makes a zero row, which changes
+    # neither the reduced form nor the solution
+    equations = []
     for p in range(a + a % 2, b + 1, 2):
         for d in (+1, -1):
             A = rep.arrow_at(p - d, d)
-            for j in range(A.ncols):  # column j of phi_p A - phi_{p-d}
-                row = [zero] * offs[-1]
-                row[offs[p - a]:offs[p - a + 1]] = A.col(j)
-                if a <= p - d <= b:
-                    row[offs[p - d - a] + j] = minus_one
-                if any(row):
-                    rows.append(row)
-    norm = [zero] * offs[-1]
-    norm[:dims[0]] = chain_a
-    rhs = [[zero] for _ in rows] + [[field.one]]
-    z = Mat(field, rows + [norm], offs[-1]).try_solve(Mat(field, rhs, 1))
+            block = [(offs[p - a], A.transpose())]
+            if a <= p - d <= b:
+                block.append((offs[p - d - a], Mat.scalar(field, A.ncols, minus_one)))
+            equations.append(block)
+    equations.append([(0, Mat(field, [list(chain_a)], dims[0]))])
+    system = stack(field, offs[-1], equations)
+    rhs = Mat(field, [[field.zero]] * (system.nrows - 1) + [[field.one]], 1)
+    z = system.try_solve(rhs)
     if z is None:
         raise DecompositionError("maximal chain does not split")
-    z = z.col(0)
-    return {p: z[offs[p - a]:offs[p - a + 1]] for p in range(a, b + 1)}
+    z = z.transpose()
+    return {p: z.columns(range(offs[p - a], offs[p - a + 1])) for p in range(a, b + 1)}
 
 
 def _split(st: _State, src: int, d: int, S0: Mat, R0: Mat):
@@ -460,7 +460,7 @@ def _split(st: _State, src: int, d: int, S0: Mat, R0: Mat):
     phi = _retraction(st, a, b, by_pos[a])
     comp = {}
     for x, plist in cross.items():
-        comp[x] = Mat(st.field, [phi[p] for p in plist], rep.dims[x]).kernel_basis()
+        comp[x] = stack(st.field, rep.dims[x], [[(0, phi[p])] for p in plist]).kernel_basis()
         if comp[x].ncols != rep.dims[x] - len(plist):
             raise DecompositionError("complement dimension mismatch")
     chain_at = {x: [st.embed[x].matvec(by_pos[p]) for p in plist] for x, plist in cross.items()}
@@ -525,12 +525,12 @@ def _residual_cells(st: _State) -> List[Tuple[Cell, Dict[int, List[List[Scalar]]
         bases[2 * i + 1] = beta_inv[i - 1].mul(bases[2 * i])
         bases[2 * i + 2] = rep.alpha(i + 1).mul(bases[2 * i + 1])
     bases[1] = beta_inv[-1].mul(bases[2 * m])
+    cols = {x: st.embed[x].mul(bases[x]).cols() for x in rep.dims}
     out = []
     col0 = 0
     for c in cells:
         w = c.dim()
-        rec = {x: [st.embed[x].matvec(bases[x].col(j)) for j in range(col0, col0 + w)]
-               for x in rep.dims}
+        rec = {x: cols[x][col0:col0 + w] for x in rep.dims}
         out.append((c, rec))
         col0 += w
     return out

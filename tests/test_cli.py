@@ -734,6 +734,22 @@ def test_option_values_take_ascii_digits_only(tmp_path, capsys, flag, value, err
     assert json.loads(err)["error"] == error
 
 
+@pytest.mark.parametrize("argv", [
+    ["render", "{inv}", "--degree", "\u0661"],
+    ["stability", "{doc}", "--schedule", "1/10", "--degree", "\u0661"],
+    ["stability", "{doc}", "--schedule", "1/10", "--trials", "\u0661"],
+    ["stability", "{doc}", "--schedule", "1/10", "--trials", "1", "--seed", "\u0661"],
+], ids=["render-degree", "stability-degree", "stability-trials", "stability-seed"])
+def test_integer_options_take_ascii_digits_only(tmp_path, capsys, argv):
+    # int() reads the Arabic-Indic digit one as 1
+    inv = compute_to_file(tmp_path, HEIGHT_DOC, "h")
+    doc = write(tmp_path, "h.json", HEIGHT_DOC)
+    capsys.readouterr()
+    code, out, err = run(capsys, *[a.format(inv=inv, doc=doc) for a in argv])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "UsageError"
+
+
 def _error_of(code, out, err):
     """The exit code and error name of a run; validate reports on stdout."""
     return code, json.loads(out or err)["error"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamebars.field import GF2, QQ, PrimeField
-from tamebars.matrix import LinearSolveError, Mat, block_diag, image, preimage
+from tamebars.matrix import LinearSolveError, Mat, block_diag, image, preimage, stack
 from oracles import (
     column_reduced,
     fraction_rref,
@@ -290,3 +290,147 @@ def _inverse_or_none(S):
         return S.inverse()
     except LinearSolveError:
         return None
+
+
+# -- the integer rows over Q against Fraction oracles
+# A Mat over Q stores each row as integers over one denominator; these
+# oracles work on the Fractions that `.rows` shows, as plain lists.
+
+
+TWO_64 = 2**64
+Q_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from([2, 3, 6, 35])),
+    st.builds(Fraction, st.integers(-(2**70), 2**70),
+              st.sampled_from([TWO_64 + 1, 3 * TWO_64, 2**65 - 1, 7**23])))
+
+
+@st.composite
+def q_rows(draw, nrows, ncols):
+    rows = [[draw(Q_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    for i in draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2)):
+        if i < nrows:
+            rows[i] = [Fraction(0)] * ncols
+    return rows
+
+
+DIM = st.integers(0, 7)
+
+
+def _q(rows, ncols):
+    return Mat(QQ, [list(r) for r in rows], ncols)
+
+
+def _fraction_rows(M):
+    return (M.nrows, M.ncols, M.rows, [[type(x) for x in row] for row in M.rows])
+
+
+def _lists(M, rows, ncols):
+    # the entries as Fractions, and the stored form that building M from
+    # them gives: rows in lowest terms, so equal matrices compare equal
+    return (_fraction_rows(M) == (len(rows), ncols, rows, [[Fraction] * ncols for _ in rows])
+            and M == _q(rows, ncols))
+
+
+def _oracle_mul(A, B, m):
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*B)]
+            if B else [Fraction(0)] * m for row in A]
+
+
+def _oracle_kernel(rows, ncols):
+    R, pivots = fraction_rref(_q(rows, ncols))
+    free = [j for j in range(ncols) if j not in pivots]
+    cols = []
+    for fj in free:
+        v = [Fraction(0)] * ncols
+        v[fj] = Fraction(1)
+        for i, pj in enumerate(pivots):
+            v[pj] = -R.rows[i][fj]
+        cols.append(v)
+    return [list(r) for r in zip(*cols)] if cols else [[] for _ in range(ncols)], len(free)
+
+
+def _oracle_solve(A, B, na, nb):
+    R, pivots = fraction_rref(_q([a + b for a, b in zip(A, B)], na + nb))
+    if any(pj >= na for pj in pivots):
+        return None
+    X = [[Fraction(0)] * nb for _ in range(na)]
+    for i, pj in enumerate(pivots):
+        X[pj] = R.rows[i][na:]
+    return X
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_q_rows_match_the_fraction_oracles(data):
+    n, k, m = data.draw(DIM), data.draw(DIM), data.draw(DIM)
+    A, B, C = data.draw(q_rows(n, k)), data.draw(q_rows(k, m)), data.draw(q_rows(n, m))
+    MA, MB, MC = _q(A, k), _q(B, m), _q(C, m)
+    # built from Fractions and read back, by rows and by columns
+    assert _lists(MA, A, k)
+    assert Mat.from_rows(QQ, A, k) == MA and Mat.from_cols(QQ, MA.cols(), n) == MA
+    columns = [list(c) for c in zip(*A)] if n else [[] for _ in range(k)]
+    assert MA.cols() == columns and _lists(MA.transpose(), columns, n)
+    # ints over Q read back as the equal Fractions
+    ints = [[x.numerator for x in row] for row in A]
+    assert _lists(Mat(QQ, ints, k), [[Fraction(x) for x in row] for row in ints], k)
+    # equality is equality of the entries
+    assert MA == _q(A, k) and (MA == MC) == ((k, A) == (m, C))
+    if n and k:
+        changed = [row[:] for row in A]
+        changed[0][0] += Fraction(1, TWO_64 + 1)
+        assert MA != _q(changed, k)
+    assert _lists(MA.mul(MB), _oracle_mul(A, B, m), m)
+    assert _lists(MA.hstack(MC), [a + c for a, c in zip(A, C)], k + m)
+    for v in MB.cols() if k else []:
+        got = MA.matvec(v)
+        assert got == [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in A]
+        assert all(type(x) is Fraction for x in got)
+    R, pivots = MA.rref()
+    R0, pivots0 = fraction_rref(MA)
+    assert pivots == pivots0 and _lists(R, R0.rows, k)
+    assert _lists(MA.kernel_basis(), *_oracle_kernel(A, k))
+    X, X0 = MA.try_solve(MC), _oracle_solve(A, C, k, m)
+    assert (X is None) == (X0 is None) and (X is None or _lists(X, X0, m))
+    S = data.draw(q_rows(n, n))
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    c = data.draw(Q_ENTRIES)
+    assert _lists(Mat.scalar(QQ, n, c), [[c * x for x in row] for row in eye], n)
+    assert _lists(_q(S, n).add_scalar(c), [[x + c * y for x, y in zip(r, e)] for r, e in zip(S, eye)], n)
+    S0 = _oracle_solve(S, eye, n, n)
+    try:
+        assert _lists(_q(S, n).inverse(), S0, n)
+    except LinearSolveError:
+        assert S0 is None
+    js = data.draw(st.lists(st.integers(0, max(k - 1, 0)), max_size=3)) if k else []
+    assert _lists(MA.columns(js), [[row[j] for j in js] for row in A], len(js))
+    assert _lists(stack(QQ, k + m + 1, [[(0, MA), (k + 1, MC)]]),
+                  [a + [Fraction(0)] + c for a, c in zip(A, C)], k + m + 1)
+
+
+@st.composite
+def gf5_matrices(draw, nrows, ncols):
+    return from_int_rows(F5, [[draw(st.integers(-12, 12)) for _ in range(ncols)]
+                              for _ in range(nrows)], ncols)
+
+
+def _residues(M):
+    return all(type(x) is int and 0 <= x < 5 for row in M.rows for x in row)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_gf5_entries_stay_residues(data):
+    n, k, m = data.draw(DIM), data.draw(DIM), data.draw(DIM)
+    A, B = data.draw(gf5_matrices(n, k)), data.draw(gf5_matrices(k, m))
+    C, S = data.draw(gf5_matrices(n, m)), data.draw(gf5_matrices(n, n))
+    out = [A, A.mul(B), A.hstack(C), A.rref()[0], A.kernel_basis(), A.neg(), A.transpose(),
+           A.basis(), S.add_scalar(3), Mat.scalar(F5, n, 4), block_diag(F5, [A, C]),
+           stack(F5, k + m, [[(0, A), (k, C)]])]
+    X = A.try_solve(C)
+    out += [X] if X is not None else []
+    if S.is_invertible():
+        out.append(S.inverse())
+    assert all(_residues(M) for M in out)
+    assert all(type(x) is int and 0 <= x < 5 for v in B.cols() for x in A.matvec(v))

@@ -69,3 +69,27 @@ def test_no_sympy_import():
         found += [f"{path.name}:{line}" for line, _, module in _imports(tree)
                   if module.split(".")[0] == "sympy"]
     assert found == []
+
+
+def _writes_matrix_rows(node) -> bool:
+    # ``X.rows[i] = v`` and ``X.rows[i][j] = v``: a subscript stored into
+    # whose value, through further subscripts, is an attribute named rows
+    if not (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))):
+        return False
+    value = node.value
+    while isinstance(value, ast.Subscript):
+        value = value.value
+    return isinstance(value, ast.Attribute) and value.attr == "rows"
+
+
+def test_no_module_writes_into_matrix_rows():
+    # a Mat keeps its rows as integers and shows them as field scalars in
+    # `rows`; a write into that view would leave the integers stale
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "matrix.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _writes_matrix_rows(node)]
+    assert found == []
