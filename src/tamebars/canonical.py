@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .field import QQ, Field, PrimeField, Scalar, _is_prime
-from .matrix import Mat, block_diag
+from .matrix import Mat, block_diag, side_by_side
 
 Poly = List[Scalar]  # coefficient list, index = power, no trailing zeros
 
@@ -176,18 +176,10 @@ def poly_eval_mat(field: Field, p: Poly, A: Mat) -> Mat:
 
 def _krylov(A: Mat, v: Mat, k: int) -> Mat:
     """The k columns v, Av, ..., A^(k-1) v for a column v."""
-    K = w = v
+    ws = [v]
     for _ in range(k - 1):
-        w = A.mul(w)
-        K = K.hstack(w)
-    return K
-
-
-def _side_by_side(field: Field, n: int, blocks: List[Mat]) -> Mat:
-    out = Mat.zeros(field, n, 0)
-    for B in blocks:
-        out = out.hstack(B)
-    return out
+        ws.append(A.mul(ws[-1]))
+    return side_by_side(A.field, A.nrows, ws)
 
 
 def annihilates_basis_vector(A: Mat, p: Poly, i: int) -> bool:
@@ -519,24 +511,30 @@ def primary_components(A: Mat) -> Tuple[List[Cell], Mat]:
         kernels = [Mat.zeros(field, n, 0)] + [powers[j].kernel_basis() for j in range(1, e + 1)]
         picks: List[Tuple[Mat, int]] = []  # (column, height)
         for j in range(e, 0, -1):
-            cov = kernels[j - 1]
-            for v, h in picks:
-                if h > j:
-                    cov = cov.hstack(_krylov(A, powers[h - j].mul(v), d))
-            for k in range(kernels[j].ncols):
-                u = kernels[j].columns([k])
-                if cov.try_solve(u) is not None:
-                    continue
-                picks.append((u, j))
-                cov = cov.hstack(_krylov(A, u, d))
+            # u in ker N^j is picked when it lies outside the span of
+            # ker N^(j-1) and the Krylov blocks K(w, d) picked before it:
+            # w = N^(h-j) v for each earlier pick (v, h), h > j, and w = u'
+            # for the picks u' at height j.  One elimination decides every
+            # u: the first column of u's block is a pivot when u lies outside
+            # the span of all columns before it, the blocks of the columns
+            # not picked included.  Those blocks add nothing: N w is in
+            # ker N^(j-1) and A^d w = N w - (q - t^d)(A) w, so ker N^(j-1)
+            # plus any of these K(w, d) is A-invariant, and a u inside such
+            # a span brings its whole block K(u, d) with it.
+            K = kernels[j]
+            blocks = [kernels[j - 1]] + [_krylov(A, powers[h - j].mul(v), d) for v, h in picks]
+            start = sum(B.ncols for B in blocks)
+            blocks += [_krylov(A, K.columns([k]), d) for k in range(K.ncols)]
+            pivots = set(side_by_side(field, n, blocks).rref()[1])
+            picks += [(K.columns([k]), j) for k in range(K.ncols) if start + d * k in pivots]
         for v, h in picks:
             if d == 1:  # N^{h-1} v, ..., v
-                chain = _side_by_side(field, n, [powers[h - 1 - i].mul(v) for i in range(h)])
+                chain = side_by_side(field, n, [powers[h - 1 - i].mul(v) for i in range(h)])
             else:
                 chain = _krylov(A, v, d * h)
             cells.append((Cell(poly=tuple(q), size=h), chain))
     cells.sort(key=lambda ck: cell_sort_key(ck[0]))
-    P = _side_by_side(field, n, [chain for _, chain in cells])
+    P = side_by_side(field, n, [chain for _, chain in cells])
     if P.ncols != n:
         raise CanonicalFormError("canonical basis has wrong cardinality")
     if not P.is_invertible():

@@ -26,7 +26,7 @@ from .complexes import CriticalData, SimplexTable, critical_candidates
 from .cutting import CutComplex, cut_at_levels
 from .field import Field
 from .homology import assemble_rep
-from .matrix import Mat, block_diag
+from .matrix import Mat, block_diag, stack
 from .quiver import (Bar, DecompositionError, RepresentationError, decompose_circle,
                      decompose_zigzag)
 
@@ -354,26 +354,16 @@ def canonical_matrix(rep) -> CanonicalData:
     """The block matrix from the sum of regular fibers to the sum of
     critical fibers: alpha blocks on the diagonal, negated beta blocks on
     the superdiagonal, the wrap-around beta in the bottom-left corner."""
-    f = rep.field
-    m = rep.m
-    row_dims = [rep.dims[2 * i] for i in range(1, m + 1)]
-    col_dims = [rep.dims[2 * i - 1] for i in range(1, m + 1)]
-    row_off = [0, *accumulate(row_dims)]
-    col_off = [0, *accumulate(col_dims)]
-    rows = [[f.zero] * col_off[-1] for _ in range(row_off[-1])]
-
-    def put(bi: int, bj: int, mat: Mat, negate: bool) -> None:
-        # Accumulate: for m = 1 the alpha and beta blocks share one slot.
-        for rr in range(mat.nrows):
-            for cc in range(mat.ncols):
-                val = f.neg(mat.rows[rr][cc]) if negate else mat.rows[rr][cc]
-                i, j = row_off[bi] + rr, col_off[bj] + cc
-                rows[i][j] = f.add(rows[i][j], val)
-
-    for i in range(1, m + 1):
-        put(i - 1, i - 1, rep.alpha(i), negate=False)
-        put(i - 1, i % m, rep.beta(i), negate=True)
-    mat = Mat.from_rows(f, rows, ncols=col_off[-1])
+    f, m = rep.field, rep.m
+    col_off = [0, *accumulate(rep.dims[2 * i - 1] for i in range(1, m + 1))]
+    if m == 1:  # alpha_1 and beta_1 share the one block: alpha_1 - beta_1
+        n = col_off[-1]
+        eye = Mat.identity(f, n)
+        mat = rep.alpha(1).hstack(rep.beta(1)).mul(stack(f, n, [[(0, eye)], [(0, eye.neg())]]))
+    else:
+        mat = stack(f, col_off[-1], [
+            [(col_off[i - 1], rep.alpha(i)), (col_off[i % m], rep.beta(i).neg())]
+            for i in range(1, m + 1)])
     rank = mat.rank()
     return CanonicalData(mat, mat.ncols - rank, mat.nrows - rank)
 

@@ -20,7 +20,9 @@ One Gauss-Jordan loop, `Mat.rref`, serves both fields.  Over Q it combines
 rows fraction-free and keeps a scaled row primitive, and it ends by giving
 each pivot row its pivot as denominator.
 
-Subspaces of kappa^n are represented by matrices whose columns span them.
+Subspaces of kappa^n are represented by matrices whose columns span them,
+and a vector is a one-column matrix.  `stack` lays blocks out in block rows;
+`side_by_side` is its one block row, and `block_diag` its diagonal.
 """
 
 from __future__ import annotations
@@ -116,10 +118,6 @@ class Mat:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence[Scalar]], ncols: Optional[int] = None) -> "Mat":
-        return cls(field, [list(r) for r in rows], ncols)
-
-    @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Mat":
         dens = None if isinstance(field, PrimeField) else [1] * nrows
         return cls._of(field, [[0] * ncols for _ in range(nrows)], dens, ncols)
@@ -148,9 +146,6 @@ class Mat:
 
     def col(self, j: int) -> List[Scalar]:
         return [row[j] for row in self.rows]
-
-    def cols(self) -> List[List[Scalar]]:
-        return [self.col(j) for j in range(self.ncols)]
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -203,17 +198,6 @@ class Mat:
         ocols = list(zip(*orows)) if orows else [()] * m
         ints = [[sum(map(_mul, row, c)) for c in ocols] for row in self._ints]
         return _reduced(field, ints, [d * cden for d in self._dens], m)
-
-    def matvec(self, v: Sequence[Scalar]) -> List[Scalar]:
-        if self._dens is None:
-            p = self.field.p
-            return [sum(a * b for a, b in zip(row, v)) % p for row in self._ints]
-        if not self.ncols:
-            return [0] * self.nrows  # sums of no terms: the int 0, as over GF(p)
-        vden = lcm(*[x.denominator for x in v])
-        iv = [x.numerator * (vden // x.denominator) for x in v]
-        return [Fraction(sum(map(_mul, row, iv)), d * vden)
-                for row, d in zip(self._ints, self._dens)]
 
     def neg(self) -> "Mat":
         if self._dens is None:
@@ -444,6 +428,14 @@ def stack(field: Field, ncols: int, block_rows: Sequence[Sequence[Tuple[int, Mat
                 dens.append(den)
             ints.append(row)
     return Mat._of(field, ints, dens, ncols)
+
+
+def side_by_side(field: Field, nrows: int, blocks: Sequence[Mat]) -> Mat:
+    """The blocks, each with nrows rows, left to right: one block row."""
+    if not blocks:
+        return Mat.zeros(field, nrows, 0)
+    offsets = [0, *accumulate(B.ncols for B in blocks)]
+    return stack(field, offsets[-1], [list(zip(offsets, blocks))])
 
 
 def block_diag(field: Field, blocks: Sequence[Mat]) -> Mat:

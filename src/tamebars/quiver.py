@@ -38,8 +38,8 @@ from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .canonical import Cell, cell_sort_key, primary_components
-from .field import Field, Scalar
-from .matrix import Mat, block_diag, image, preimage, stack
+from .field import Field
+from .matrix import Mat, block_diag, image, preimage, side_by_side, stack
 
 
 class RepresentationError(ValueError):
@@ -347,15 +347,19 @@ class _State:
             self.embed[x] = self.embed[x].mul(C)
 
 
-def _not_in_span(space: Mat, candidates: Mat) -> Optional[List[Scalar]]:
-    for j in range(candidates.ncols):
-        if space.try_solve(candidates.columns([j])) is None:
-            return candidates.col(j)
+def _not_in_span(space: Mat, candidates: Mat) -> Optional[Mat]:
+    """The first candidate column outside the span of `space`, or None: the
+    first pivot of [space | candidates] past `space`, since every candidate
+    before it lies in span(space)."""
+    for c in space.hstack(candidates).rref()[1]:
+        if c >= space.ncols:
+            return candidates.columns([c - space.ncols])
     return None
 
 
 def _walk_chain(st: _State, src: int, dead_dir: int, S0: Mat, R0: Mat):
-    """Follow a bar end as far as it survives; return (positions, chain).
+    """Follow a bar end as far as it survives; return (positions, chain),
+    the chain one vector, a one-column matrix, per position.
 
     The subspace S carries everything reachable from the start space S0,
     R the riders reachable from R0; the walk stops when S/R vanishes, and
@@ -363,7 +367,7 @@ def _walk_chain(st: _State, src: int, dead_dir: int, S0: Mat, R0: Mat):
     Every subspace is a matrix with independent columns, so its number of
     columns is its dimension.
     """
-    field, dims = st.field, st.rep.dims
+    dims = st.rep.dims
     walk = -dead_dir
     S, R = [S0], [R0]
     steps: List[Mat] = []
@@ -392,16 +396,13 @@ def _walk_chain(st: _State, src: int, dead_dir: int, S0: Mat, R0: Mat):
     w = _not_in_span(R[n], cand)
     if w is None:
         raise DecompositionError("no honest chain end available")
-    chain: List[Optional[List[Scalar]]] = [None] * (n + 1)
-    chain[n] = w
+    chain: List[Mat] = [w] * (n + 1)
     for k in range(n - 1, -1, -1):
         M = steps[k]
         if (src + walk * k) % 2 == 0:
-            chain[k] = M.matvec(chain[k + 1])
+            chain[k] = M.mul(chain[k + 1])
         else:
-            MS = M.mul(S[k])
-            y = MS.solve(Mat.from_cols(field, [chain[k + 1]], MS.nrows))
-            chain[k] = S[k].mul(y).col(0)
+            chain[k] = S[k].mul(M.mul(S[k]).solve(chain[k + 1]))
     positions = [src + walk * k for k in range(n + 1)]
     if walk < 0:
         positions.reverse()
@@ -409,7 +410,7 @@ def _walk_chain(st: _State, src: int, dead_dir: int, S0: Mat, R0: Mat):
     return positions, chain
 
 
-def _retraction(st: _State, a: int, b: int, chain_a: List[Scalar]) -> Dict[int, Mat]:
+def _retraction(st: _State, a: int, b: int, chain_a: Mat) -> Dict[int, Mat]:
     """A retraction r onto the interval on positions a..b, as one functional
     phi_p per position p, a one-row matrix; r at a vertex stacks the phi_p
     of its crossings.
@@ -437,7 +438,7 @@ def _retraction(st: _State, a: int, b: int, chain_a: List[Scalar]) -> Dict[int, 
             if a <= p - d <= b:
                 block.append((offs[p - d - a], Mat.scalar(field, A.ncols, minus_one)))
             equations.append(block)
-    equations.append([(0, Mat(field, [list(chain_a)], dims[0]))])
+    equations.append([(0, chain_a.transpose())])
     system = stack(field, offs[-1], equations)
     rhs = Mat(field, [[field.zero]] * (system.nrows - 1) + [[field.one]], 1)
     z = system.try_solve(rhs)
@@ -463,12 +464,13 @@ def _split(st: _State, src: int, d: int, S0: Mat, R0: Mat):
         comp[x] = stack(st.field, rep.dims[x], [[(0, phi[p])] for p in plist]).kernel_basis()
         if comp[x].ncols != rep.dims[x] - len(plist):
             raise DecompositionError("complement dimension mismatch")
-    chain_at = {x: [st.embed[x].matvec(by_pos[p]) for p in plist] for x, plist in cross.items()}
+    chain_at = {x: st.embed[x].mul(side_by_side(st.field, rep.dims[x], [by_pos[p] for p in plist]))
+                for x, plist in cross.items()}
     st.restrict(comp)
     return bar, chain_at
 
 
-def _peel_phase(st: _State) -> List[Tuple[Bar, Dict[int, List[List[Scalar]]]]]:
+def _peel_phase(st: _State) -> List[Tuple[Bar, Dict[int, Mat]]]:
     """Split off a bar at every bar end, visiting each arrow slot once;
     return each bar with its chain in input coordinates.
 
@@ -501,7 +503,7 @@ def _monodromy(rep: CircleRep, beta_inv: Sequence[Mat]) -> Mat:
     return rep.alpha(1).mul(beta_inv[-1].mul(M))
 
 
-def _residual_cells(st: _State) -> List[Tuple[Cell, Dict[int, List[List[Scalar]]]]]:
+def _residual_cells(st: _State) -> List[Tuple[Cell, Dict[int, Mat]]]:
     """Split the all-isomorphism residual part into Jordan cells with bases.
 
     On a representation with a zero vertex, a line cut open there, a
@@ -525,30 +527,20 @@ def _residual_cells(st: _State) -> List[Tuple[Cell, Dict[int, List[List[Scalar]]
         bases[2 * i + 1] = beta_inv[i - 1].mul(bases[2 * i])
         bases[2 * i + 2] = rep.alpha(i + 1).mul(bases[2 * i + 1])
     bases[1] = beta_inv[-1].mul(bases[2 * m])
-    cols = {x: st.embed[x].mul(bases[x]).cols() for x in rep.dims}
-    out = []
-    col0 = 0
-    for c in cells:
-        w = c.dim()
-        rec = {x: cols[x][col0:col0 + w] for x in rep.dims}
-        out.append((c, rec))
-        col0 += w
-    return out
+    bases = {x: st.embed[x].mul(bases[x]) for x in rep.dims}
+    offs = [0, *accumulate(c.dim() for c in cells)]  # cell k has columns offs[k]:offs[k + 1]
+    return [(c, {x: B.columns(range(offs[k], offs[k + 1])) for x, B in bases.items()})
+            for k, c in enumerate(cells)]
 
 
 def _assemble(rep: CircleRep, bar_recs, cell_recs) -> Tuple[List[Summand], Certificate]:
-    field = rep.field
-    entries: List[Tuple[Summand, Dict[int, List[List[Scalar]]]]] = list(bar_recs) + list(cell_recs)
+    entries: List[Tuple[Summand, Dict[int, Mat]]] = list(bar_recs) + list(cell_recs)
     entries.sort(key=lambda e: summand_sort_key(e[0]))
-    base: Dict[int, List[List[Scalar]]] = {x: [] for x in rep.dims}
-    for s, rec in entries:
-        for x in rep.dims:
-            base[x].extend(rec.get(x, []))
     changes = {}
-    for x in rep.dims:
-        if len(base[x]) != rep.dims[x]:
+    for x, dx in rep.dims.items():
+        changes[x] = side_by_side(rep.field, dx, [rec[x] for _, rec in entries if x in rec])
+        if changes[x].ncols != dx:
             raise DecompositionError("certificate columns do not fill the space")
-        changes[x] = Mat.from_cols(field, base[x], rep.dims[x])
     return [s for s, _ in entries], Certificate(base_changes=changes)
 
 

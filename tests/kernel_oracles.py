@@ -10,11 +10,12 @@ in the same order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from tamebars.canonical import Poly, poly_deg, poly_eval_mat, poly_lcm
+from tamebars.canonical import (Cell, Poly, _krylov, cell_sort_key, factor_poly, poly_deg,
+                                poly_eval_mat, poly_lcm)
 from tamebars.field import PrimeField
-from tamebars.matrix import Mat
+from tamebars.matrix import Mat, side_by_side
 
 
 def dense_rref(M: Mat) -> Tuple[Mat, List[int]]:
@@ -145,7 +146,7 @@ def minimal_polynomial(A: Mat) -> Poly:
         v[i] = field.one
         krylov = [v]
         while True:
-            w = A.matvec(krylov[-1])
+            w = dense_matvec(A, krylov[-1])
             cur = Mat.from_cols(field, krylov, n)
             sol = cur.try_solve(Mat.from_cols(field, [w], n))
             if sol is not None:
@@ -154,3 +155,46 @@ def minimal_polynomial(A: Mat) -> Poly:
                 break
             krylov.append(w)
     return mp
+
+
+def not_in_span(space: Mat, candidates: Mat) -> Optional[Mat]:
+    """The first candidate column outside span(space): one solve per column."""
+    for j in range(candidates.ncols):
+        if space.try_solve(candidates.columns([j])) is None:
+            return candidates.columns([j])
+    return None
+
+
+def primary_components(A: Mat) -> Tuple[List[Cell], Mat]:
+    """Cells and P as `canonical.primary_components` returns them, with the
+    chain tops at each height picked one kernel column at a time, each by a
+    solve against the span of what is covered so far."""
+    field, n = A.field, A.nrows
+    if n == 0:
+        return [], Mat.identity(field, 0)
+    cells = []
+    for q, e in factor_poly(field, minimal_polynomial(A)):
+        d = poly_deg(q)
+        N = poly_eval_mat(field, q, A)
+        powers = [Mat.identity(field, n)]
+        for _ in range(e):
+            powers.append(powers[-1].mul(N))
+        picks: List[Tuple[Mat, int]] = []  # (column, height)
+        for j in range(e, 0, -1):
+            cov = powers[j - 1].kernel_basis()
+            for v, h in picks:
+                cov = cov.hstack(_krylov(A, powers[h - j].mul(v), d))
+            K = powers[j].kernel_basis()
+            for k in range(K.ncols):
+                u = K.columns([k])
+                if cov.try_solve(u) is None:
+                    picks.append((u, j))
+                    cov = cov.hstack(_krylov(A, u, d))
+        for v, h in picks:
+            if d == 1:
+                chain = side_by_side(field, n, [powers[h - 1 - i].mul(v) for i in range(h)])
+            else:
+                chain = _krylov(A, v, d * h)
+            cells.append((Cell(poly=tuple(q), size=h), chain))
+    cells.sort(key=lambda ck: cell_sort_key(ck[0]))
+    return [c for c, _ in cells], side_by_side(field, n, [chain for _, chain in cells])

@@ -89,7 +89,7 @@ def test_induced_map_component_inclusion():
     part = homology_of(cc.table, [cc.table.index[(0,)], cc.table.index[(1,)],
                                   cc.table.index[(0, 1)]], 0, QQ)
     M = induced_map(part, whole)
-    assert sorted(col for col in M.cols()) in ([[0, 1]], [[1, 0]])
+    assert sorted(list(c) for c in zip(*M.rows)) in ([[0, 1]], [[1, 0]])
     assert M.rank() == 1
 
 

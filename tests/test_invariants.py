@@ -360,7 +360,7 @@ def test_circle_polynomial_free_coefficient_nonzero():
 def test_monodromy_single_eigenvalue():
     dim, T = monodromy_assemble(QQ, [Cell((F(-2), F(1)), 1)])
     assert dim == 1
-    assert T == Mat.from_rows(QQ, [[F(2)]])
+    assert T == Mat(QQ, [[F(2)]])
 
 
 def test_monodromy_empty():

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 import kernel_oracles as oracle
 from oracles import fraction_rref, from_int_rows
 from rep_fixtures import GF5, planted_circle, planted_zigzag
-from tamebars.canonical import annihilates_basis_vector, minimal_polynomial, poly_mul, poly_trim
+from tamebars import quiver
+from tamebars.canonical import (annihilates_basis_vector, minimal_polynomial, poly_mul, poly_trim,
+                                primary_components)
 from tamebars.complexes import RealMap, SimplexTable
 from tamebars.field import GF2, QQ, PrimeField
 from tamebars.homology import _Reducer
@@ -104,23 +106,14 @@ def test_mul_matches_dense_oracle(AB):
     assert same(A.mul(B), oracle.dense_mul(A, B))
 
 
-@given(products())
-def test_matvec_matches_dense_oracle(AB):
-    A, B = AB
-    for v in B.cols():
-        out, out0 = A.matvec(v), oracle.dense_matvec(A, v)
-        assert out == out0
-        assert [type(x) for x in out] == [type(x) for x in out0]
-    v = [A.field.zero] * A.ncols
-    assert A.matvec(v) == oracle.dense_matvec(A, v)
-
-
 def test_empty_products_keep_their_shapes_and_types():
     for field in FIELDS:
         A = Mat.zeros(field, 3, 0)
         assert same(A.mul(Mat.zeros(field, 0, 2)), oracle.dense_mul(A, Mat.zeros(field, 0, 2)))
-        assert A.matvec([]) == oracle.dense_matvec(A, []) == [0, 0, 0]
-        assert [type(x) for x in A.matvec([])] == [int] * 3
+        # a 3 x 0 matrix times the empty vector: three zeros of the field
+        v = A.mul(Mat.zeros(field, 0, 1))
+        assert same(v, oracle.dense_mul(A, Mat.zeros(field, 0, 1)))
+        assert same(v, Mat.zeros(field, 3, 1))
         Z = Mat.zeros(field, 0, 4)
         assert same(Z.mul(Mat.zeros(field, 4, 3)), oracle.dense_mul(Z, Mat.zeros(field, 4, 3)))
 
@@ -304,3 +297,33 @@ def test_rref_matches_its_oracle_on_pipeline_systems(monkeypatch, run):
         R0, pivots0 = fraction_rref(M) if M.field is QQ else oracle.dense_rref(M)
         assert pivots == pivots0
         assert same(R, R0)
+
+
+def _calls(monkeypatch, module, name, run) -> list:
+    """The arguments of every call of module.name while `run()` runs."""
+    seen = []
+    f = getattr(module, name)
+
+    def recording(*args):
+        seen.append(args)
+        return f(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def test_span_tests_match_their_solve_loops(monkeypatch):
+    # one elimination of [space | candidates] finds the column that the loop
+    # of one solve per column finds, and the chain tops that one elimination
+    # picks per height give the cells and P of the loop of one solve per pick
+    spans = _calls(monkeypatch, quiver, "_not_in_span", _decompose_planted)
+    for space, candidates in spans:
+        got, want = quiver._not_in_span(space, candidates), oracle.not_in_span(space, candidates)
+        assert (got is None) == (want is None) and (want is None or same(got, want))
+    comps = _calls(monkeypatch, quiver, "primary_components", _decompose_planted)
+    for (A,) in comps:
+        cells, P = primary_components(A)
+        cells0, P0 = oracle.primary_components(A)
+        assert cells == cells0 and same(P, P0)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamebars.field import GF2, QQ, PrimeField
-from tamebars.matrix import LinearSolveError, Mat, block_diag, image, preimage, stack
+from tamebars.matrix import (LinearSolveError, Mat, block_diag, image, preimage, side_by_side,
+                            stack)
 from oracles import (
     column_reduced,
     fraction_rref,
@@ -57,7 +58,7 @@ def test_kernel_basis_frozen():
     # x + y + z = 0 over Q: kernel spanned by (-1,1,0), (-1,0,1)
     A = _mat(QQ, [[1, 1, 1]])
     K = A.kernel_basis()
-    assert K.cols() == [
+    assert [list(c) for c in zip(*K.rows)] == [
         [Fraction(-1), Fraction(1), Fraction(0)],
         [Fraction(-1), Fraction(0), Fraction(1)],
     ]
@@ -369,9 +370,9 @@ def test_q_rows_match_the_fraction_oracles(data):
     MA, MB, MC = _q(A, k), _q(B, m), _q(C, m)
     # built from Fractions and read back, by rows and by columns
     assert _lists(MA, A, k)
-    assert Mat.from_rows(QQ, A, k) == MA and Mat.from_cols(QQ, MA.cols(), n) == MA
     columns = [list(c) for c in zip(*A)] if n else [[] for _ in range(k)]
-    assert MA.cols() == columns and _lists(MA.transpose(), columns, n)
+    assert Mat.from_cols(QQ, columns, n) == MA
+    assert [MA.col(j) for j in range(k)] == columns and _lists(MA.transpose(), columns, n)
     # ints over Q read back as the equal Fractions
     ints = [[x.numerator for x in row] for row in A]
     assert _lists(Mat(QQ, ints, k), [[Fraction(x) for x in row] for row in ints], k)
@@ -383,10 +384,12 @@ def test_q_rows_match_the_fraction_oracles(data):
         assert MA != _q(changed, k)
     assert _lists(MA.mul(MB), _oracle_mul(A, B, m), m)
     assert _lists(MA.hstack(MC), [a + c for a, c in zip(A, C)], k + m)
-    for v in MB.cols() if k else []:
-        got = MA.matvec(v)
-        assert got == [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in A]
-        assert all(type(x) is Fraction for x in got)
+    assert _lists(side_by_side(QQ, n, [MA, MC, MA]), [a + c + a for a, c in zip(A, C)], 2 * k + m)
+    assert side_by_side(QQ, n, []) == Mat.zeros(QQ, n, 0)
+    for j in range(m):  # one column at a time
+        v = [row[j] for row in B]
+        assert _lists(MA.mul(MB.columns([j])),
+                      [[sum((a * b for a, b in zip(row, v)), Fraction(0))] for row in A], 1)
     R, pivots = MA.rref()
     R0, pivots0 = fraction_rref(MA)
     assert pivots == pivots0 and _lists(R, R0.rows, k)
@@ -427,10 +430,10 @@ def test_gf5_entries_stay_residues(data):
     C, S = data.draw(gf5_matrices(n, m)), data.draw(gf5_matrices(n, n))
     out = [A, A.mul(B), A.hstack(C), A.rref()[0], A.kernel_basis(), A.neg(), A.transpose(),
            A.basis(), S.add_scalar(3), Mat.scalar(F5, n, 4), block_diag(F5, [A, C]),
-           stack(F5, k + m, [[(0, A), (k, C)]])]
+           stack(F5, k + m, [[(0, A), (k, C)]]), side_by_side(F5, n, [A, C])]
     X = A.try_solve(C)
     out += [X] if X is not None else []
     if S.is_invertible():
         out.append(S.inverse())
     assert all(_residues(M) for M in out)
-    assert all(type(x) is int and 0 <= x < 5 for v in B.cols() for x in A.matvec(v))
+    assert all(_residues(A.mul(B.columns([j]))) for j in range(m))

@@ -2,10 +2,12 @@
 known without an oracle.
 
 Bars and Jordan cells are invariants of the map, not of how its vertices
-are named or listed, and a real re-valuation by an increasing affine map
-moves every bar end by that map.  The inputs come from `map_fixtures.py`;
-Hypothesis draws only their seeds, derandomized, so each run checks the
-same documents.
+are named or listed, nor of how it is triangulated, and a real
+re-valuation by an increasing affine map moves every bar end by that map.
+Complexes this small have no torsion of order 2^31 - 1, so bars and Betti
+numbers over Q and over GF(2^31 - 1) are equal.  The inputs come from
+`map_fixtures.py`; Hypothesis draws only their seeds, derandomized, so each
+run checks the same documents.
 """
 
 import json
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from map_fixtures import random_circle_input, random_real_input
 from rep_fixtures import GF5
 from tamebars.complexes import CircleMap, RealMap, SimplexTable
-from tamebars.field import QQ
+from tamebars.field import QQ, PrimeField
 from tamebars.invariants import bundle_to_json, compute_invariants
 
 gate = settings(max_examples=60, deadline=None, derandomize=True)
@@ -85,3 +87,56 @@ def test_affine_revaluation_moves_every_bar_end(seed, field):
         assert after[r]["bars"] == [
             {**bar, "lo": str(_affine(F(bar["lo"]))), "hi": str(_affine(F(bar["hi"])))}
             for bar in entry["bars"]]
+
+
+BIG = PrimeField(2**31 - 1)
+
+
+@pytest.mark.parametrize("make, counts", [(random_real_input, ("bars", "betti")),
+                                          (random_circle_input, ("bars", "novikov_betti"))],
+                         ids=["real", "circle"])
+@gate
+@given(seed=seeds)
+def test_bars_over_q_and_a_large_prime_agree(make, counts, seed):
+    # one document through both row forms of a Mat: Fractions over Q and
+    # residues mod p; cells are left out, their polynomials live in
+    # different fields
+    table, mapping = make(random.Random(seed))
+    q, big = (bundle_to_json(compute_invariants(table, mapping, field))["degrees"]
+              for field in (QQ, BIG))
+    assert q.keys() == big.keys()
+    for r, entry in q.items():
+        assert {k: entry[k] for k in counts} == {k: big[r][k] for k in counts}
+
+
+def _subdivided(table, mapping, rng):
+    """The map with one edge u-v split at a new vertex w, valued at the
+    midpoint: each simplex on u and v becomes the two with w for u and for v."""
+    u, v = rng.choice(table.edges())
+    w = len(table.vertices)
+    tops = []
+    for s in table.simplices:
+        if u in s and v in s:
+            tops += [tuple(sorted({*s, w} - {x})) for x in (u, v)]
+        else:
+            tops.append(s)
+    values = mapping.values + [(mapping.values[u] + mapping.values[v]) / 2]
+    return SimplexTable(table.vertices + [w], tops), RealMap(values)
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["Q", "F5"])
+@gate
+@given(seed=seeds)
+def test_subdividing_an_edge_keeps_every_degree(field, seed):
+    rng = random.Random(seed)
+    table, mapping = random_real_input(rng)
+    before = bundle_to_json(compute_invariants(table, mapping, field))
+    after = bundle_to_json(compute_invariants(*_subdivided(table, mapping, rng), field))
+    # the candidate levels may gain the new value, and with it one more
+    # regular value between levels; everything else is unchanged
+    grown = len(after["critical_values"]) - len(before["critical_values"])
+    assert set(before["critical_values"]) <= set(after["critical_values"])
+    assert len(after["regular_values"]) - len(before["regular_values"]) == grown
+    for key in ("critical_values", "regular_values"):
+        del before[key], after[key]
+    assert json.dumps(after, sort_keys=True) == json.dumps(before, sort_keys=True)

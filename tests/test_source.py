@@ -93,3 +93,35 @@ def test_no_module_writes_into_matrix_rows():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if _writes_matrix_rows(node)]
     assert found == []
+
+
+ENTRY_READS = ("rows", "col", "cols", "matvec")
+ENTRY_READERS = {"bundle_to_json", "minimal_polynomial", "_berlekamp"}
+
+
+def _entry_reads(node, where="<module>"):
+    """(line, function, attribute) for each attribute named in ENTRY_READS,
+    with the outermost function or method it sits in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and child.attr in ENTRY_READS:
+            yield child.lineno, where, child.attr
+        inner = where
+        if where == "<module>" and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        yield from _entry_reads(child, inner)
+
+
+def test_matrix_entries_are_read_in_three_places():
+    # outside matrix.py a Mat is worked on through its operations, vectors
+    # included, which are one-column matrices.  Its entries are read only
+    # for the JSON output, the Krylov relation of the minimal polynomial and
+    # Berlekamp's kernel basis, whose results are polynomials; nothing
+    # multiplies a matrix by a list of scalars
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "matrix.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {where} .{attr}" for line, where, attr in _entry_reads(tree)
+                  if attr == "matvec" or where not in ENTRY_READERS]
+    assert found == []
