@@ -210,7 +210,7 @@ def minimal_polynomial(A: Mat) -> Poly:
             if sol is not None:
                 break
             krylov = krylov.hstack(w)
-        rel = [field.neg(c) for c in sol.col(0)] + [field.one]
+        rel = [field.neg(c) for c in sol.transpose().rows[0]] + [field.one]
         mp = poly_lcm(field, mp, rel)
     return mp
 
@@ -280,7 +280,7 @@ def _berlekamp(field: PrimeField, f: Poly) -> List[Poly]:
     # kernel has one dimension per irreducible factor (Berlekamp)
     K = Mat(field, [[field.sub(frob[i][j], int(i == j)) for i in range(n)]
                     for j in range(n)], n).kernel_basis()
-    basis = [poly_trim(field, K.col(j)) for j in range(K.ncols)]
+    basis = [poly_trim(field, c) for c in K.transpose().rows]
     factors = [f]
     for w in _splitters(field, f, basis):
         if len(factors) == len(basis):

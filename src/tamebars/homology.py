@@ -198,19 +198,18 @@ def induced_map(src: HomologyBasis, dst: HomologyBasis) -> Mat:
     """Matrix of the inclusion-induced map H_r(src) -> H_r(dst)."""
     if src.table is not dst.table or src.degree != dst.degree:
         raise InternalInconsistency("induced map needs handles of one cut complex")
-    cols = [dst.coords(rep) for rep in src.reps]
-    return Mat.from_cols(dst.field, cols, dst.dim)
+    return Mat(dst.field, [dst.coords(rep) for rep in src.reps], dst.dim).transpose()
 
 
 def _arrow(reg: HomologyBasis, crit: HomologyBasis, slab_h: HomologyBasis, where: str) -> Mat:
     """The composite H(regular fiber) -> H(slab) <- H(critical fiber) with the
     second leg inverted; raises NotTame, naming `where`, when it is not
     invertible."""
-    into_crit = induced_map(crit, slab_h)
-    into_reg = induced_map(reg, slab_h)
-    if not into_crit.is_square() or not into_crit.is_invertible():
-        raise NotTame(f"critical fiber does not carry the slab homology: {where}")
-    return into_crit.solve(into_reg)
+    try:
+        back = induced_map(crit, slab_h).inverse()
+    except ValueError:  # a non-square or singular second leg
+        raise NotTame(f"critical fiber does not carry the slab homology: {where}") from None
+    return back.mul(induced_map(reg, slab_h))
 
 
 def assemble_rep(cc: CutComplex, crit: CriticalData, r: int, field: Field):

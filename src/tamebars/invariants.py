@@ -135,17 +135,6 @@ class InvariantBundle:
         return sum(c.dim() for c in self.degree_cells(r))
 
 
-def _bar_end_check(rep, bars: Sequence[Bar], m: int) -> None:
-    """No bar may end at a critical index whose two adjacent maps are both
-    isomorphisms: such an index is an artifact of oversampling the levels."""
-    for i in range(1, m + 1):
-        if rep.alpha(i).is_invertible() and rep.beta(i).is_invertible():
-            for bar in bars:
-                if bar.i == i or bar.j == i:
-                    raise DecompositionError(
-                        f"bar {bar.label()} ends at a transparent level {i}")
-
-
 def compute_invariants(table: SimplexTable, mapping, field: Field) -> InvariantBundle:
     """Full pipeline: choose levels, cut, assemble one representation per
     degree, decompose it with a verified certificate, and convert the
@@ -164,11 +153,10 @@ def compute_invariants(table: SimplexTable, mapping, field: Field) -> InvariantB
             else:
                 raw, _ = decompose_zigzag(rep)
                 found = []
-            _bar_end_check(rep, raw, crit.m)
         except (DecompositionError, CanonicalFormError) as e:
             raise type(e)(f"degree {r}: {e}") from e
         bars[r] = convert_bars(raw, crit)
-        cells[r] = sorted(found, key=cell_sort_key)
+        cells[r] = found
         reps[r] = rep
     return InvariantBundle(field, crit.circular, crit, bars, cells, reps, rmax, cc)
 

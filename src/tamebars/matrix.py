@@ -13,8 +13,8 @@ rows are stored alike.  A row over Q is cleared of denominators once, when
 the matrix is built from field scalars; products, eliminations and stacks
 build their rows in that form directly (after Bareiss, "Sylvester's identity
 and multistep integer-preserving Gaussian elimination", Math. Comp. 1968).
-`Mat.rows` is the view as field scalars, `Fraction`s over Q, made on first
-read.
+`Mat.rows` is the view as field scalars: the stored rows over GF(p), and
+`Fraction`s built anew on each read over Q.
 
 One Gauss-Jordan loop, `Mat.rref`, serves both fields.  Over Q it combines
 rows fraction-free and keeps a scaled row primitive, and it ends by giving
@@ -70,7 +70,7 @@ class Mat:
     over Q, and None over GF(p).  `rows` reads the entries as field scalars.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_ints", "_dens", "_rows")
+    __slots__ = ("field", "nrows", "ncols", "_ints", "_dens")
 
     def __init__(self, field: Field, rows: List[List[Scalar]], ncols: Optional[int] = None):
         dens = None
@@ -88,7 +88,6 @@ class Mat:
                 dens.append(den)
             rows = ints
         self.field, self._ints, self._dens = field, rows, dens
-        self._rows = rows if dens is None else None
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else (0 if ncols is None else ncols)
 
@@ -98,22 +97,19 @@ class Mat:
         """A matrix on integer rows already in the stored form."""
         M = cls.__new__(cls)
         M.field, M._ints, M._dens = field, ints, dens
-        M._rows = ints if dens is None else None
         M.nrows = len(ints)
         M.ncols = len(ints[0]) if ints else ncols
         return M
 
     @property
     def rows(self) -> List[List[Scalar]]:
-        """The entries as field scalars; read them, never write them."""
-        rows = self._rows
-        if rows is None:
-            zero = Fraction(0)
-            rows = self._rows = [
-                [Fraction(x) if x else zero for x in row] if d == 1
+        """The entries as field scalars, built on each read over Q; never write them."""
+        if self._dens is None:
+            return self._ints
+        zero = Fraction(0)
+        return [[Fraction(x) if x else zero for x in row] if d == 1
                 else [Fraction(x, d) if x else zero for x in row]
                 for row, d in zip(self._ints, self._dens)]
-        return rows
 
     # -- constructors ------------------------------------------------------
 
@@ -135,17 +131,7 @@ class Mat:
         return cls._of(field, [[num if i == j else 0 for j in range(n)] for i in range(n)],
                        [c.denominator] * n, n)
 
-    @classmethod
-    def from_cols(cls, field: Field, cols: Sequence[Sequence[Scalar]], nrows: Optional[int] = None) -> "Mat":
-        if not cols:
-            return cls.zeros(field, nrows or 0, 0)
-        n = len(cols[0])
-        return cls(field, [[c[i] for c in cols] for i in range(n)], len(cols))
-
     # -- basics ------------------------------------------------------------
-
-    def col(self, j: int) -> List[Scalar]:
-        return [row[j] for row in self.rows]
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -352,12 +338,6 @@ class Mat:
             return None
         return _solution(R, pivots, na)
 
-    def solve(self, B: "Mat") -> "Mat":
-        X = self.try_solve(B)
-        if X is None:
-            raise LinearSolveError("inconsistent linear system")
-        return X
-
     def inverse(self) -> "Mat":
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
@@ -369,11 +349,6 @@ class Mat:
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.nrows
-
-    def basis(self) -> "Mat":
-        """The columns at the pivots of the row echelon form: a basis of the
-        column space, taken from the columns themselves."""
-        return self.columns(self.rref()[1])
 
 
 def _solution(R: Mat, pivots: List[int], na: int) -> Mat:
@@ -394,8 +369,10 @@ def _solution(R: Mat, pivots: List[int], na: int) -> Mat:
 
 
 def image(M: Mat, S: Mat) -> Mat:
-    """A basis of M(span S)."""
-    return M.mul(S).basis()
+    """A basis of M(span S): the columns of MS at the pivots of its row
+    echelon form."""
+    MS = M.mul(S)
+    return MS.columns(MS.rref()[1])
 
 
 def preimage(M: Mat, S: Mat) -> Mat:

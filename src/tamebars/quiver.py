@@ -401,8 +401,10 @@ def _walk_chain(st: _State, src: int, dead_dir: int, S0: Mat, R0: Mat):
         M = steps[k]
         if (src + walk * k) % 2 == 0:
             chain[k] = M.mul(chain[k + 1])
+        elif (x := M.mul(S[k]).try_solve(chain[k + 1])) is None:
+            raise DecompositionError("chain does not lift back along the walk")
         else:
-            chain[k] = S[k].mul(M.mul(S[k]).solve(chain[k + 1]))
+            chain[k] = S[k].mul(x)
     positions = [src + walk * k for k in range(n + 1)]
     if walk < 0:
         positions.reverse()
@@ -548,6 +550,11 @@ def _decompose(rep: CircleRep) -> Tuple[List[Summand], Certificate]:
     st = _State(rep)
     found = _peel_phase(st)
     summands, cert = _assemble(rep, found, _residual_cells(st))
+    # The gate also proves that no bar ends at an index i where a_i and b_i
+    # are both isomorphisms.  Up to invertible base changes an arrow is the
+    # block diagonal of the summands' blocks, invertible only if each block
+    # is, and a bar's block has a zero row or column at each end: in a_i at a
+    # closed left end x_2i, in b_i at an open x_2i+1, and mirrored on the right.
     if not verify_certificate(rep, summands, cert):
         raise DecompositionError("certificate verification failed")
     return summands, cert

@@ -147,8 +147,8 @@ def minimal_polynomial(A: Mat) -> Poly:
         krylov = [v]
         while True:
             w = dense_matvec(A, krylov[-1])
-            cur = Mat.from_cols(field, krylov, n)
-            sol = cur.try_solve(Mat.from_cols(field, [w], n))
+            cur = Mat(field, krylov, n).transpose()
+            sol = cur.try_solve(Mat(field, [w], n).transpose())
             if sol is not None:
                 rel = [field.neg(sol.rows[j][0]) for j in range(len(krylov))] + [field.one]
                 mp = poly_lcm(field, mp, rel)

@@ -290,7 +290,7 @@ def column_reduced(A: Mat) -> Mat:
 
 
 def span(field: Field, n: int, vectors: Sequence[Sequence[Scalar]]) -> Mat:
-    return column_reduced(Mat.from_cols(field, vectors, n))
+    return column_reduced(Mat(field, list(vectors), n).transpose())
 
 
 def subspace_sum(A: Mat, B: Mat) -> Mat:
@@ -311,7 +311,7 @@ def subspace_eq(A: Mat, B: Mat) -> bool:
 
 
 def subspace_contains(A: Mat, v: Sequence[Scalar]) -> bool:
-    return A.try_solve(Mat.from_cols(A.field, [list(v)], A.nrows)) is not None
+    return A.try_solve(Mat(A.field, [list(v)], A.nrows).transpose()) is not None
 
 
 def subspace_leq(A: Mat, B: Mat) -> bool:

@@ -164,6 +164,11 @@ def _check_certified(rep, line):
         bars, cells, cert = decompose_circle(rep)
         summands = list(bars) + list(cells)
     assert verify_certificate(rep, summands, cert)
+    # a certified bar never ends at an index where both arrows into x_2i are
+    # isomorphisms: its block there has a zero row or a zero column
+    for bar in bars:
+        for i in (bar.i, bar.j):
+            assert not (rep.alpha(i).is_invertible() and rep.beta(i).is_invertible())
     if summands:
         recon = direct_sum([summand_module(rep.field, s, rep) for s in summands])
     else:
@@ -177,8 +182,9 @@ def _check_certified(rep, line):
 def test_fuzzed_decompositions_certified_with_matching_hom_counts():
     """1050 random and planted representations of both shapes (entries over
     Q, GF(2), GF(5); every vertex dimension at most 6, cyclic length at most
-    5): the certificate verifies and the morphism-space dimensions against
-    the reconstructed sum agree with the sum's own."""
+    5): the certificate verifies, no bar ends where both of its level's
+    arrows are isomorphisms, and the morphism-space dimensions against the
+    reconstructed sum agree with the sum's own."""
     t0 = time.monotonic()
     rng = random.Random(404)
     fields = [QQ, GF2, GF5]

@@ -885,6 +885,23 @@ def test_decomposition_error_names_its_degree(tmp_path, capsys, monkeypatch):
                                "detail": "degree 1: certificate verification failed"}
 
 
+def test_chain_that_does_not_lift_is_a_decomposition_error(tmp_path, capsys, monkeypatch):
+    # the walk lifts its chain back with try_solve; a step with no solution
+    # is a typed error that names its degree
+    try_solve = Mat.try_solve
+
+    def no_lift_in_walk(self, B):
+        if sys._getframe(1).f_code.co_name == "_walk_chain":
+            return None
+        return try_solve(self, B)
+
+    monkeypatch.setattr(Mat, "try_solve", no_lift_in_walk)
+    code, out, err = run(capsys, "compute", write(tmp_path, "doc.json", HEIGHT_DOC))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"ok": False, "error": "DecompositionError",
+                               "detail": "degree 0: chain does not lift back along the walk"}
+
+
 def test_canonical_form_error_names_its_degree(tmp_path, capsys, monkeypatch):
     # a factorization that loses every factor leaves the canonical basis short
     monkeypatch.setattr(import_module("tamebars.canonical"), "factor_poly",

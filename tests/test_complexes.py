@@ -59,7 +59,7 @@ def test_rejects_bad_simplices():
 def test_edge_boundary_signs():
     t = SimplexTable(["v1", "v2"], [(0, 1)])
     M = boundary_matrix(t, QQ)
-    col = M.col(t.index[(0, 1)])
+    col = M.transpose().rows[t.index[(0, 1)]]
     assert col[t.index[(0,)]] == -1
     assert col[t.index[(1,)]] == 1
 

@@ -17,7 +17,7 @@ from tamebars.field import GF2, QQ
 from tamebars.homology import betti_numbers, homology, homology_of, induced_map
 from tamebars.invariants import (BeyondFloatRange, Configuration, IndexOutOfRange,
                                  InvariantBundle, ValuedBar,
-                                 _bar_end_check, _meets, bundle_to_json,
+                                 _meets, bundle_to_json,
                                  canonical_check, canonical_matrix,
                                  compute_invariants, configuration,
                                  convert_bars, cover_formulas, cylinder_embed,
@@ -25,7 +25,7 @@ from tamebars.invariants import (BeyondFloatRange, Configuration, IndexOutOfRang
                                  image_dim_at, monodromy_assemble,
                                  novikov_betti, polynomial)
 from tamebars.matrix import Mat
-from tamebars.quiver import Bar, DecompositionError, line_rep, rep_from_lists
+from tamebars.quiver import Bar, rep_from_lists
 
 
 def real_crit(values):
@@ -394,23 +394,6 @@ def test_canonical_zero_rep():
     data = canonical_matrix(zero_circle(QQ, 2))
     assert data.matrix.nrows == 0 and data.matrix.ncols == 0
     assert data.dim_coker == 0 and data.dim_ker == 0
-
-
-@pytest.mark.parametrize("cyclic", [False, True])
-def test_bar_end_check_names_a_bar_at_a_transparent_level(cyclic):
-    # both arrows at level 1 are isomorphisms; beta_2 is zero
-    one, zero = Mat.identity(QQ, 1), Mat.zeros(QQ, 1, 1)
-    if cyclic:
-        rep, k = rep_from_lists(QQ, [one, one], [one, zero]), 0
-    else:  # the window 1..5 placed on the cycle, where level i is level i + k
-        rep, s = line_rep(QQ, 1, 5, {x: 1 for x in range(1, 6)},
-                          {(1, +1): one, (3, -1): one, (3, +1): one, (5, -1): zero})
-        k = -s // 2
-    _bar_end_check(rep, [Bar(2 + k, 2 + k, True, True)], rep.m)
-    with pytest.raises(DecompositionError,
-                       match=rf"bar \[{1 + k}, {2 + k}\) ends at a transparent level {1 + k}"):
-        _bar_end_check(rep, [Bar(2 + k, 2 + k, True, True), Bar(1 + k, 2 + k, True, False)],
-                       rep.m)
 
 
 def test_real_map_rep_is_cut_open_at_a_zero_x1():

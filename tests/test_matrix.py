@@ -74,21 +74,19 @@ def test_kernel_of_injective_map_is_empty():
 def test_solve_consistent_and_inconsistent():
     A = _mat(QQ, [[1, 2], [3, 4]])
     B = _mat(QQ, [[5], [6]])
-    X = A.solve(B)
+    X = A.try_solve(B)
     assert A.mul(X) == B
     # inconsistent: second equation contradicts the first
     A2 = _mat(QQ, [[1, 1], [2, 2]])
     B2 = _mat(QQ, [[1], [3]])
     assert A2.try_solve(B2) is None
-    with pytest.raises(LinearSolveError):
-        A2.solve(B2)
 
 
 def test_solve_underdetermined_deterministic():
     A = _mat(QQ, [[1, 1]])
     B = _mat(QQ, [[7]])
-    X1 = A.solve(B)
-    X2 = A.solve(B)
+    X1 = A.try_solve(B)
+    X2 = A.try_solve(B)
     assert X1 == X2  # same pivot choices both times
     assert A.mul(X1) == B
 
@@ -126,8 +124,8 @@ def test_transpose_keeps_empty_shapes():
 
 
 def test_column_reduced_unique_for_same_span():
-    A = Mat.from_cols(QQ, [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]], 2)
-    B = Mat.from_cols(QQ, [[Fraction(3), Fraction(3)]], 2)
+    A = Mat(QQ, [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]], 2).transpose()
+    B = Mat(QQ, [[Fraction(3), Fraction(3)]], 2).transpose()
     assert column_reduced(A) == column_reduced(B)
 
 
@@ -136,16 +134,17 @@ def test_basis_keeps_empty_shapes():
     # matrix's row count
     for n in (0, 1, 3):
         for field in (QQ, F5):
-            B = Mat.zeros(field, n, 0).basis()
+            B = image(Mat.identity(field, n), Mat.zeros(field, n, 0))
             assert (B.nrows, B.ncols) == (n, 0)
-            B = Mat.zeros(field, 0, n).basis()
+            B = image(Mat.identity(field, 0), Mat.zeros(field, 0, n))
             assert (B.nrows, B.ncols) == (0, 0)
 
 
 def test_basis_takes_the_pivot_columns():
     A = _mat(QQ, [[0, 1, 2, 0], [0, 1, 2, 1]])
-    assert A.basis() == _mat(QQ, [[1, 0], [1, 1]])
-    assert subspace_eq(A.basis(), A)
+    B = image(Mat.identity(QQ, 2), A)
+    assert B == _mat(QQ, [[1, 0], [1, 1]])
+    assert subspace_eq(B, A)
 
 
 def test_subspace_operations():
@@ -182,10 +181,10 @@ def test_image_and_preimage_return_independent_columns():
         field = [QQ, GF2, F5][trial % 3]
         n, m, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 4)
         M = from_int_rows(field, [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)])
-        S = Mat.from_cols(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(n)]
-                                  for _ in range(k)], n).basis()
-        T = Mat.from_cols(field, [[field.from_int(rng.randint(-2, 2)) for _ in range(m)]
-                                  for _ in range(k)], m).basis()
+        cols_s = [[field.from_int(rng.randint(-2, 2)) for _ in range(n)] for _ in range(k)]
+        cols_t = [[field.from_int(rng.randint(-2, 2)) for _ in range(m)] for _ in range(k)]
+        S = image(Mat.identity(field, n), Mat(field, cols_s, n).transpose())
+        T = image(Mat.identity(field, m), Mat(field, cols_t, m).transpose())
         img, pre = image(M, T), preimage(M, S)
         assert img.rank() == img.ncols and subspace_eq(img, M.mul(T))
         assert pre.rank() == pre.ncols and subspace_leq(M.mul(pre), S)
@@ -371,8 +370,9 @@ def test_q_rows_match_the_fraction_oracles(data):
     # built from Fractions and read back, by rows and by columns
     assert _lists(MA, A, k)
     columns = [list(c) for c in zip(*A)] if n else [[] for _ in range(k)]
-    assert Mat.from_cols(QQ, columns, n) == MA
-    assert [MA.col(j) for j in range(k)] == columns and _lists(MA.transpose(), columns, n)
+    assert Mat(QQ, columns, n).transpose() == MA
+    assert [MA.transpose().rows[j] for j in range(k)] == columns
+    assert _lists(MA.transpose(), columns, n)
     # ints over Q read back as the equal Fractions
     ints = [[x.numerator for x in row] for row in A]
     assert _lists(Mat(QQ, ints, k), [[Fraction(x) for x in row] for row in ints], k)
@@ -429,7 +429,7 @@ def test_gf5_entries_stay_residues(data):
     A, B = data.draw(gf5_matrices(n, k)), data.draw(gf5_matrices(k, m))
     C, S = data.draw(gf5_matrices(n, m)), data.draw(gf5_matrices(n, n))
     out = [A, A.mul(B), A.hstack(C), A.rref()[0], A.kernel_basis(), A.neg(), A.transpose(),
-           A.basis(), S.add_scalar(3), Mat.scalar(F5, n, 4), block_diag(F5, [A, C]),
+           image(Mat.identity(F5, n), A), S.add_scalar(3), Mat.scalar(F5, n, 4), block_diag(F5, [A, C]),
            stack(F5, k + m, [[(0, A), (k, C)]]), side_by_side(F5, n, [A, C])]
     X = A.try_solve(C)
     out += [X] if X is not None else []

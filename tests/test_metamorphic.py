@@ -4,6 +4,9 @@ known without an oracle.
 Bars and Jordan cells are invariants of the map, not of how its vertices
 are named or listed, nor of how it is triangulated, and a real
 re-valuation by an increasing affine map moves every bar end by that map.
+Turning a circle map moves every bar end by the turn and keeps its Jordan
+cells; a small move of the angles that keeps the windings keeps the cells
+and moves the configurations by at most twice as much.
 Complexes this small have no torsion of order 2^31 - 1, so bars and Betti
 numbers over Q and over GF(2^31 - 1) are equal.  The inputs come from
 `map_fixtures.py`; Hypothesis draws only their seeds, derandomized, so each
@@ -11,6 +14,7 @@ run checks the same documents.
 """
 
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -20,11 +24,14 @@ from hypothesis import strategies as st
 
 from map_fixtures import random_circle_input, random_real_input
 from rep_fixtures import GF5
+from test_acceptance import _min_gap
 from tamebars.complexes import CircleMap, RealMap, SimplexTable
 from tamebars.field import QQ, PrimeField
-from tamebars.invariants import bundle_to_json, compute_invariants
+from tamebars.invariants import ValuedBar, bundle_to_json, compute_invariants, configuration
+from tamebars.stability import matching_distance, perturb
 
 gate = settings(max_examples=60, deadline=None, derandomize=True)
+short_gate = settings(gate, max_examples=20)
 seeds = st.integers(0, 2**32)
 
 
@@ -140,3 +147,53 @@ def test_subdividing_an_edge_keeps_every_degree(field, seed):
     for key in ("critical_values", "regular_values"):
         del before[key], after[key]
     assert json.dumps(after, sort_keys=True) == json.dumps(before, sort_keys=True)
+
+
+def _rotated(table, mapping, delta):
+    """The circle map turned by delta: each angle a goes to a + delta mod 1,
+    and each edge's winding takes up the turns its two ends crossed, so every
+    lift moves by delta."""
+    turns = [math.floor(a + delta) for a in mapping.angles]
+    angles = [a + delta - k for a, k in zip(mapping.angles, turns)]
+    windings = {(u, v): mapping.winding(u, v) + turns[v] - turns[u] for u, v in table.edges()}
+    return CircleMap(angles, windings)
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["Q", "F5"])
+@short_gate
+@given(seed=seeds, k=st.integers(1, 23))
+def test_rotating_a_circle_map_moves_every_bar_end(field, seed, k):
+    # the bars move by delta, each brought back so that lo lies in [0, 1);
+    # Jordan cells, monodromy and the Betti numbers do not move
+    delta = F(k, 24)
+    table, mapping = random_circle_input(random.Random(seed))
+    before = compute_invariants(table, mapping, field)
+    after = compute_invariants(table, _rotated(table, mapping, delta), field)
+    for r in range(before.rmax + 1):
+        moved = []
+        for b in before.degree_bars(r):
+            turns = math.floor(b.lo + delta)
+            moved.append(ValuedBar(b.lo + delta - turns, b.hi + delta - turns,
+                                   b.left_closed, b.right_closed))
+        assert after.degree_bars(r) == sorted(moved)
+    old, new = bundle_to_json(before)["degrees"], bundle_to_json(after)["degrees"]
+    assert new.keys() == old.keys()
+    for r, entry in old.items():
+        keys = ("betti", "novikov_betti", "jordan_cells", "monodromy")
+        assert json.dumps({key: new[r][key] for key in keys}) == \
+            json.dumps({key: entry[key] for key in keys})
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["Q", "F5"])
+@short_gate
+@given(seed=seeds)
+def test_perturbing_a_circle_map_keeps_its_cells_and_moves_bars_within_the_bound(field, seed):
+    # windings are kept, so the homotopy class and the Jordan cells are;
+    # the configurations move by at most twice the perturbation
+    table, mapping = random_circle_input(random.Random(seed))
+    eps = _min_gap(mapping.angles, circular=True) / 10
+    before = compute_invariants(table, mapping, field)
+    after = compute_invariants(table, perturb(mapping, eps, seed, table), field)
+    assert after.cells == before.cells
+    for r in range(before.rmax + 2):
+        assert matching_distance(configuration(before, r), configuration(after, r)) <= 2 * eps
