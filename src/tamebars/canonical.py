@@ -1,8 +1,10 @@
 """Primary canonical structure of a square matrix over an exact field.
 
 The decomposition of the monodromy operator needs, for each irreducible factor
-q of the minimal polynomial, the multiset of companion-power blocks q^k
-together with an explicit similarity transform.  Polynomials are plain
+q of the characteristic polynomial, the multiset of companion-power blocks q^k
+together with an explicit similarity transform.  That polynomial comes from
+one Krylov spin (Keller-Gehrig, TCS 1985), and the growth of the kernels of
+q(A)^j gives the block sizes.  Polynomials are plain
 coefficient lists (index = power), and everything, factoring included, is done
 here so pivoting stays deterministic and no computer algebra system is loaded.
 
@@ -141,16 +143,6 @@ def _primitive_gcd(a: Poly, b: Poly) -> Poly:
     return poly_monic(QQ, [Fraction(v) for v in x])
 
 
-def poly_lcm(field: Field, a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return []
-    g = poly_gcd(field, a, b)
-    q, r = poly_divmod(field, poly_mul(field, a, b), g)
-    if r:
-        raise CanonicalFormError("gcd does not divide the product")
-    return poly_monic(field, q)
-
-
 def poly_pow(field: Field, p: Poly, k: int) -> Poly:
     out: Poly = [field.one]
     for _ in range(k):
@@ -171,7 +163,7 @@ def poly_eval_mat(field: Field, p: Poly, A: Mat) -> Mat:
     return out
 
 
-# -- minimal polynomial and factorization ------------------------------------
+# -- characteristic polynomial and factorization -----------------------------
 
 
 def _krylov(A: Mat, v: Mat, k: int) -> Mat:
@@ -182,37 +174,26 @@ def _krylov(A: Mat, v: Mat, k: int) -> Mat:
     return side_by_side(A.field, A.nrows, ws)
 
 
-def annihilates_basis_vector(A: Mat, p: Poly, i: int) -> bool:
-    """Is p(A) e_i zero?  It is the Krylov matrix of e_i with deg(p) + 1
-    columns times the coefficients of p."""
+def characteristic_polynomial(A: Mat) -> Poly:
+    """Monic characteristic polynomial from one Krylov spin (Keller-Gehrig):
+    e_0, A e_0, ..., then e_1, A e_1, ..., join one span, each run until its
+    newest column depends on the span.  In the span's basis A is block upper
+    triangular with one companion block per run, whose polynomial is the
+    monic relation on the run's own columns; chi is their product."""
     field, n = A.field, A.nrows
-    K = _krylov(A, Mat.identity(field, n).columns([i]), len(p))
-    return K.mul(Mat(field, [[c] for c in p], 1)) == Mat.zeros(field, n, 1)
-
-
-def minimal_polynomial(A: Mat) -> Poly:
-    """Monic minimal polynomial via per-basis-vector Krylov relations."""
-    field = A.field
-    n = A.nrows
+    span, chi = Mat.zeros(field, n, 0), [field.one]
     eye = Mat.identity(field, n)
-    mp: Poly = [field.one]
     for i in range(n):
-        if poly_deg(mp) == n:
+        if span.ncols == n:
             break
-        # skip basis vectors already annihilated by the current candidate
-        if annihilates_basis_vector(A, mp, i):
-            continue
-        # extend e_i, A e_i, ... until the next power depends on them
-        krylov = w = eye.columns([i])
-        while True:
-            w = A.mul(w)
-            sol = krylov.try_solve(w)
-            if sol is not None:
-                break
-            krylov = krylov.hstack(w)
-        rel = [field.neg(c) for c in sol.transpose().rows[0]] + [field.one]
-        mp = poly_lcm(field, mp, rel)
-    return mp
+        w, k = eye.columns([i]), 0
+        while (sol := span.try_solve(w)) is None:
+            if span.ncols == n:
+                raise CanonicalFormError("Krylov spin passes n columns")
+            span, w, k = span.hstack(w), A.mul(w), k + 1
+        rel = [field.neg(c) for c in sol.transpose().rows[0][span.ncols - k:]] + [field.one]
+        chi = poly_mul(field, chi, rel)
+    return chi
 
 
 def _derivative(field: Field, p: Poly) -> Poly:
@@ -359,7 +340,7 @@ def _hensel_lift(field: PrimeField, z: List[int], factors: List[Poly], bound: in
 
 def _zassenhaus(f: Poly) -> List[Poly]:
     """The monic irreducible factors over Q of a square-free monic f."""
-    from itertools import combinations
+    from itertools import combinations, count, islice
     from math import lcm
 
     n = poly_deg(f)
@@ -369,16 +350,19 @@ def _zassenhaus(f: Poly) -> List[Poly]:
     z = [int(c * den) for c in f]  # primitive: den is the least common denominator
     lc = z[-1]
     # the smallest prime dividing neither lc nor the discriminant, that is,
-    # one that keeps z square-free of degree n
-    p = 1
-    while True:
-        p += 1
-        if lc % p == 0 or not _is_prime(p):
+    # one that keeps z square-free of degree n.  The others divide Res(z, z'),
+    # at most (n |z|_1)^(2n) by Hadamard's bound, so fewer primes fail than
+    # are tried
+    primes = (p for p in count(2) if _is_prime(p))
+    for p in islice(primes, 2 * n * (n * sum(abs(c) for c in z)).bit_length()):
+        if lc % p == 0:
             continue
         field = PrimeField(p)
         zp = poly_monic(field, [field.from_int(c) for c in z])
         if poly_deg(poly_gcd(field, zp, _derivative(field, zp))) == 0:
             break
+    else:
+        raise CanonicalFormError("no prime keeps the polynomial square-free")
     modular = _berlekamp(field, zp)
     if len(modular) == 1:
         return [f]
@@ -492,7 +476,8 @@ def primary_components(A: Mat) -> Tuple[List[Cell], Mat]:
     (degree, coefficients, size); `P` is invertible with ``P^-1 A P`` equal to
     the block diagonal of ``cell.block(field)`` in that order.  Jordan blocks
     in the sense of the upper bidiagonal convention are used for linear
-    factors, companion blocks of q^k otherwise.
+    factors, companion blocks of q^k otherwise.  The factors q come from the
+    characteristic polynomial, the sizes from the growth of ker q(A)^j.
     """
     field = A.field
     n = A.nrows
@@ -500,17 +485,20 @@ def primary_components(A: Mat) -> Tuple[List[Cell], Mat]:
         return [], Mat.identity(field, 0)
     if not A.is_square():
         raise ValueError("primary_components needs a square matrix")
-    mp = minimal_polynomial(A)
     cells: List[Tuple[Cell, Mat]] = []  # each cell with its basis as columns
-    for q, e in factor_poly(field, mp):
+    for q, m in factor_poly(field, characteristic_polynomial(A)):
         d = poly_deg(q)
         N = poly_eval_mat(field, q, A)
-        powers = [Mat.identity(field, n)]  # N^0
-        for _ in range(e):
+        # ker N^j grows strictly until it fills the q-primary part, of
+        # dimension d*m, at the exponent of q in the minimal polynomial
+        powers, kernels = [Mat.identity(field, n)], [Mat.zeros(field, n, 0)]
+        while kernels[-1].ncols < d * m:
+            if len(powers) > m:
+                raise CanonicalFormError("kernels of q(A)^j stop short of the primary part")
             powers.append(powers[-1].mul(N))
-        kernels = [Mat.zeros(field, n, 0)] + [powers[j].kernel_basis() for j in range(1, e + 1)]
+            kernels.append(powers[-1].kernel_basis())
         picks: List[Tuple[Mat, int]] = []  # (column, height)
-        for j in range(e, 0, -1):
+        for j in range(len(powers) - 1, 0, -1):
             # u in ker N^j is picked when it lies outside the span of
             # ker N^(j-1) and the Krylov blocks K(w, d) picked before it:
             # w = N^(h-j) v for each earlier pick (v, h), h > j, and w = u'

@@ -189,7 +189,6 @@ class CutComplex:
     circular: bool
     ranks: List[int]
     windings: Dict[Tuple[int, int], int] = dc_field(default_factory=dict)
-    provenance: List[tuple] = dc_field(default_factory=list)
     index: LevelIndex = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -257,7 +256,6 @@ def cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> CutComp
             ranks.append(c)
             owner.append(u)
             own_turns.append(k - turns[0])
-    provenance = [("original", v) for v in used] + ids[len(used):]
     opos = {v: i for i, v in enumerate(used)}
 
     memo: Dict[Tuple[int, ...], List[tuple]] = {}
@@ -286,8 +284,7 @@ def cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> CutComp
                         for j in range(i + 1, len(piece)):
                             if fl[j] != fl[i]:
                                 windings[p, piece[j]] = fl[j] - fl[i]
-    return CutComplex(table, SimplexTable(ids, pieces), values, classes, circular,
-                      ranks, windings, provenance)
+    return CutComplex(table, SimplexTable(ids, pieces), values, classes, circular, ranks, windings)
 
 
 @dataclass

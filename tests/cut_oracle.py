@@ -198,14 +198,11 @@ def oracle_cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> 
     ids = sorted({v for s in simplex_set for v in s}, key=_order_key)
     pos = {vid: i for i, vid in enumerate(ids)}
     values: List[Fraction] = []
-    provenance: List[tuple] = []
     for vid in ids:
         if isinstance(vid, int):
             values.append(f.angles[vid] if circular else f.values[vid])
-            provenance.append(("original", vid))
         else:
             values.append(cut_values[vid])
-            provenance.append(vid)
 
     refined = [tuple(pos[v] for v in s) for s in simplex_set]
     new_table = SimplexTable(ids, refined)
@@ -222,4 +219,4 @@ def oracle_cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> 
                 windings[(pa, pb)] = w
     index = LevelIndex(classes, circular)
     ranks = [index.rank(x) for x in values]
-    return CutComplex(table, new_table, values, classes, circular, ranks, windings, provenance)
+    return CutComplex(table, new_table, values, classes, circular, ranks, windings)

@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from tamebars.canonical import (Cell, Poly, _krylov, cell_sort_key, factor_poly, poly_deg,
-                                poly_eval_mat, poly_lcm)
+                                poly_divmod, poly_eval_mat, poly_gcd, poly_monic, poly_mul,
+                                poly_pow)
 from tamebars.field import PrimeField
 from tamebars.matrix import Mat, side_by_side
 
@@ -132,6 +133,13 @@ def annihilates(mp: Poly, A: Mat, i: int) -> bool:
     return all(x == field.zero for x in dense_matvec(poly_eval_mat(field, mp, A), v))
 
 
+def poly_lcm(field, a: Poly, b: Poly) -> Poly:
+    """The monic lcm: the product divided by the gcd."""
+    if not a or not b:
+        return []
+    return poly_monic(field, poly_divmod(field, poly_mul(field, a, b), poly_gcd(field, a, b))[0])
+
+
 def minimal_polynomial(A: Mat) -> Poly:
     """Minimal polynomial with the annihilation test done on mp(A)."""
     field = A.field
@@ -154,6 +162,18 @@ def minimal_polynomial(A: Mat) -> Poly:
                 mp = poly_lcm(field, mp, rel)
                 break
             krylov.append(w)
+    return mp
+
+
+def minimal_polynomial_of_cells(field, cells: List[Cell]) -> Poly:
+    """The minimal polynomial read off a primary decomposition: each q to the
+    largest size among its cells."""
+    top: Dict[Tuple, int] = {}
+    for c in cells:
+        top[c.poly] = max(top.get(c.poly, 0), c.size)
+    mp: Poly = [field.one]
+    for q, k in sorted(top.items()):
+        mp = poly_mul(field, mp, poly_pow(field, list(q), k))
     return mp
 
 

@@ -331,6 +331,16 @@ def euclid_poly_gcd(field: Field, a: Poly, b: Poly) -> Poly:
     return poly_monic(field, a)
 
 
+def sympy_charpoly(A: Mat) -> Poly:
+    """The monic characteristic polynomial of a matrix over Q, by sympy."""
+    import sympy  # only the polynomial tests need it
+
+    M = sympy.Matrix(A.nrows, A.ncols, [sympy.Rational(x.numerator, x.denominator)
+                                        for row in A.rows for x in row])
+    coeffs = M.charpoly(sympy.symbols("t")).all_coeffs()
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)]
+
+
 def sympy_factor_poly(field: Field, p: Poly) -> List[Tuple[Poly, int]]:
     """`tamebars.canonical.factor_poly` computed by sympy: the irreducible
     factors of a polynomial, made monic, with multiplicities, sorted by

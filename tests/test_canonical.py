@@ -11,19 +11,19 @@ from tamebars import canonical
 from tamebars.canonical import (
     CanonicalFormError,
     Cell,
+    characteristic_polynomial,
     companion,
     factor_poly,
     jordan_block,
-    minimal_polynomial,
     poly_eval_mat,
     poly_gcd,
-    poly_lcm,
     poly_mul,
     poly_pow,
     primary_components,
 )
 from tamebars.field import GF2, QQ, PrimeField
 from tamebars.matrix import Mat, block_diag
+from kernel_oracles import minimal_polynomial_of_cells, poly_lcm
 from oracles import euclid_poly_gcd, from_int_rows, is_zero, sympy_factor_poly
 
 F3 = PrimeField(3)
@@ -49,7 +49,25 @@ def test_poly_eval_mat_cayley_hamilton_witness():
     assert is_zero(poly_eval_mat(QQ, _q(1, 0, 1), A))
 
 
+def test_characteristic_polynomial_examples():
+    A = from_int_rows(QQ, [[0, 1], [-1, 0]])
+    assert characteristic_polynomial(A) == _q(1, 0, 1)
+    # a repeated eigenvalue keeps its full multiplicity, diagonalizable or not
+    D = from_int_rows(QQ, [[2, 0], [0, 2]])
+    assert characteristic_polynomial(D) == _q(4, -4, 1)
+    N = from_int_rows(QQ, [[0, 1], [0, 0]])
+    assert characteristic_polynomial(N) == _q(0, 0, 1)
+    assert characteristic_polynomial(Mat.identity(QQ, 0)) == [Fraction(1)]
+    # diag(1, 1, 2): e_1 lies in the span of e_0's run and adds no factor
+    E = from_int_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    assert characteristic_polynomial(E) == _q(-2, 5, -4, 1)
+
+
 def test_minimal_polynomial_examples():
+    # the minimal polynomial is read off the cells: each q to its largest size
+    def minimal_polynomial(A):
+        return minimal_polynomial_of_cells(A.field, primary_components(A)[0])
+
     A = from_int_rows(QQ, [[0, 1], [-1, 0]])
     assert minimal_polynomial(A) == _q(1, 0, 1)
     # diagonalizable with repeated eigenvalue: min poly is squarefree
@@ -276,8 +294,17 @@ def test_primary_components_random_reconstruction():
             assert Nq.kernel_basis().ncols == Nq0.kernel_basis().ncols
 
 
-def test_poly_lcm_remainder_raises_typed_error(monkeypatch):
-    # a "gcd" that divides neither input leaves a remainder
-    monkeypatch.setattr(canonical, "poly_gcd", lambda field, a, b: _q(-3, 1))
-    with pytest.raises(CanonicalFormError):
-        poly_lcm(QQ, _q(-1, 1), _q(-2, 1))
+def test_kernel_growth_past_the_multiplicity_raises_typed_error(monkeypatch):
+    # a multiplicity too high asks ker q(A)^j for more than the primary part
+    factor = canonical.factor_poly
+    monkeypatch.setattr(canonical, "factor_poly",
+                        lambda field, p: [(q, k + 1) for q, k in factor(field, p)])
+    with pytest.raises(CanonicalFormError, match="stop short of the primary part"):
+        primary_components(from_int_rows(QQ, [[2, 1], [0, 2]]))
+
+
+def test_prime_search_past_its_bound_raises_typed_error(monkeypatch):
+    # with z' replaced by z no prime keeps z square-free
+    monkeypatch.setattr(canonical, "_derivative", lambda field, p: p)
+    with pytest.raises(CanonicalFormError, match="no prime keeps"):
+        canonical._zassenhaus(_q(-2, 0, 1))

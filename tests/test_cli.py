@@ -902,6 +902,23 @@ def test_chain_that_does_not_lift_is_a_decomposition_error(tmp_path, capsys, mon
                                "detail": "degree 0: chain does not lift back along the walk"}
 
 
+def test_krylov_spin_that_never_closes_is_a_canonical_form_error(tmp_path, capsys, monkeypatch):
+    # the spin of the characteristic polynomial adds at most n columns; a
+    # try_solve that never finds a relation is a typed error, not a hang
+    try_solve = Mat.try_solve
+
+    def no_relation_in_spin(self, B):
+        if sys._getframe(1).f_code.co_name == "characteristic_polynomial":
+            return None
+        return try_solve(self, B)
+
+    monkeypatch.setattr(Mat, "try_solve", no_relation_in_spin)
+    code, out, err = run(capsys, "compute", write(tmp_path, "doc.json", WRAP_DOC))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"ok": False, "error": "CanonicalFormError",
+                               "detail": "degree 0: Krylov spin passes n columns"}
+
+
 def test_canonical_form_error_names_its_degree(tmp_path, capsys, monkeypatch):
     # a factorization that loses every factor leaves the canonical basis short
     monkeypatch.setattr(import_module("tamebars.canonical"), "factor_poly",

@@ -26,7 +26,6 @@ def assert_same_cut(fast, slow):
     assert fast.values == slow.values
     assert fast.levels == slow.levels
     assert fast.windings == slow.windings
-    assert fast.provenance == slow.provenance
     assert fast.ranks == slow.ranks
 
 

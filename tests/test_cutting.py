@@ -25,7 +25,7 @@ def test_edge_cut_at_half():
     assert len(cc.table.vertices) == 3
     assert len(cc.table.simplices_of_dim(1)) == 2
     assert cc.values == [0, 1, F(1, 2)]
-    assert cc.provenance[2][0] == "cut"
+    assert cc.table.vertices[2][0] == "cut"
 
 
 def test_cut_preserves_euler_characteristic():

@@ -18,19 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracles as oracle
-from oracles import fraction_rref, from_int_rows
+from oracles import fraction_rref, from_int_rows, sympy_charpoly
 from rep_fixtures import GF5, planted_circle, planted_zigzag
 from tamebars import quiver
-from tamebars.canonical import (annihilates_basis_vector, minimal_polynomial, poly_mul, poly_trim,
+from tamebars.canonical import (characteristic_polynomial, jordan_block, poly_mul, poly_pow,
                                 primary_components)
 from tamebars.complexes import RealMap, SimplexTable
 from tamebars.field import GF2, QQ, PrimeField
 from tamebars.homology import _Reducer
 from tamebars.invariants import compute_invariants
-from tamebars.matrix import Mat
+from tamebars.matrix import Mat, block_diag
 from tamebars.quiver import decompose_circle, decompose_zigzag
 
 BIG = PrimeField(2**31 - 1)
+GF3 = PrimeField(3)
 FIELDS = [QQ, GF2, BIG]
 
 settings.register_profile("kernels", max_examples=100, deadline=None, derandomize=True)
@@ -187,10 +188,10 @@ def test_integer_chains_match_the_dense_oracle_on_fractions(chains):
 
 
 @st.composite
-def square_matrices(draw):
-    field = draw(st.sampled_from(FIELDS))
+def square_matrices(draw, fields=FIELDS):
+    field = draw(st.sampled_from(fields))
     n = draw(st.integers(0, 5))
-    if draw(st.booleans()):  # diagonal with repeats: many annihilated vectors
+    if draw(st.booleans()):  # diagonal with repeats: eigenvalues of high multiplicity
         diag = draw(st.lists(st.sampled_from([field.zero, field.one, field.from_int(2)]),
                              min_size=n, max_size=n))
         return Mat(field, [[diag[i] if i == j else field.zero for j in range(n)]
@@ -198,41 +199,44 @@ def square_matrices(draw):
     return draw(matrices(field, n, n))
 
 
-@st.composite
-def polynomial_tests(draw):
-    """A square matrix, a polynomial that often kills some of e_0 .. e_n-1,
-    and the index of one basis vector."""
-    A = draw(square_matrices().filter(lambda M: M.nrows > 0))
-    field = A.field
-    p = poly_trim(field, draw(st.lists(scalars(field), max_size=4)))
-    if draw(st.booleans()):  # a multiple of the minimal polynomial of A
-        p = poly_mul(field, oracle.minimal_polynomial(A), p or [field.one])
-    elif draw(st.booleans()):  # a factor of it: t - a diagonal entry
-        p = [field.neg(A.rows[0][0]), field.one]
-    if not p:
-        p = [field.one]
-    return A, p, draw(st.integers(0, A.nrows - 1))
-
-
-@given(polynomial_tests())
-def test_annihilation_test_matches_dense_oracle(case):
-    A, p, i = case
-    assert annihilates_basis_vector(A, p, i) is oracle.annihilates(p, A, i)
-
-
-@given(square_matrices())
-def test_minimal_polynomial_matches_dense_annihilation_test(A):
-    mp, mp0 = minimal_polynomial(A), oracle.minimal_polynomial(A)
-    assert mp == mp0
-    assert [type(c) for c in mp] == [type(c) for c in mp0]
+@given(square_matrices([QQ, GF2, GF5, BIG]))
+def test_characteristic_polynomial_matches_its_oracles(A):
+    # over Q sympy's charpoly; over GF(p) the product of q^size over the cells
+    # that the oracle finds from the minimal polynomial
+    field, chi = A.field, characteristic_polynomial(A)
+    if field is QQ:
+        want = sympy_charpoly(A)
+    else:
+        want = [field.one]
+        for c in oracle.primary_components(A)[0]:
+            want = poly_mul(field, want, poly_pow(field, list(c.poly), c.size))
+    assert chi == want
+    assert {type(c) for c in chi} == {type(field.one)}
 
 
 def test_minimal_polynomial_skips_annihilated_vectors():
     # diag(1, 1, 2): e_1 is killed by t - 1 once e_0 has been seen
     A = from_int_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     assert oracle.annihilates([Fraction(-1), Fraction(1)], A, 1)
-    assert minimal_polynomial(A) == oracle.minimal_polynomial(A) == [
-        Fraction(2), Fraction(-3), Fraction(1)]
+    mp = oracle.minimal_polynomial_of_cells(QQ, primary_components(A)[0])
+    assert mp == oracle.minimal_polynomial(A) == [Fraction(2), Fraction(-3), Fraction(1)]
+
+
+# Jordan block sizes at eigenvalue 1: identities and single blocks of sizes p
+# and p + 1, and J_2 + J_1 over GF(2).  At size p the characteristic
+# polynomial is (t - 1)^p, whose derivative is zero, so its square-free
+# decomposition roots a p-th power; the oracle factors the minimal polynomial
+REPEATED = [(F, sizes) for F in (GF2, GF3) for s in (F.p, F.p + 1) for sizes in ([1] * s, [s])]
+REPEATED.append((GF2, [2, 1]))
+
+
+@pytest.mark.parametrize("field, sizes", REPEATED,
+                         ids=[f"{F.name}-{sizes}" for F, sizes in REPEATED])
+def test_eigenvalues_repeated_p_times_match_the_oracle(field, sizes):
+    A = block_diag(field, [jordan_block(field, field.one, k) for k in sizes])
+    cells, P = primary_components(A)
+    cells0, P0 = oracle.primary_components(A)
+    assert cells == cells0 and same(P, P0)
 
 
 # -- rref on the systems the pipeline builds ----------------------------------------

@@ -96,7 +96,7 @@ def test_no_module_writes_into_matrix_rows():
 
 
 ENTRY_READS = ("rows", "col", "cols", "matvec")
-ENTRY_READERS = {"bundle_to_json", "minimal_polynomial", "_berlekamp"}
+ENTRY_READERS = {"bundle_to_json", "characteristic_polynomial", "_berlekamp"}
 
 
 def _entry_reads(node, where="<module>"):
@@ -114,9 +114,9 @@ def _entry_reads(node, where="<module>"):
 def test_matrix_entries_are_read_in_three_places():
     # outside matrix.py a Mat is worked on through its operations, vectors
     # included, which are one-column matrices.  Its entries are read only
-    # for the JSON output, the Krylov relation of the minimal polynomial and
-    # Berlekamp's kernel basis, whose results are polynomials; nothing
-    # multiplies a matrix by a list of scalars
+    # for the JSON output, the Krylov relations of the characteristic
+    # polynomial and Berlekamp's kernel basis, whose results are
+    # polynomials; nothing multiplies a matrix by a list of scalars
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "matrix.py":
