@@ -1,9 +1,10 @@
 """Bar codes and Jordan cells of tame real- and circle-valued simplicial maps.
 
 The package computes level-set persistence data of a simplicial map with
-exact field coefficients: graph representations of the fibers, their
-decomposition into bars and Jordan cells with machine-checkable certificates,
-and the derived invariants (fiber and global Betti numbers, Novikov numbers,
+exact field coefficients: bars and Jordan cells with machine-checkable
+certificates (for real maps from one certified reduction of the cone on the
+complex, for circle maps from the decomposition of the graph representation
+of the fibers), and the derived invariants (fiber and global Betti numbers, Novikov numbers,
 monodromy, configurations of bar ends, infinite cyclic cover homology).
 """
 
@@ -34,11 +35,13 @@ from .cutting import (
 from .homology import (
     HomologyBasis,
     NotTame,
+    ReductionCertificateError,
     assemble_rep,
     betti_numbers,
     homology,
     homology_of,
     induced_map,
+    level_set_bars,
 )
 from .quiver import (
     Bar,
@@ -69,6 +72,7 @@ from .invariants import (
     monodromy_assemble,
     novikov_betti,
     polynomial,
+    quiver_invariants,
 )
 from .stability import (
     CardinalityMismatch,
@@ -87,8 +91,8 @@ __all__ = [
     "load_document", "validate_circle_map",
     "CutComplex", "LevelNotCut", "SubcomplexHandle",
     "cut_at_levels", "fiber", "slab", "unroll_cover",
-    "HomologyBasis", "NotTame", "assemble_rep", "betti_numbers", "homology",
-    "homology_of", "induced_map",
+    "HomologyBasis", "NotTame", "ReductionCertificateError", "assemble_rep",
+    "betti_numbers", "homology", "homology_of", "induced_map", "level_set_bars",
     "Bar", "Certificate", "CircleRep", "DecompositionError",
     "RepresentationError", "decompose_circle", "decompose_zigzag", "line_rep",
     "verify_certificate",
@@ -96,7 +100,7 @@ __all__ = [
     "bundle_to_json", "canonical_check", "canonical_matrix",
     "compute_invariants", "configuration", "cover_formulas", "cylinder_embed",
     "fiber_betti_at", "global_betti", "image_dim_at", "monodromy_assemble",
-    "novikov_betti", "polynomial",
+    "novikov_betti", "polynomial", "quiver_invariants",
     "CardinalityMismatch", "matching_distance", "perturb",
     "stability_experiment",
 ]

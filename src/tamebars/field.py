@@ -21,17 +21,31 @@ class FieldError(ValueError):
     """Raised for invalid field specifications or non-invertible divisions."""
 
 
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Whether an odd n > 2 passes the strong Fermat test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin to bases 2, 3, 5 and 7, exact for every
+    n below 3,215,031,751 (the least strong pseudoprime to all four), which
+    covers every modulus below MAX_PRIME."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    return all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7))
 
 
 @dataclass(frozen=True)

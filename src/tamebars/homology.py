@@ -24,6 +24,15 @@ Fractions mix exactly.  Values turn into Fractions where they leave the
 reducer: `HomologyBasis.coords` returns Fractions, and an induced map's
 `Mat` clears them once into its integer rows.  Over GF(p) every value is a
 residue in [0, p).
+
+Real-valued maps take a shorter road, `level_set_bars`: their level-set
+zigzag bars are matched one to one with the extended persistence pairs of
+the map (Carlsson-de Silva-Morozov, "Zigzag persistent homology and
+real-valued functions"; Cohen-Steiner-Edelsbrunner-Harer, "Extending
+persistence using Poincare and Lefschetz duality").  Those pairs come from
+one reduction of the cone on the input complex, with no cut, no assembly
+and no quiver decomposition.  The reduction is certified: R = D.V with V
+unit upper triangular and R reduced, checked exactly, proves the pairing.
 """
 
 from __future__ import annotations
@@ -47,6 +56,10 @@ class InternalInconsistency(RuntimeError):
 
 class NotTame(RuntimeError):
     """A critical-fiber-to-slab map failed to be an isomorphism."""
+
+
+class ReductionCertificateError(InternalInconsistency):
+    """A column reduction whose R = D.V certificate does not hold."""
 
 
 class _Reducer:
@@ -239,3 +252,135 @@ def assemble_rep(cc: CutComplex, crit: CriticalData, r: int, field: Field):
         alphas.append(arrow(reg_h[k], i, lo, th[i - 1]))
         betas.append(arrow(reg_h[k + 1], i, th[i - 1], ts[k + 1]))
     return rep_from_lists(field, alphas, betas)
+
+
+# -- level-set bars of a real map --------------------------------------------------
+
+
+LevelSetBar = Tuple[Fraction, Fraction, bool, bool]
+
+
+def cone_filtration(table: SimplexTable, values: Sequence, field: Field):
+    """The boundary columns of the cone on a complex in extended-persistence
+    order, with the height and dimension read at each position.
+
+    Position 0 is the cone vertex w.  Then every simplex s comes in
+    lower-star order, by (max f on s, dim, index), at the height max f on s;
+    then every cone w.s in upper-star order, by (-min f on s, dim, index), at
+    the height min f on s.  The dimension recorded for w.s is that of s.
+    Boundaries are d(w.v) = v - w and d(w.s) = s - w.ds.
+    """
+    simplices = table.simplices
+    n = len(simplices)
+    top = [max(values[v] for v in s) for s in simplices]
+    bottom = [min(values[v] for v in s) for s in simplices]
+    lower = sorted(range(n), key=lambda i: (top[i], len(simplices[i]), i))
+    upper = sorted(range(n), key=lambda i: (-bottom[i], len(simplices[i]), i))
+    pos = [0] * n
+    cone_pos = [0] * n
+    for k, i in enumerate(lower):
+        pos[i] = 1 + k
+    for k, i in enumerate(upper):
+        cone_pos[i] = 1 + n + k
+    neg = field.neg
+    boundaries = [_boundary_chain(table, i, field) for i in range(n)]
+    columns: List[Chain] = [{}]
+    heights = [None]
+    dims = [0]
+    for i in lower:
+        columns.append({pos[k]: x for k, x in boundaries[i].items()})
+        heights.append(top[i])
+        dims.append(len(simplices[i]) - 1)
+    for i in upper:
+        col: Chain = {pos[i]: 1}
+        if boundaries[i]:
+            col.update((cone_pos[k], neg(x)) for k, x in boundaries[i].items())
+        else:
+            col[0] = neg(1)
+        columns.append(col)
+        heights.append(bottom[i])
+        dims.append(len(simplices[i]) - 1)
+    return columns, heights, dims
+
+
+def reduce_columns(columns: Sequence[Chain], field: Field) -> Tuple[List[Chain], List[Chain]]:
+    """Reduce every column in order, each tagged {j: 1}, so R = D.V with V
+    unit upper triangular."""
+    red = _Reducer(field)
+    R: List[Chain] = []
+    V: List[Chain] = []
+    for j, col in enumerate(columns):
+        r, v = red.reduce(col, {j: 1})
+        if r:
+            red.by_low[max(r)] = (r, v)
+        R.append(r)
+        V.append(v)
+    return R, V
+
+
+def check_reduction(columns: Sequence[Chain], R: Sequence[Chain], V: Sequence[Chain],
+                    field: Field) -> None:
+    """Check exactly that V is unit upper triangular, that D.V = R, that R
+    is reduced (no two columns share a low) and that only the cone vertex
+    stays unpaired; raise ReductionCertificateError otherwise."""
+    p = field.p if isinstance(field, PrimeField) else None
+    if not len(columns) == len(R) == len(V):
+        raise ReductionCertificateError("D, R and V differ in their number of columns")
+    lows = set()
+    for j, v in enumerate(V):
+        if v.get(j) != 1 or max(v) != j:
+            raise ReductionCertificateError(f"column {j} of V is not unit upper triangular")
+        prod: Chain = {}
+        for k, c in v.items():
+            for r, x in columns[k].items():
+                prod[r] = prod.get(r, 0) + c * x
+        if {r: y for r, x in prod.items() if (y := x % p if p else x)} != R[j]:
+            raise ReductionCertificateError(f"column {j} of D.V differs from R")
+        if R[j]:
+            low = max(R[j])
+            if low in lows:
+                raise ReductionCertificateError(f"R is not reduced: two columns end at row {low}")
+            lows.add(low)
+    if 2 * len(lows) + 1 != len(columns):
+        raise ReductionCertificateError("a class other than the cone vertex is left unpaired")
+
+
+def level_set_bars(table: SimplexTable, values: Sequence[Fraction],
+                   field: Field) -> Dict[int, List[LevelSetBar]]:
+    """The level-set zigzag bars of a real map, per degree, as (lo, hi,
+    left_closed, right_closed), from the extended persistence pairs (i, j)
+    of the cone filtration, i the low of column j:
+
+    - both in the first half (ordinary): [f_i, f_j) in H_dim(i);
+    - i in the first half, j in the second (extended): [f_i, f_j] in
+      H_dim(i) when f_i <= f_j, else (f_j, f_i) in H_dim(i)-1;
+    - both in the second half (relative): (f_j, f_i] in H_dim(i).
+
+    Pairs of length zero are dropped, and the cone vertex stays unpaired.
+    The reduction is certified by `check_reduction` before it is read.
+    The filtration is built on the ranks of the values, so sorting compares
+    ints, not Fractions."""
+    levels = sorted(set(values))
+    rank = {x: k for k, x in enumerate(levels)}
+    columns, heights, dims = cone_filtration(table, [rank[x] for x in values], field)
+    R, V = reduce_columns(columns, field)
+    check_reduction(columns, R, V, field)
+    half = len(table)
+    bars: Dict[int, List[LevelSetBar]] = {}
+    for j, col in enumerate(R):
+        if not col:
+            continue
+        i = max(col)
+        hi, hj, d = heights[i], heights[j], dims[i]
+        fi, fj = levels[hi], levels[hj]
+        if j <= half:
+            if hi < hj:
+                bars.setdefault(d, []).append((fi, fj, True, False))
+        elif i <= half:
+            if hi <= hj:
+                bars.setdefault(d, []).append((fi, fj, True, True))
+            else:
+                bars.setdefault(d - 1, []).append((fj, fi, False, False))
+        elif hj < hi:
+            bars.setdefault(d, []).append((fj, fi, False, True))
+    return bars

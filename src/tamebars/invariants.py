@@ -1,11 +1,16 @@
 """Named invariants of a tame map.
 
-Bars coming out of the quiver decomposition are converted to intervals
-between critical values, and everything downstream is derived from them in
-exact arithmetic: fiber and global Betti numbers, Novikov-Betti numbers,
+A real map's bars are read off the extended persistence of the cone on its
+complex (`homology.level_set_bars`), with no cut.  A circle map's bars and
+Jordan cells come out of the quiver decomposition of its cut, and
+`quiver_invariants` keeps that pipeline for real maps too, where
+`compute --check` compares the two.  Bars are intervals between critical
+values, and everything downstream is derived from them in exact
+arithmetic: fiber and global Betti numbers, Novikov-Betti numbers,
 monodromy, configurations with their polynomials, the interval counts for
 windows of the infinite cyclic cover, and the canonical block matrix whose
-kernel and cokernel recover the homology of the total space.
+kernel and cokernel recover the homology of the total space (from the
+representations, which only the quiver pipeline builds).
 
 Circle-valued data uses turn units throughout: one turn is a full circle,
 so a bar wrapping k times has its right end shifted by k.
@@ -22,10 +27,10 @@ from math import ceil, floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .canonical import CanonicalFormError, Cell, cell_sort_key
-from .complexes import CriticalData, SimplexTable, critical_candidates
+from .complexes import CircleMap, CriticalData, SimplexTable, critical_candidates
 from .cutting import CutComplex, cut_at_levels
 from .field import Field
-from .homology import assemble_rep
+from .homology import assemble_rep, level_set_bars
 from .matrix import Mat, block_diag, stack
 from .quiver import (Bar, DecompositionError, RepresentationError, decompose_circle,
                      decompose_zigzag)
@@ -103,7 +108,9 @@ def convert_bars(bars: Sequence[Bar], crit: CriticalData) -> List[ValuedBar]:
 class InvariantBundle:
     """Per-degree bars, Jordan cells, and the representations they came
     from, for one tame map.  Degrees absent from the dictionaries count as
-    empty, so the formulas below accept any degree."""
+    empty, so the formulas below accept any degree.  A real map's bundle
+    from `compute_invariants` has no cells, no representations and no cut:
+    its bars come from the cone reduction."""
 
     field: Field
     circular: bool
@@ -136,8 +143,21 @@ class InvariantBundle:
 
 
 def compute_invariants(table: SimplexTable, mapping, field: Field) -> InvariantBundle:
-    """Full pipeline: choose levels, cut, assemble one representation per
-    degree, decompose it with a verified certificate, and convert the
+    """The invariants of a tame map.  A circle map goes through
+    `quiver_invariants`.  A real map's bars are its level-set bars, read off
+    one certified reduction of the cone on its complex."""
+    if isinstance(mapping, CircleMap):
+        return quiver_invariants(table, mapping, field)
+    crit = critical_candidates(table, mapping)
+    rmax = max(table.dim, 0)
+    found = level_set_bars(table, mapping.values, field)
+    bars = {r: sorted(ValuedBar(*b) for b in found.get(r, [])) for r in range(rmax + 1)}
+    return InvariantBundle(field, False, crit, bars, {}, {}, rmax)
+
+
+def quiver_invariants(table: SimplexTable, mapping, field: Field) -> InvariantBundle:
+    """The quiver pipeline: choose levels, cut, assemble one representation
+    per degree, decompose it with a verified certificate, and convert the
     summands into valued invariants."""
     crit = critical_candidates(table, mapping)
     cc = cut_at_levels(table, mapping, crit.criticals + crit.regulars)

@@ -19,6 +19,20 @@ from tamebars.field import PrimeField
 from tamebars.matrix import Mat, side_by_side
 
 
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trial division up to the square root."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
 def dense_rref(M: Mat) -> Tuple[Mat, List[int]]:
     """Gauss-Jordan over whole rows with first-nonzero pivoting."""
     field = M.field

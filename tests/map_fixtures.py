@@ -10,7 +10,8 @@ Polygon edges never bound a 2-simplex, so their windings are unconstrained.
 import random
 from fractions import Fraction as F
 
-from tamebars.complexes import CircleMap, RealMap, SimplexTable
+from tamebars.complexes import CircleMap, RealMap, SimplexTable, validate_circle_map
+from tamebars.field import GF2, QQ
 
 
 def random_table(rng: random.Random, nv=(4, 8), ntops=(3, 8), max_card=4) -> SimplexTable:
@@ -71,3 +72,20 @@ def random_circle_input(rng: random.Random, degree=None, table_kw=None):
     if ring:
         _add_winding(windings, ring[-1], ring[0], degree)
     return table, CircleMap(angles, windings)
+
+
+def identity_corpus_inputs():
+    """The 104 inputs of the acceptance identity corpus, as (table, map,
+    field): 26 real and 26 circle maps over each of Q and GF(2)."""
+    rng = random.Random(20260814)
+    corpus = []
+    for field in (QQ, GF2):
+        for kind in ("real", "circle"):
+            for _ in range(26):
+                if kind == "real":
+                    table, mapping = random_real_input(rng)
+                else:
+                    table, mapping = random_circle_input(rng)
+                    validate_circle_map(table, mapping)
+                corpus.append((table, mapping, field))
+    return corpus

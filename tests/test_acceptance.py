@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from map_fixtures import random_circle_input, random_real_input
+from map_fixtures import identity_corpus_inputs, random_circle_input
 from oracles import from_int_rows
 from rep_fixtures import (GF5, direct_sum, hom_dim, jordan_module, planted_circle,
                           planted_zigzag, zero_circle)
@@ -26,7 +26,7 @@ from tamebars.homology import betti_numbers, homology, homology_of, induced_map
 from tamebars.invariants import (InvariantBundle, ValuedBar, canonical_check,
                                  compute_invariants, cover_formulas,
                                  fiber_betti_at, global_betti, image_dim_at,
-                                 novikov_betti)
+                                 novikov_betti, quiver_invariants)
 from tamebars.matrix import Mat
 from tamebars.quiver import (CircleRep, decompose_circle, decompose_zigzag, line_rep,
                              summand_module, summand_sort_key, verify_certificate)
@@ -40,19 +40,11 @@ pytestmark = pytest.mark.acceptance
 
 @pytest.fixture(scope="module")
 def identity_corpus():
-    rng = random.Random(20260814)
     t0 = time.monotonic()
     corpus = []
-    for field in (QQ, GF2):
-        for kind in ("real", "circle"):
-            for _ in range(26):
-                if kind == "real":
-                    table, mapping = random_real_input(rng)
-                else:
-                    table, mapping = random_circle_input(rng)
-                    validate_circle_map(table, mapping)
-                assert len(table) <= 200 and table.dim <= 3
-                corpus.append((table, field, compute_invariants(table, mapping, field)))
+    for table, mapping, field in identity_corpus_inputs():
+        assert len(table) <= 200 and table.dim <= 3
+        corpus.append((table, field, quiver_invariants(table, mapping, field)))
     return corpus, time.monotonic() - t0
 
 

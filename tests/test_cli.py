@@ -354,6 +354,35 @@ def test_decompose_integer_entries_accepted(tmp_path, capsys):
     assert json.loads(out)["cells"][0]["eigenvalue"] == "3"
 
 
+# Entry strings at the edge of the integer fast path, with the eigenvalue
+# that a 1x1 cycle with that alpha and beta = 1 has, or None where the
+# entry is refused: what Fraction(str) accepts stays accepted, and nothing
+# else is.
+ODD_ENTRIES = [
+    ("Q", " 1", "1"), ("Q", "1_0", "10"), ("Q", "+3", "3"), ("Q", "\u0663", "3"),
+    ("Q", "1e3", "1000"), ("Q", "-12", "-12"), ("Q", "007", "7"), ("Q", "-07", "-7"),
+    ({"Fp": 7}, "-12", "2"), ({"Fp": 7}, "+3", "3"),
+    ("Q", "0x1", None), ("Q", "", None), ("Q", "-", None), ("Q", "--1", None),
+    ("Q", "1/0", None), ("Q", "9" * 5000, None), ("Q", "-" + "9" * 5000, None),
+]
+
+
+@pytest.mark.parametrize("field, entry, eigenvalue", ODD_ENTRIES,
+                         ids=[f"{f}-{e[:8]!r}" for f, e, _ in ODD_ENTRIES])
+def test_decompose_reads_odd_entry_strings_as_fraction_does(tmp_path, capsys, field,
+                                                           entry, eigenvalue):
+    rep = {"field": field, "shape": "cyclic", "m": 1, "dims": {"1": 1, "2": 1},
+           "arrows": [{"at": 1, "dir": 1, "matrix": [[entry]]},
+                      {"at": 1, "dir": -1, "matrix": [["1"]]}]}
+    code, out, err = run(capsys, "decompose", write(tmp_path, "r.json", rep))
+    if eigenvalue is None:
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "MalformedInput"
+    else:
+        assert code == 0, err
+        assert [c["eigenvalue"] for c in json.loads(out)["cells"]] == [eigenvalue]
+
+
 @pytest.mark.parametrize("doc", [
     {"field": "Q", "shape": "cyclic", "m": 1, "dims": {"1": 1, "2": 1}},
     {"field": "Q", "shape": "spiral", "dims": {}, "arrows": []},
@@ -859,10 +888,11 @@ def test_stability_names_an_epsilon_without_a_draw(tmp_path, capsys):
 ])
 def test_not_tame_names_degree_critical_value_and_slab(tmp_path, capsys, monkeypatch, doc, where):
     # an inclusion-induced map that is zero makes the first arrow non-invertible
-    # (the package re-exports a function named homology, so import the module)
+    # (the package re-exports a function named homology, so import the module);
+    # a real map assembles its representation only under --check
     monkeypatch.setattr(import_module("tamebars.homology"), "induced_map",
                         lambda src, dst: Mat.zeros(dst.field, dst.dim, src.dim))
-    code, out, err = run(capsys, "compute", write(tmp_path, "doc.json", doc))
+    code, out, err = run(capsys, "compute", write(tmp_path, "doc.json", doc), "--check")
     assert (code, out) == (2, "")
     assert json.loads(err) == {
         "ok": False, "error": "NotTame",
@@ -870,7 +900,8 @@ def test_not_tame_names_degree_critical_value_and_slab(tmp_path, capsys, monkeyp
 
 
 def test_decomposition_error_names_its_degree(tmp_path, capsys, monkeypatch):
-    # the certificate gate fails on the second decomposition: degree 1
+    # the certificate gate fails on the second decomposition: degree 1 (a
+    # real map is decomposed only under --check)
     quiver = import_module("tamebars.quiver")
     calls = []
 
@@ -879,7 +910,7 @@ def test_decomposition_error_names_its_degree(tmp_path, capsys, monkeypatch):
         return len(calls) < 2
 
     monkeypatch.setattr(quiver, "verify_certificate", fail_second)
-    code, out, err = run(capsys, "compute", write(tmp_path, "doc.json", HEIGHT_DOC))
+    code, out, err = run(capsys, "compute", write(tmp_path, "doc.json", HEIGHT_DOC), "--check")
     assert (code, out, len(calls)) == (1, "", 2)
     assert json.loads(err) == {"ok": False, "error": "DecompositionError",
                                "detail": "degree 1: certificate verification failed"}
@@ -887,7 +918,8 @@ def test_decomposition_error_names_its_degree(tmp_path, capsys, monkeypatch):
 
 def test_chain_that_does_not_lift_is_a_decomposition_error(tmp_path, capsys, monkeypatch):
     # the walk lifts its chain back with try_solve; a step with no solution
-    # is a typed error that names its degree
+    # is a typed error that names its degree (a real map walks only under
+    # --check)
     try_solve = Mat.try_solve
 
     def no_lift_in_walk(self, B):
@@ -896,7 +928,7 @@ def test_chain_that_does_not_lift_is_a_decomposition_error(tmp_path, capsys, mon
         return try_solve(self, B)
 
     monkeypatch.setattr(Mat, "try_solve", no_lift_in_walk)
-    code, out, err = run(capsys, "compute", write(tmp_path, "doc.json", HEIGHT_DOC))
+    code, out, err = run(capsys, "compute", write(tmp_path, "doc.json", HEIGHT_DOC), "--check")
     assert (code, out) == (1, "")
     assert json.loads(err) == {"ok": False, "error": "DecompositionError",
                                "detail": "degree 0: chain does not lift back along the walk"}

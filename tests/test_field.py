@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from tamebars.field import GF2, QQ, FieldError, PrimeField, field_from_spec
+from kernel_oracles import trial_division_is_prime
+from tamebars.field import (GF2, MAX_PRIME, QQ, FieldError, PrimeField, _is_prime,
+                            _strong_probable_prime, field_from_spec)
+
+# the strong pseudoprimes to bases 2, 3 and 5 below 2**31
+PSEUDOPRIMES_235 = [25326001, 161304001, 960946321, 1157839381]
 
 
 def test_rational_basics():
@@ -63,3 +68,18 @@ def test_field_from_spec_round_trip():
         field_from_spec({"Fp": "7"})
     with pytest.raises(FieldError):
         field_from_spec("R")
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(200_000):
+        assert _is_prime(n) == trial_division_is_prime(n), n
+    for n in [MAX_PRIME - 1, MAX_PRIME - 3, *PSEUDOPRIMES_235]:
+        assert _is_prime(n) == trial_division_is_prime(n), n
+    assert _is_prime(MAX_PRIME - 1) and not _is_prime(MAX_PRIME - 3)
+
+
+def test_base_seven_rejects_the_pseudoprimes_to_two_three_and_five():
+    for n in PSEUDOPRIMES_235:
+        assert all(_strong_probable_prime(n, a) for a in (2, 3, 5)), n
+        assert not _strong_probable_prime(n, 7), n
+        assert not _is_prime(n)

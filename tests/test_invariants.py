@@ -20,6 +20,7 @@ from tamebars.invariants import (BeyondFloatRange, Configuration, IndexOutOfRang
                                  _meets, bundle_to_json,
                                  canonical_check, canonical_matrix,
                                  compute_invariants, configuration,
+                                 quiver_invariants,
                                  convert_bars, cover_formulas, cylinder_embed,
                                  fiber_betti_at, global_betti,
                                  image_dim_at, monodromy_assemble,
@@ -74,10 +75,20 @@ def test_convert_rejects_bad_index():
 # -- height on the hollow triangle ------------------------------------------------
 
 
+def _height():
+    t = SimplexTable(["a", "b", "c"], [(0, 1), (0, 2), (1, 2)])
+    return t, RealMap([F(0), F(1), F(1)])
+
+
 @pytest.fixture
 def height_bundle():
-    t = SimplexTable(["a", "b", "c"], [(0, 1), (0, 2), (1, 2)])
-    return compute_invariants(t, RealMap([F(0), F(1), F(1)]), QQ)
+    return compute_invariants(*_height(), QQ)
+
+
+@pytest.fixture
+def height_cut():
+    """The cut that the quiver pipeline builds for the same map."""
+    return quiver_invariants(*_height(), QQ).cut
 
 
 def test_height_bars(height_bundle):
@@ -87,11 +98,11 @@ def test_height_bars(height_bundle):
     assert b.degree_bars(1) == []
 
 
-def test_height_fiber_betti_matches_direct(height_bundle):
+def test_height_fiber_betti_matches_direct(height_bundle, height_cut):
     b = height_bundle
     assert fiber_betti_at(b, 0, F(1, 2)) == 2
     for level in b.crit.criticals + b.crit.regulars:
-        direct = homology(fiber(b.cut, level), 0, QQ).dim
+        direct = homology(fiber(height_cut, level), 0, QQ).dim
         assert fiber_betti_at(b, 0, level) == direct
 
 
@@ -101,12 +112,12 @@ def test_height_global_betti(height_bundle):
     assert global_betti(height_bundle, 2) == 0
 
 
-def test_height_image_dims(height_bundle):
+def test_height_image_dims(height_bundle, height_cut):
     b = height_bundle
     assert image_dim_at(b, 0, F(1, 2)) == 1
     assert image_dim_at(b, 0, F(5)) == 0
-    whole = homology_of(b.cut.table, None, 0, QQ)
-    at_half = homology(fiber(b.cut, F(1, 2)), 0, QQ)
+    whole = homology_of(height_cut.table, None, 0, QQ)
+    at_half = homology(fiber(height_cut, F(1, 2)), 0, QQ)
     assert induced_map(at_half, whole).rank() == 1
 
 
@@ -400,7 +411,7 @@ def test_real_map_rep_is_cut_open_at_a_zero_x1():
     # canonical_matrix takes a real map's representation as it is: the empty
     # fibers below and above the line are the one zero vertex x_1
     t = SimplexTable(["a", "b"], [(0, 1)])
-    bundle = compute_invariants(t, RealMap([F(0), F(1)]), QQ)
+    bundle = quiver_invariants(t, RealMap([F(0), F(1)]), QQ)
     rep = bundle.reps[0]
     assert rep.m == 2 and rep.dims[1] == 0
     assert rep.alpha(1).ncols == 0 and rep.beta(2).ncols == 0
@@ -438,7 +449,7 @@ def test_random_real_identities(field):
     rng = random.Random(311 + 17 * len(str(field.to_spec())))
     for _ in range(5):
         table, rmap = random_real_input(rng)
-        bundle = compute_invariants(table, rmap, field)
+        bundle = quiver_invariants(table, rmap, field)
         _check_theorem_identities(table, bundle, field)
 
 

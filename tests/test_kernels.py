@@ -26,7 +26,7 @@ from tamebars.canonical import (characteristic_polynomial, jordan_block, poly_mu
 from tamebars.complexes import RealMap, SimplexTable
 from tamebars.field import GF2, QQ, PrimeField
 from tamebars.homology import _Reducer
-from tamebars.invariants import compute_invariants
+from tamebars.invariants import quiver_invariants
 from tamebars.matrix import Mat, block_diag
 from tamebars.quiver import decompose_circle, decompose_zigzag
 
@@ -288,7 +288,7 @@ def _rref_inputs(monkeypatch, run) -> list:
 def _compute_square():
     table, mapping = _square_map(5)
     for field in (QQ, BIG):
-        compute_invariants(table, mapping, field)
+        quiver_invariants(table, mapping, field)
 
 
 @pytest.mark.parametrize("run", [_decompose_planted, _compute_square],

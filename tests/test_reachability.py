@@ -62,9 +62,10 @@ NEGATIVE_LINE_REP = {"field": "Q", "shape": "line", "lo": -2, "hi": 1,
 Q_REP = {"field": "Q", "shape": "cyclic", "m": 1, "dims": {"1": 2, "2": 2},
          "arrows": [{"at": 1, "dir": 1, "matrix": [[0, "14/2"], [1, 0]]},
                     {"at": 1, "dir": -1, "matrix": [[1, 0], [0, 1]]}]}
-# monodromy t^2 + 1 over F5, which splits there
+# monodromy t^2 + 1 over F5, which splits there; "-3/3" is read as a
+# fraction, not as an integer
 F5_REP = {"field": {"Fp": 5}, "shape": "cyclic", "m": 1, "dims": {"1": 2, "2": 2},
-          "arrows": [{"at": 1, "dir": 1, "matrix": [[0, "-1"], [1, 0]]},
+          "arrows": [{"at": 1, "dir": 1, "matrix": [[0, "-3/3"], [1, 0]]},
                      {"at": 1, "dir": -1, "matrix": [[1, 0], [0, 1]]}]}
 
 
@@ -102,7 +103,7 @@ def _corpus(tmp_path):
         ["cover", circle, "--window", "-1/2"],
         ["compute", real, "--check", "--out", real_out],
         ["compute", circle, "--check", "--out", circle_out],
-        ["compute", real, "--field", "F7", "--degrees", "0"],
+        ["compute", real, "--field", "F11", "--degrees", "0"],
         ["render", real_out, "--degree", "1"],
         ["render", circle_out, "--degree", "1"],
         ["render", circle_out, "--degree", "1", "--json"],
