@@ -34,6 +34,7 @@ from .invariants import (
     IndexOutOfRange,
     bundle_to_json,
     canonical_check,
+    cell_to_json,
     compute_invariants,
     cover_formulas,
     cylinder_embed,
@@ -423,14 +424,7 @@ def cmd_decompose(args) -> Tuple[int, str]:
         "certified": verify_certificate(rep, summands, cert),
     }
     if s is None:
-        fld = rep.field
-        out["cells"] = [
-            {"poly": [fld.to_str(c) for c in cell.poly],
-             "size": cell.size,
-             "dim": cell.dim(),
-             "eigenvalue": (fld.to_str(cell.eigenvalue_in(fld))
-                            if cell.is_linear() else None)}
-            for cell in cells]
+        out["cells"] = [dict(cell_to_json(rep.field, cell), dim=cell.dim()) for cell in cells]
     return 0, _dumps(out)
 
 
@@ -445,86 +439,72 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
-def _svg_header(parts: List[str], size: int) -> None:
-    parts.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-                 f'height="{size}" viewBox="0 0 {size} {size}">')
-    parts.append(f'<rect width="{size}" height="{size}" fill="white"/>')
-
-
-def _render_plane(points, degree: int) -> str:
+def _render_svg(points, degree: int, circular: bool) -> str:
+    """One degree's configuration as SVG: the plane with the diagonal for a
+    real target, the punctured-plane chart of the cylinder for a circle."""
     size, margin = 420, 50
-    coords = [to_float(c) for p in points for c in p]
-    lo, hi = (min(coords), max(coords)) if coords else (0.0, 1.0)
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    pad = (hi - lo) * 0.08
-    lo, hi = lo - pad, hi + pad
-    span = hi - lo
-    if not math.isfinite(span):
-        raise BeyondFloatRange("the configuration spans more than float range")
     inner = size - 2 * margin
+    if circular:
+        embedded = [cylinder_embed(p) for p in points]
+        radius = max([1.0] + [abs(z) for z in embedded]) * 1.25
+        if not math.isfinite(radius):
+            raise BeyondFloatRange("a configuration point is too far out for the cylinder chart")
 
-    def sx(v: float) -> float:
-        return margin + (v - lo) / span * inner
+        def sx(v: float) -> float:
+            return size / 2 + v / radius * inner / 2
 
-    def sy(v: float) -> float:
-        return size - margin - (v - lo) / span * inner
+        def sy(v: float) -> float:
+            return size / 2 - v / radius * inner / 2
 
-    parts: List[str] = []
-    _svg_header(parts, size)
-    parts.append(f'<text x="{size // 2}" y="24" text-anchor="middle" '
-                 f'font-size="14">degree {degree} configuration</text>')
-    ax = (f'<line x1="{margin}" y1="{size - margin}" x2="{size - margin}" '
-          f'y2="{size - margin}" stroke="black"/>'
-          f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-          f'y2="{size - margin}" stroke="black"/>')
-    parts.append(ax)
-    for v in (lo, hi):
-        parts.append(f'<text x="{_fmt(sx(float(v)))}" y="{size - margin + 18}" '
-                     f'text-anchor="middle" font-size="11">{_fmt(float(v))}</text>')
-        parts.append(f'<text x="{margin - 6}" y="{_fmt(sy(float(v)) + 4)}" '
-                     f'text-anchor="end" font-size="11">{_fmt(float(v))}</text>')
-    parts.append(f'<line x1="{_fmt(sx(lo))}" y1="{_fmt(sy(lo))}" '
-                 f'x2="{_fmt(sx(hi))}" y2="{_fmt(sy(hi))}" '
-                 f'stroke="gray" stroke-dasharray="5,4"/>')
-    for x, y in points:
-        color = _BLUE if y >= x else _RED
-        parts.append(f'<circle cx="{_fmt(sx(float(x)))}" cy="{_fmt(sy(float(y)))}" '
-                     f'r="5" fill="{color}">'
-                     f'<title>({_fmt(float(x))}, {_fmt(float(y))})</title></circle>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def _render_cylinder(points, degree: int) -> str:
-    size, margin = 420, 50
-    embedded = [(p, cylinder_embed(p)) for p in points]
-    radius = max([1.0] + [abs(z) for _, z in embedded]) * 1.25
-    if not math.isfinite(radius):
-        raise BeyondFloatRange("a configuration point is too far out for the cylinder chart")
-    inner = size - 2 * margin
-
-    def sx(v: float) -> float:
-        return size / 2 + v / radius * inner / 2
-
-    def sy(v: float) -> float:
-        return size / 2 - v / radius * inner / 2
-
-    parts: List[str] = []
-    _svg_header(parts, size)
-    parts.append(f'<text x="{size // 2}" y="24" text-anchor="middle" '
-                 f'font-size="14">degree {degree} configuration '
-                 f'(punctured-plane chart)</text>')
-    parts.append(f'<line x1="{margin}" y1="{size // 2}" x2="{size - margin}" '
-                 f'y2="{size // 2}" stroke="black"/>')
-    parts.append(f'<line x1="{size // 2}" y1="{margin}" x2="{size // 2}" '
-                 f'y2="{size - margin}" stroke="black"/>')
-    parts.append(f'<circle cx="{size // 2}" cy="{size // 2}" '
+        title = f"degree {degree} configuration (punctured-plane chart)"
+        chart = [f'<line x1="{margin}" y1="{size // 2}" x2="{size - margin}" '
+                 f'y2="{size // 2}" stroke="black"/>',
+                 f'<line x1="{size // 2}" y1="{margin}" x2="{size // 2}" '
+                 f'y2="{size - margin}" stroke="black"/>',
+                 f'<circle cx="{size // 2}" cy="{size // 2}" '
                  f'r="{_fmt(inner / 2 / radius)}" fill="none" stroke="gray" '
-                 f'stroke-dasharray="5,4"/>')
-    for (x, y), z in embedded:
+                 f'stroke-dasharray="5,4"/>']
+        at = [(z.real, z.imag) for z in embedded]
+    else:
+        coords = [to_float(c) for p in points for c in p]
+        lo, hi = (min(coords), max(coords)) if coords else (0.0, 1.0)
+        if lo == hi:
+            lo, hi = lo - 0.5, hi + 0.5
+        pad = (hi - lo) * 0.08
+        lo, hi = lo - pad, hi + pad
+        span = hi - lo
+        if not math.isfinite(span):
+            raise BeyondFloatRange("the configuration spans more than float range")
+
+        def sx(v: float) -> float:
+            return margin + (v - lo) / span * inner
+
+        def sy(v: float) -> float:
+            return size - margin - (v - lo) / span * inner
+
+        title = f"degree {degree} configuration"
+        chart = [f'<line x1="{margin}" y1="{size - margin}" x2="{size - margin}" '
+                 f'y2="{size - margin}" stroke="black"/>'
+                 f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
+                 f'y2="{size - margin}" stroke="black"/>']
+        for v in (lo, hi):
+            chart.append(f'<text x="{_fmt(sx(v))}" y="{size - margin + 18}" '
+                         f'text-anchor="middle" font-size="11">{_fmt(v)}</text>')
+            chart.append(f'<text x="{margin - 6}" y="{_fmt(sy(v) + 4)}" '
+                         f'text-anchor="end" font-size="11">{_fmt(v)}</text>')
+        chart.append(f'<line x1="{_fmt(sx(lo))}" y1="{_fmt(sy(lo))}" '
+                     f'x2="{_fmt(sx(hi))}" y2="{_fmt(sy(hi))}" '
+                     f'stroke="gray" stroke-dasharray="5,4"/>')
+        at = [(float(x), float(y)) for x, y in points]
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+             f'height="{size}" viewBox="0 0 {size} {size}">',
+             f'<rect width="{size}" height="{size}" fill="white"/>',
+             f'<text x="{size // 2}" y="24" text-anchor="middle" '
+             f'font-size="14">{title}</text>'] + chart
+    for (x, y), (u, v) in zip(points, at):
         color = _BLUE if y >= x else _RED
-        parts.append(f'<circle cx="{_fmt(sx(z.real))}" cy="{_fmt(sy(z.imag))}" '
+        parts.append(f'<circle cx="{_fmt(sx(u))}" cy="{_fmt(sy(v))}" '
                      f'r="5" fill="{color}">'
                      f'<title>({_fmt(float(x))}, {_fmt(float(y))})</title></circle>')
     parts.append("</svg>")
@@ -558,9 +538,7 @@ def cmd_render(args) -> Tuple[int, str]:
                 z = cylinder_embed(p)
                 rec["embedded"] = [z.real, z.imag]
         return 0, _dumps(payload)
-    if circular:
-        return 0, _render_cylinder(points, args.degree)
-    return 0, _render_plane(points, args.degree)
+    return 0, _render_svg(points, args.degree, circular)
 
 
 # -- cover and stability -----------------------------------------------------------

@@ -14,6 +14,8 @@ discrete 1-cocycle that makes each simplex liftable to the line.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
@@ -194,9 +196,18 @@ class LoadedInput:
         return self.real_map if self.target == "R" else self.circle_map
 
 
+# the exponent of a decimal literal, as Fraction reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _parse_fraction(text) -> Fraction:
     if isinstance(text, str):
+        # Fraction builds 10**exponent: an exponent past the digit limit
+        # that int() puts on literals would run for minutes
+        exp = _EXPONENT.search(text)
         try:
+            if exp and abs(int(exp[1])) > sys.int_info.default_max_str_digits:
+                raise ValueError(f"exponent beyond {sys.int_info.default_max_str_digits}")
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as e:
             raise MalformedInput(f"bad fraction {text!r}: {e}") from None

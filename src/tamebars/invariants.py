@@ -389,6 +389,15 @@ def canonical_check(bundle: InvariantBundle, r: int, beta_direct: int) -> bool:
 # -- lookups and serialization-----------------------------------------------------
 
 
+def cell_to_json(field: Field, cell: Cell) -> dict:
+    """A Jordan cell as JSON: its polynomial's coefficients, its size and,
+    for a linear polynomial, its eigenvalue."""
+    return {"poly": [field.to_str(c) for c in cell.poly],
+            "size": cell.size,
+            "eigenvalue": (field.to_str(cell.eigenvalue_in(field))
+                           if cell.is_linear() else None)}
+
+
 def bundle_to_json(bundle: InvariantBundle) -> dict:
     """JSON-ready dict: exact ends as fraction strings, cells as polynomial
     coefficients, floats only in the configuration polynomials."""
@@ -412,12 +421,7 @@ def bundle_to_json(bundle: InvariantBundle) -> dict:
         if bundle.circular:
             cells_r = bundle.degree_cells(r)
             dim, T = monodromy_assemble(fld, cells_r)
-            entry["jordan_cells"] = [
-                {"poly": [fld.to_str(c) for c in cell.poly],
-                 "size": cell.size,
-                 "eigenvalue": (fld.to_str(cell.eigenvalue_in(fld))
-                                if cell.is_linear() else None)}
-                for cell in cells_r]
+            entry["jordan_cells"] = [cell_to_json(fld, cell) for cell in cells_r]
             entry["monodromy"] = {
                 "dim": dim,
                 "matrix": [[fld.to_str(e) for e in row] for row in T.rows]}

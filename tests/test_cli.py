@@ -357,13 +357,14 @@ def test_decompose_integer_entries_accepted(tmp_path, capsys):
 # Entry strings at the edge of the integer fast path, with the eigenvalue
 # that a 1x1 cycle with that alpha and beta = 1 has, or None where the
 # entry is refused: what Fraction(str) accepts stays accepted, and nothing
-# else is.
+# else is, nor an exponent past 4300.
 ODD_ENTRIES = [
     ("Q", " 1", "1"), ("Q", "1_0", "10"), ("Q", "+3", "3"), ("Q", "\u0663", "3"),
     ("Q", "1e3", "1000"), ("Q", "-12", "-12"), ("Q", "007", "7"), ("Q", "-07", "-7"),
     ({"Fp": 7}, "-12", "2"), ({"Fp": 7}, "+3", "3"),
     ("Q", "0x1", None), ("Q", "", None), ("Q", "-", None), ("Q", "--1", None),
     ("Q", "1/0", None), ("Q", "9" * 5000, None), ("Q", "-" + "9" * 5000, None),
+    ("Q", "1e4301", None), ("Q", "-1E-4301", None),
 ]
 
 
@@ -803,6 +804,32 @@ def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, argv):
     fp.write_text(json.dumps(_with(HEIGHT_DOC, field={"Fp": 0})).replace('"Fp": 0', '"Fp": ' + long))
     got = run(capsys, *[a.format(w=w, fp=fp) for a in argv])
     assert _error_of(*got) == (2, "MalformedInput")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "{value}"], ["decompose", "{entry}"], ["render", "{point}", "--degree", "0"],
+    ["cover", "{circle}", "--window", "0", "1e99999999"],
+    ["stability", "{real}", "--schedule", "1e-99999999"],
+], ids=["compute", "decompose", "render", "cover", "stability"])
+def test_exponent_past_the_digit_limit_exits_2(tmp_path, argv):
+    # Fraction builds 10**exponent, which for these exponents would not
+    # finish in minutes; a fresh process with a timeout bounds the run
+    docs = {
+        "value": _with(HEIGHT_DOC, vertices=[{"id": "a", "value": "1e-99999999"}]
+                       + HEIGHT_DOC["vertices"][1:]),
+        "entry": _with(EQ2_REP, arrows=[{"at": 1, "dir": 1, "matrix": [["1e99999999"]]},
+                                        {"at": 1, "dir": -1, "matrix": [["1"]]}]),
+        "point": {"degrees": {"0": {"configuration": [["1e99999999", "1"]]}}},
+        "circle": WRAP_DOC, "real": HEIGHT_DOC,
+    }
+    paths = {key: write(tmp_path, key + ".json", doc) for key, doc in docs.items()}
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "tamebars.cli",
+                           *[a.format(**paths) for a in argv]],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    err = json.loads(done.stderr)
+    assert err["error"] == "MalformedInput" and "exponent" in err["detail"]
 
 
 # -- stability ---------------------------------------------------------------------

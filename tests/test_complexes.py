@@ -184,6 +184,23 @@ def test_load_real_document():
     assert len(inp.table) == 5
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1e4300", F(10) ** 4300), ("1e-4300", F(1, 10 ** 4300)),
+    ("-1.5E+4299", F(-15) * 10 ** 4298), ("1e0_4300", F(10) ** 4300),
+    ("1e4301", None), ("-1E-4301", None), ("1e" + "9" * 5000, None),
+], ids=["e4300", "e-4300", "E+4299", "e0_4300", "e4301", "E-4301", "e9x5000"])
+def test_load_document_bounds_the_exponent_of_a_value(text, value):
+    # Fraction builds 10**exponent: past 4300, the digit limit of int(), the
+    # value is refused before that power is built
+    doc = {"field": "Q", "target": "R", "vertices": [{"id": "a", "value": text}],
+           "simplices": [["a"]]}
+    if value is None:
+        with pytest.raises(MalformedInput):
+            load_document(doc)
+    else:
+        assert load_document(doc).real_map.values == [value]
+
+
 def test_load_circle_document():
     doc = {
         "field": {"Fp": 5},

@@ -9,6 +9,7 @@ a name shared with another definition cannot hide one that never runs.
 """
 
 import ast
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -150,3 +151,35 @@ def test_every_function_is_entered_by_the_cli(tmp_path, capsys):
                 missed.add(f"{path.name} {name}")
     assert ALLOWED <= defined
     assert sorted(missed - ALLOWED) == []
+
+
+# sha256 of `render` on the two map documents above, as SVG and as JSON.
+# REAL draws the plane chart; CIRCLE draws the cylinder's punctured-plane
+# chart, with two points in degree 1 and none in degree 0.
+RENDER_SHA256 = {
+    ("real", 0, "--svg"): "317325824c68ccdb9f2d03f4776e3dd893bd394c89c87531da2e9f5da1e04272",
+    ("real", 0, "--json"): "adfc0c90b97ec7ab356d397c480a06123d86f8b027ff25e27a00e693958da9cd",
+    ("real", 1, "--svg"): "24bc48b835b95d183a22478333ce49225eb2d3919df270533a48025942845c0f",
+    ("real", 1, "--json"): "962994fced644ae32a0b116d20502e74c9bc53b77f35b80cbd0d6920155fdf05",
+    ("circle", 0, "--svg"): "caf0d24d38da4181dfb50e4f6ff644ec0310edba565b93e98b8d31738ac7f487",
+    ("circle", 0, "--json"): "b91afec5cfd2c21c4910fa1b526f467f12c9df203f39e40836f08466ef62a053",
+    ("circle", 1, "--svg"): "5db87eff45fabf09c1669eff669ea4f25197ee77d3839d04a86a629b44e46f8d",
+    ("circle", 1, "--json"): "1793195a731cab781f80814223cba00c4f8fea26d5b0fcef052dbd9252b47f9e",
+}
+
+
+def test_render_output_is_pinned(tmp_path, capsys):
+    got, sizes = {}, {}
+    for name, doc in (("real", REAL), ("circle", CIRCLE)):
+        src, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out.json"
+        src.write_text(json.dumps(doc))
+        assert main(["compute", str(src), "--out", str(out)]) == 0
+        degrees = json.loads(out.read_text())["degrees"]
+        for degree in (0, 1):
+            sizes[(name, degree)] = len(degrees[str(degree)]["configuration"])
+            for fmt in ("--svg", "--json"):
+                assert main(["render", str(out), "--degree", str(degree), fmt]) == 0
+                text = capsys.readouterr().out
+                got[(name, degree, fmt)] = hashlib.sha256(text.encode()).hexdigest()
+    assert sizes == {("real", 0): 1, ("real", 1): 2, ("circle", 0): 0, ("circle", 1): 2}
+    assert got == RENDER_SHA256

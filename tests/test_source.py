@@ -1,11 +1,16 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import tamebars
 
 SRC = Path(tamebars.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_no_assert_statements():
@@ -20,8 +25,7 @@ def test_no_assert_statements():
 
 def test_every_definition_is_used_by_the_package():
     # src/ holds what the pipeline and the CLI run; helpers that only tests
-    # call live in tests/.  A name counts as used when a module other than
-    # __init__ (which only re-exports) names it.
+    # call live in tests/.  A name counts as used when some module names it.
     defined, used = {}, set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -29,11 +33,10 @@ def test_every_definition_is_used_by_the_package():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            elif path.name != "__init__.py":
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
     assert sorted(f"{where} {name}" for name, where in defined.items() if name not in used) == []
 
 
@@ -49,11 +52,8 @@ def _imports(tree):
 
 
 def test_every_import_is_used():
-    # __init__ imports only to re-export
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for line, name, _ in _imports(tree)
@@ -125,3 +125,31 @@ def test_matrix_entries_are_read_in_three_places():
         found += [f"{path.name}:{line} {where} .{attr}" for line, where, attr in _entry_reads(tree)
                   if attr == "matvec" or where not in ENTRY_READERS]
     assert found == []
+
+
+def test_the_package_root_loads_no_module():
+    # the root re-exports nothing: importing one module loads that module
+    # and what it imports, and no other module of the package
+    script = ("import sys, tamebars.complexes\n"
+              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tamebars'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["tamebars", "tamebars.complexes", "tamebars.field"]
+
+
+def test_readme_quick_start_runs():
+    # the python block under "Quick start": it runs as written, and each
+    # line commented ``# value : why`` evaluates to that value
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## Quick start.*?^```python\n(.*?)^```", text, re.M | re.S)
+    assert block is not None
+    code = block.group(1)
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    from tamebars.canonical import Cell
+    claims = re.findall(r"^(\S.*?)\s+# (.+?) : ", code, re.M)
+    assert len(claims) == 5
+    for expr, want in claims:
+        assert eval(expr, namespace) == eval(want, {"Cell": Cell}), expr
