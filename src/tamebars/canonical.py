@@ -81,8 +81,6 @@ def poly_divmod(field: Field, a: Poly, b: Poly) -> Tuple[Poly, Poly]:
     q = [field.zero] * max(len(a) - len(b) + 1, 0)
     inv_lead = field.inv(b[-1])
     for i in range(len(a) - len(b), -1, -1):
-        if len(r) < len(b) + i:
-            continue
         c = field.mul(r[len(b) + i - 1], inv_lead)
         if c == field.zero:
             continue

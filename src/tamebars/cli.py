@@ -25,7 +25,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import CocycleViolation, MalformedInput, _parse_fraction, load_document
+from .complexes import MAX_DIGITS, CocycleViolation, MalformedInput, _parse_fraction, load_document
 from .cutting import LevelNotCut, fiber, unroll_cover
 from .field import FieldError, PrimeField, field_from_spec
 from .homology import NotTame, betti_numbers, homology, homology_of, induced_map
@@ -111,31 +111,32 @@ def _unique_keys(pairs):
 
 def _digits(text: str) -> Optional[int]:
     """The number that a string of ASCII digits spells, or None for any
-    other text and for one past int()'s digit limit."""
-    if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:
-            pass
+    other text and for one of more than MAX_DIGITS digits."""
+    if text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS:
+        return int(text)
     return None
+
+
+def _signed_digits(text: str) -> Optional[int]:
+    """The integer that ASCII digits after an optional minus spell, or None."""
+    n = _digits(text.removeprefix("-"))
+    return -n if n is not None and text[:1] == "-" else n
 
 
 def _int_option(text: str) -> int:
     """An integer option value: ASCII digits after an optional minus.
     argparse's ``type=int`` would also read other scripts' digits, a plus,
     underscores and spaces."""
-    sign = -1 if text[:1] == "-" else 1
-    n = _digits(text[1:] if sign < 0 else text)
+    n = _signed_digits(text)
     if n is None:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return sign * n
+    return n
 
 
 def _json_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise MalformedInput(f"integer literal of {len(text)} characters is too long") from None
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise MalformedInput(f"integer literal of {len(text)} characters is too long")
+    return int(text)
 
 
 def _read_json(path: str):
@@ -178,8 +179,6 @@ def _parse_degrees(text: str, rmax: int) -> List[int]:
         if r is None:
             raise MalformedInput(f"bad degree {tok!r}")
         out.append(_check_degree(r, rmax))
-    if not out:
-        raise MalformedInput("empty degree list")
     return sorted(set(out))
 
 
@@ -197,11 +196,8 @@ def cmd_validate(args) -> Tuple[int, str]:
         doc = _read_doc(args.input, args.field)
         loaded = load_document(doc)
     except CocycleViolation as e:
-        report = {"ok": False, "error": type(e).__name__, "detail": str(e)}
-        try:
-            report["triangle"] = [doc["vertices"][p]["id"] for p in e.triangle]
-        except Exception:
-            pass
+        report = {"ok": False, "error": type(e).__name__, "detail": str(e),
+                  "triangle": [doc["vertices"][p]["id"] for p in e.triangle]}
         return 2, _dumps(report)
     except (MalformedInput, FieldError, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as e:
@@ -297,7 +293,7 @@ def cmd_compute(args) -> Tuple[int, str]:
 def _mat_from_json(field, rows, nrows: int, ncols: int, where: str) -> Mat:
     # an entry of ASCII digits after an optional minus is read with int(),
     # and over Q kept an int (Mat reads ints as field scalars); any other
-    # string, one past int()'s digit limit too, takes the Fraction parser
+    # string, one of more than MAX_DIGITS digits too, takes the Fraction parser
     from_int = field.from_int if isinstance(field, PrimeField) else int
     if not isinstance(rows, list) or len(rows) != nrows:
         raise MalformedInput(f"arrow {where}: expected {nrows} rows")
@@ -311,10 +307,9 @@ def _mat_from_json(field, rows, nrows: int, ncols: int, where: str) -> Mat:
                 out.append(from_int(e))
                 continue
             if isinstance(e, str):
-                neg = e[:1] == "-"
-                n = _digits(e[1:] if neg else e)
+                n = _signed_digits(e)
                 if n is not None:
-                    out.append(from_int(-n if neg else n))
+                    out.append(from_int(n))
                     continue
             try:
                 out.append(field.from_fraction(_parse_fraction(e)))
@@ -344,12 +339,9 @@ def rep_from_json(doc):
         raise MalformedInput("dims must map vertices to dimensions")
     dims: Dict[int, int] = {}
     for k, v in doc["dims"].items():
-        try:
-            x = int(k)
-        except (TypeError, ValueError):
-            x = None
+        x = _signed_digits(k)
         # one spelling per vertex, so no two keys name the same one:
-        # "02", "+2", " 2" and "0_2" are refused
+        # "02", "+2", " 2", "0_2" and "-0" are refused
         if x is None or str(x) != k:
             raise MalformedInput(f"dims key {k!r} is not a vertex number")
         if not _is_int(v):
@@ -653,6 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # every reader bounds the digits it reads by MAX_DIGITS, so int()'s own
+    # limit is lifted while a command runs: it may write any exact value
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         code, text = args.func(args)
@@ -671,6 +667,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(_dumps({"ok": False, "error": type(e).__name__,
                                  "detail": str(e)}))
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
     if not args.out:
         sys.stdout.write(text)
     return code

@@ -111,15 +111,6 @@ class CircleMap:
             return self.windings.get((u, v), 0)
         return -self.windings.get((v, u), 0)
 
-    def delta(self, u: int, v: int) -> Fraction:
-        """Lift displacement along the edge from u to v."""
-        return self.angles[v] - self.angles[u] + self.winding(u, v)
-
-    def lift(self, s: Simplex) -> List[Fraction]:
-        """Lift values at the vertices of s, based at its first vertex."""
-        base = self.angles[s[0]]
-        return [base + self.delta(s[0], v) for v in s]
-
 
 def validate_circle_map(table: SimplexTable, cmap: CircleMap) -> None:
     """Check angles, winding keys, and the cocycle condition on triangles."""
@@ -196,18 +187,27 @@ class LoadedInput:
         return self.real_map if self.target == "R" else self.circle_map
 
 
-# the exponent of a decimal literal, as Fraction reads it
+# the most digits that int() reads by default; the CLI lifts int()'s own
+# limit so that it can write any exact value, so each reader keeps this one
+MAX_DIGITS = sys.int_info.default_max_str_digits
+
+# the exponent of a decimal literal, as Fraction reads it, and a run of
+# digits, as int() counts them
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
 
 
 def _parse_fraction(text) -> Fraction:
     if isinstance(text, str):
         # Fraction builds 10**exponent: an exponent past the digit limit
-        # that int() puts on literals would run for minutes
+        # would run for minutes
         exp = _EXPONENT.search(text)
         try:
-            if exp and abs(int(exp[1])) > sys.int_info.default_max_str_digits:
-                raise ValueError(f"exponent beyond {sys.int_info.default_max_str_digits}")
+            if len(text) > MAX_DIGITS and any(len(run) - run.count("_") > MAX_DIGITS
+                                              for run in _DIGIT_RUN.findall(text)):
+                raise ValueError(f"more than {MAX_DIGITS} digits in a row")
+            if exp and abs(int(exp[1])) > MAX_DIGITS:
+                raise ValueError(f"exponent beyond {MAX_DIGITS}")
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as e:
             raise MalformedInput(f"bad fraction {text!r}: {e}") from None

@@ -8,9 +8,11 @@ over the facets avoiding it).  Pulling triangulations restrict to pulling
 triangulations on faces, so pieces of shared faces subdivide consistently and
 the union over all simplices is again a simplicial complex.
 
-Circle-valued maps are cut per simplex through the lift given by the winding
-cocycle; every integer translate of every level that crosses the lift window
-is cut, and the refined complex carries a refined winding cocycle.
+Circle-valued maps are cut per simplex through its lift, which the windings
+fix: based at the first vertex u, each vertex v sits at its angle plus the
+winding from u to v.  Every integer translate of every level that crosses the
+lift window is cut, and the refined complex carries a refined winding
+cocycle.  The cut and the cover validate the circle map they are given.
 
 The triangulation runs on integer ranks and positions.  A value's rank is
 2k+1 on the k-th cut level and 2k strictly between levels k-1 and k, and a
@@ -32,27 +34,23 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import CircleMap, RealMap, Simplex, SimplexTable
+from .complexes import (CircleMap, MalformedInput, RealMap, Simplex, SimplexTable,
+                        validate_circle_map)
+
+# the most cut points a cut, or lifted simplices a cover window, may have: a
+# winding of w turns asks for about w of them, and a 12x12 torus with 60
+# angles, the largest circle input the package is timed on, has 18,561
+CUT_LIMIT = 200_000
 
 
 class LevelNotCut(ValueError):
     """Raised when a fiber or slab is requested at a level that was not cut."""
 
 
-class CutInconsistency(RuntimeError):
-    """Internal failure while cutting or unrolling (indicates a bug)."""
-
-
 def _turns(f: CircleMap, sigma: Simplex) -> List[int]:
-    """Whole turns that the lift of sigma adds to the angle of each vertex."""
-    turns = []
-    for v, g in zip(sigma, f.lift(sigma)):
-        t = g - f.angles[v]
-        if t.denominator != 1:
-            raise CutInconsistency(
-                f"lift of {sigma} is not an integer shift of its angles at vertex {v}")
-        turns.append(int(t))
-    return turns
+    """Whole turns that the lift of sigma, based at its first vertex, adds to
+    the angle of each vertex: the winding from that vertex."""
+    return [f.winding(sigma[0], v) for v in sigma]
 
 
 def _piece(tau: Tuple[int, ...], lo: Optional[int], hi: Optional[int], ctx) -> Tuple[int, ...]:
@@ -207,6 +205,7 @@ class CutComplex:
 def cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> CutComplex:
     circular = isinstance(f, CircleMap)
     if circular:
+        validate_circle_map(table, f)
         classes = sorted({Fraction(c) % 1 for c in levels})
         if not classes:
             raise ValueError("circle cutting needs at least one level")
@@ -217,20 +216,17 @@ def cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> CutComp
     base = f.angles if circular else f.values
     rank = [index.rank(x) for x in base]
 
-    # the lift of each simplex as whole turns and ranks per vertex; every lift
-    # must wind along an edge as the edge's own lift does (edges come first)
-    lifts = []
-    along: Dict[Tuple[int, int], int] = {}
+    # the lift of each simplex as whole turns and ranks per vertex, and the
+    # number of cut points: the odd ranks strictly inside each edge's lift
+    lifts, ncut = [], 0
     for sigma in table.simplices:
         turns = _turns(f, sigma) if circular else [0] * len(sigma)
-        for i in range(len(sigma) if circular else 0):
-            for j in range(i + 1, len(sigma)):
-                w, edge = turns[j] - turns[i], (sigma[i], sigma[j])
-                if along.setdefault(edge, w) != w:
-                    raise CutInconsistency(
-                        f"inconsistent refined winding: the lift of {sigma} winds {w} "
-                        f"along its edge {edge}, the lift of the edge {along[edge]}")
-        lifts.append((turns, [rank[v] + period * t for v, t in zip(sigma, turns)]))
+        r = [rank[v] + period * t for v, t in zip(sigma, turns)]
+        if len(sigma) == 2:
+            ncut += max(0, max(r) // 2 - (min(r) + 1) // 2)
+        lifts.append((turns, r))
+    if ncut > CUT_LIMIT:
+        raise MalformedInput(f"the cut needs {ncut} cut points, more than {CUT_LIMIT}")
 
     # one cut point per edge and level rank strictly crossed; edges come in
     # ascending order and s ascends along each, so ids arrive sorted
@@ -246,16 +242,16 @@ def cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> CutComp
         if len(sigma) != 2:
             continue
         (u, v), (ru, rv) = sigma, r
-        gu, gv = base[u] + turns[0], base[v] + turns[1]
+        gu, gv = base[u], base[v] + turns[1]
         crossed = range((min(ru, rv) + 1) | 1, max(ru, rv), 2)
         for x in (crossed if ru < rv else reversed(crossed)):
             k, c = divmod(x, period)
-            cutpos[u, v, x - period * turns[0]] = len(ids)
+            cutpos[u, v, x] = len(ids)
             ids.append(("cut", u, v, (classes[c // 2] + k - gu) / (gv - gu)))
             values.append(classes[c // 2])
             ranks.append(c)
             owner.append(u)
-            own_turns.append(k - turns[0])
+            own_turns.append(k)
     opos = {v: i for i, v in enumerate(used)}
 
     memo: Dict[Tuple[int, ...], List[tuple]] = {}
@@ -320,13 +316,21 @@ def unroll_cover(table: SimplexTable, f: CircleMap, a: Fraction, b: Fraction) ->
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("cover window needs a < b")
-    vert_ids = set()
-    simplices = []
+    validate_circle_map(table, f)
+    # each simplex's lift and the whole turns that move it to meet [a, b]
+    lifts = []
     for sigma in table.simplices:
         off = _turns(f, sigma)
         g = [f.angles[v] + o for v, o in zip(sigma, off)]
-        lo_g, hi_g = min(g), max(g)
-        for t in range(ceil(a - hi_g), floor(b - lo_g) + 1):
+        lifts.append((sigma, off, range(ceil(a - max(g)), floor(b - min(g)) + 1)))
+    count = sum(max(0, t.stop - t.start) for _, _, t in lifts)
+    if count > CUT_LIMIT:
+        raise MalformedInput(
+            f"the cover window needs {count} lifted simplices, more than {CUT_LIMIT}")
+    vert_ids = set()
+    simplices = []
+    for sigma, off, shifts in lifts:
+        for t in shifts:
             lifted = tuple((v, o + t) for v, o in zip(sigma, off))
             simplices.append(lifted)
             vert_ids.update(lifted)

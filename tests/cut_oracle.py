@@ -14,7 +14,7 @@ from math import floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from tamebars.complexes import CircleMap, Simplex, SimplexTable
-from tamebars.cutting import CutComplex, CutInconsistency, LevelIndex
+from tamebars.cutting import CutComplex, LevelIndex
 from tamebars.field import QQ
 from tamebars.matrix import Mat
 
@@ -160,7 +160,8 @@ def oracle_cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> 
 
     for sigma in table.simplices:
         if circular:
-            lifted = tuple(f.lift(sigma))
+            # based at the first vertex, each vertex lifts by its winding from it
+            lifted = tuple(f.angles[v] + f.winding(sigma[0], v) for v in sigma)
             lo_g, hi_g = min(lifted), max(lifted)
             k0, k1 = floor(lo_g) - 1, floor(hi_g) + 2
             cuts = sorted(c + k for c in classes for k in range(k0, k1 + 1))
@@ -193,7 +194,7 @@ def oracle_cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> 
                             ww = int(w)
                             prev = winding_acc.setdefault((piece[i], piece[j]), ww)
                             if prev != ww:
-                                raise CutInconsistency("inconsistent refined winding")
+                                raise RuntimeError("inconsistent refined winding")
 
     ids = sorted({v for s in simplex_set for v in s}, key=_order_key)
     pos = {vid: i for i, vid in enumerate(ids)}

@@ -17,6 +17,7 @@ from rep_fixtures import conjugated, direct_sum, line_shell
 from test_reachability import CIRCLE
 from tamebars import cli
 from tamebars.cli import main
+from tamebars.cutting import CUT_LIMIT
 from tamebars.field import field_from_spec
 from tamebars.matrix import Mat
 from tamebars.quiver import bar_from_support, line_slots, summand_module
@@ -94,6 +95,15 @@ def test_validate_clean_input(tmp_path, capsys):
     assert doc["isolated_vertices"] == []
 
 
+def test_validate_lists_an_isolated_vertex(tmp_path, capsys):
+    alone = _with(HEIGHT_DOC, vertices=HEIGHT_DOC["vertices"] + [{"id": "d", "value": "2"}])
+    code, out, _ = run(capsys, "validate", write(tmp_path, "d.json", alone))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["isolated_vertices"] == ["d"]
+    assert "1 vertex(es) appear in no listed simplex" in doc["notes"]
+
+
 def test_validate_broken_cocycle(tmp_path, capsys):
     code, out, _ = run(capsys, "validate",
                        write(tmp_path, "bad.json", BAD_COCYCLE_DOC))
@@ -141,6 +151,10 @@ def test_compute_field_override(tmp_path, capsys):
     code, _, err = run(capsys, "compute", path, "--field", "F4")
     assert code == 2
     assert json.loads(err)["error"] == "FieldError"
+    fp = write(tmp_path, "fp.json", _with(HEIGHT_DOC, field={"Fp": 5}))
+    code, out, _ = run(capsys, "compute", fp, "--field", "Q")
+    assert code == 0
+    assert json.loads(out)["field"] == "Q"
 
 
 def test_compute_degree_filter(tmp_path, capsys):
@@ -185,8 +199,9 @@ def test_compute_accepts_simplices_in_any_vertex_order(tmp_path, capsys):
     _with(HEIGHT_DOC, simplices=6),
     _with(HEIGHT_DOC, simplices=["ab"]),
     _with(WRAP_DOC, windings=False),
+    _with(WRAP_DOC, windings=[{"edge": ["a", "a"], "w": 1}]),
 ], ids=["reordered-duplicate", "list-vertex-id", "list-in-winding-edge", "number-as-winding-edge",
-        "number-as-simplices", "string-as-simplex", "bool-as-windings"])
+        "number-as-simplices", "string-as-simplex", "bool-as-windings", "loop-as-winding-edge"])
 def test_compute_malformed_documents_exit_2(tmp_path, capsys, doc):
     code, out, err = run(capsys, "compute", write(tmp_path, "bad.json", doc))
     assert code == 2
@@ -400,16 +415,21 @@ def test_decompose_rejects_malformed(tmp_path, capsys, doc):
     assert json.loads(err)["ok"] is False
 
 
-@pytest.mark.parametrize("command,doc", [
-    ("render", {"degrees": {"0": {"configuration": [[None, "1"]]}}}),
-    ("render", {"degrees": {"0": {"configuration": [["1"]]}}}),
-    ("render", {"degrees": {"0": 5}}),
-    ("decompose", _with(EQ2_REP, arrows=5)),
+@pytest.mark.parametrize("command,doc,detail", [
+    ("render", {"degrees": {"0": {"configuration": [[None, "1"]]}}}, "got None"),
+    ("render", {"degrees": {"0": {"configuration": [["1"]]}}}, "list of [x, y] pairs"),
+    ("render", {"degrees": {"0": 5}}, "list of [x, y] pairs"),
+    ("decompose", _with(EQ2_REP, arrows=5), "arrows must be a list"),
     ("decompose", _with(EQ2_REP, arrows=[{"at": 1, "dir": 1, "matrix": [["1/0"]]},
-                                         {"at": 1, "dir": -1, "matrix": [["1"]]}])),
+                                         {"at": 1, "dir": -1, "matrix": [["1"]]}]),
+     "bad fraction '1/0'"),
+    ("decompose", _with(EQ2_REP, dims={"1": -1, "2": 1}), "dimensions must be nonnegative"),
+    ("decompose", _with(EQ2_REP, arrows=EQ2_REP["arrows"] + EQ2_REP["arrows"][:1]),
+     "repeated arrow (1, 1)"),
 ], ids=["render-null-coordinate", "render-unpaired-point", "render-number-as-degree",
-        "decompose-number-as-arrows", "decompose-zero-denominator"])
-def test_malformed_documents_exit_2_with_json_error(tmp_path, capsys, command, doc):
+        "decompose-number-as-arrows", "decompose-zero-denominator", "decompose-negative-dim",
+        "decompose-repeated-arrow"])
+def test_malformed_documents_exit_2_with_json_error(tmp_path, capsys, command, doc, detail):
     argv = [command, write(tmp_path, "bad.json", doc)]
     if command == "render":
         argv += ["--degree", "0"]
@@ -417,6 +437,7 @@ def test_malformed_documents_exit_2_with_json_error(tmp_path, capsys, command, d
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "MalformedInput"
+    assert detail in json.loads(err)["detail"]
 
 
 @pytest.mark.parametrize("doc", [
@@ -441,13 +462,16 @@ def test_decompose_accepts_only_json_integers(tmp_path, capsys, doc):
 
 @pytest.mark.parametrize("dims", [
     {"1": 1, "0_2": 1}, {"1": 1, " 2": 1}, {"1": 1, "+2": 1}, {"1": 1, "-0": 0, "2": 1},
-], ids=["underscore", "space", "plus", "minus-zero"])
+    {"1": 1, "x": 1, "2": 1},
+], ids=["underscore", "space", "plus", "minus-zero", "letter"])
 def test_decompose_rejects_dims_keys_that_are_not_vertex_numbers(tmp_path, capsys, dims):
-    # int() reads each of these keys as a vertex; they used to decompose
+    # int() reads each of these keys but the letter as a vertex; they used
+    # to decompose
     code, out, err = run(capsys, "decompose", write(tmp_path, "r.json", _with(EQ2_REP, dims=dims)))
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "MalformedInput"
+    assert "is not a vertex number" in json.loads(err)["detail"]
 
 
 def test_decompose_rejects_two_dims_keys_for_one_vertex(tmp_path, capsys):
@@ -633,6 +657,15 @@ def test_render_cylinder_chart_points(tmp_path, capsys):
     assert "<title>(0.5, 0)</title>" in out
 
 
+def test_render_pads_a_lone_point_on_the_diagonal(tmp_path, capsys):
+    # the point spans no range, so the chart spans one unit around it
+    doc = {"target": "R", "degrees": {"0": {"configuration": [["1", "1"]]}}}
+    code, out, _ = run(capsys, "render", write(tmp_path, "d.json", doc), "--degree", "0")
+    assert code == 0
+    assert ">0.42</text>" in out and ">1.58</text>" in out
+    assert out.count(f'fill="{cli._BLUE}"') == 1
+
+
 def test_render_json_mode(tmp_path, capsys):
     inv = compute_to_file(tmp_path, HEIGHT_DOC, "h")
     capsys.readouterr()
@@ -806,6 +839,13 @@ def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, argv):
     assert _error_of(*got) == (2, "MalformedInput")
 
 
+def _run_fresh(argv):
+    """A command run in a fresh process, which a timeout can stop."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "tamebars.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=10)
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "{value}"], ["decompose", "{entry}"], ["render", "{point}", "--degree", "0"],
     ["cover", "{circle}", "--window", "0", "1e99999999"],
@@ -823,13 +863,56 @@ def test_exponent_past_the_digit_limit_exits_2(tmp_path, argv):
         "circle": WRAP_DOC, "real": HEIGHT_DOC,
     }
     paths = {key: write(tmp_path, key + ".json", doc) for key, doc in docs.items()}
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-m", "tamebars.cli",
-                           *[a.format(**paths) for a in argv]],
-                          env=env, capture_output=True, text=True, timeout=10)
+    done = _run_fresh([a.format(**paths) for a in argv])
     assert (done.returncode, done.stdout) == (2, "")
     err = json.loads(done.stderr)
     assert err["error"] == "MalformedInput" and "exponent" in err["detail"]
+
+
+BIG = "1e4300"  # 10**4300 has 4301 digits, one more than int() writes by default
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "{value}"], ["decompose", "{entry}"], ["cover", "{circle}", "--window", "0", BIG],
+], ids=["compute", "decompose", "cover"])
+def test_values_past_the_digit_limit_are_written(tmp_path, capsys, argv):
+    docs = {
+        "value": _with(HEIGHT_DOC, vertices=HEIGHT_DOC["vertices"][:2] + [{"id": "c", "value": BIG}]),
+        "entry": _with(EQ2_REP, arrows=[{"at": 1, "dir": 1, "matrix": [[BIG]]},
+                                        {"at": 1, "dir": -1, "matrix": [["1"]]}]),
+        "circle": WRAP_DOC,
+    }
+    paths = {key: write(tmp_path, key + ".json", doc) for key, doc in docs.items()}
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert (code, err) == (0, "")
+    assert '"1' + "0" * 4300 + '"' in out
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_render_reads_no_value_past_the_digit_limit(tmp_path, capsys):
+    # compute writes the bar end 10**4300, which render refuses to read
+    big = _with(HEIGHT_DOC, vertices=HEIGHT_DOC["vertices"][:2] + [{"id": "c", "value": BIG}])
+    inv = compute_to_file(tmp_path, big, "big")
+    for degree in ("0", "1"):
+        code, out, err = run(capsys, "render", inv, "--degree", degree)
+        assert code in (0, 2), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute"], ["compute", "--check"], ["cover", "--window", "0", "1"],
+    ["stability", "--schedule", "1/10", "--trials", "1"],
+], ids=["compute", "compute-check", "cover", "stability"])
+def test_a_huge_winding_is_refused_before_it_is_cut(tmp_path, argv):
+    # the edge a-c winds 10**30 times: one cut point per level crossing
+    # would never finish, so a fresh process with a timeout bounds the run
+    path = write(tmp_path, "w.json", _with(WRAP_DOC, windings=[{"edge": ["a", "c"], "w": 10 ** 30}]))
+    done = _run_fresh([argv[0], path, *argv[1:]])
+    assert (done.returncode, done.stdout) == (2, "")
+    err = json.loads(done.stderr)
+    assert err["error"] == "MalformedInput"
+    assert err["detail"] == (f"the cut needs {6 * 10 ** 30 + 5} cut points, "
+                             f"more than {CUT_LIMIT}")
 
 
 # -- stability ---------------------------------------------------------------------
@@ -863,6 +946,9 @@ def test_stability_rejects_bad_flags(tmp_path, capsys):
     code, _, err = run(capsys, "stability", path, "--schedule", "1/10",
                        "--trials", "0")
     assert code == 2
+    code, _, err = run(capsys, "stability", path, "--schedule", ",")
+    assert code == 2
+    assert json.loads(err)["detail"] == "schedule must list at least one epsilon"
 
 
 @pytest.mark.parametrize("doc, flags, detail", [

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import deck_vertex, euler_characteristic, member_simplices, refined_map
-from tamebars.complexes import CircleMap, RealMap, SimplexTable
+from tamebars.complexes import CircleMap, CocycleViolation, MalformedInput, RealMap, SimplexTable
 from tamebars.cutting import (
-    CutInconsistency,
+    CUT_LIMIT,
     LevelNotCut,
     cut_at_levels,
     fiber,
@@ -141,7 +141,7 @@ def test_refined_windings_sum_to_degree():
     total = F(0)
     while True:
         nxt = [x for x in adj[cur] if x != prev][0]
-        total += rmap.delta(cur, nxt)
+        total += rmap.angles[nxt] - rmap.angles[cur] + rmap.winding(cur, nxt)
         prev, cur = cur, nxt
         if cur == start:
             break
@@ -207,36 +207,20 @@ def test_cover_deck_map_shifts_boundary_fibers():
     assert len(moved) == len(lo)
 
 
-def test_cover_rejects_a_lift_off_the_angles():
-    class HalfTurnLift(CircleMap):
-        def lift(self, s):
-            return [g + F(1, 2) for g in super().lift(s)]
-
-    t, cmap = degree_one_triangle()
-    with pytest.raises(CutInconsistency):
-        unroll_cover(t, HalfTurnLift(cmap.angles, cmap.windings), F(0), F(1))
-
-
 def test_cut_names_the_simplex_and_edge_of_an_inconsistent_lift():
-    class TurnedLift(CircleMap):
-        # the triangle's lift winds once more along (0, 2) than the edge's own
-        def lift(self, s):
-            g = super().lift(s)
-            return g[:-1] + [g[-1] + 1] if len(s) == 3 else g
-
+    # an unvalidated map that winds once along (0, 2) but not along (0, 1)
+    # and (1, 2): the filled triangle has no lift
     t = SimplexTable(list("abc"), [(0, 1, 2)])
-    f = TurnedLift([F(0), F(1, 3), F(2, 3)], {})
-    with pytest.raises(CutInconsistency,
-                       match=r"winding: the lift of \(0, 1, 2\) winds 1 along its edge \(0, 2\)"):
+    f = CircleMap([F(0), F(1, 3), F(2, 3)], {(0, 2): 1})
+    with pytest.raises(CocycleViolation, match=r"triangle \(0, 1, 2\)") as cut:
         cut_at_levels(t, f, [F(1, 2)])
+    with pytest.raises(CocycleViolation) as cover:
+        unroll_cover(t, f, F(0), F(1))
+    assert cut.value.triangle == cover.value.triangle == (0, 1, 2)
 
 
-def test_cut_names_the_vertex_of_a_lift_off_the_angles():
-    class HalfTurnEdges(CircleMap):
-        def lift(self, s):
-            g = super().lift(s)
-            return g[:-1] + [g[-1] + F(1, 2)] if len(s) == 2 else g
-
-    t, cmap = degree_one_triangle()
-    with pytest.raises(CutInconsistency, match=r"lift of \(0, 1\) .* at vertex 1"):
-        cut_at_levels(t, HalfTurnEdges(cmap.angles, cmap.windings), [F(0)])
+def test_cover_refuses_a_window_past_the_limit_before_unrolling_it():
+    # one vertex at angle 0 lifts to every whole number in the window
+    t = SimplexTable(["a"], [(0,)])
+    with pytest.raises(MalformedInput, match=f"needs {CUT_LIMIT + 1} lifted simplices"):
+        unroll_cover(t, CircleMap([F(0)], {}), F(0), F(CUT_LIMIT))

@@ -193,7 +193,7 @@ def test_perturbing_a_circle_map_keeps_its_cells_and_moves_bars_within_the_bound
     table, mapping = random_circle_input(random.Random(seed))
     eps = _min_gap(mapping.angles, circular=True) / 10
     before = compute_invariants(table, mapping, field)
-    after = compute_invariants(table, perturb(mapping, eps, seed, table), field)
+    after = compute_invariants(table, perturb(mapping, eps, seed), field)
     assert after.cells == before.cells
     for r in range(before.rmax + 2):
         assert matching_distance(configuration(before, r), configuration(after, r)) <= 2 * eps

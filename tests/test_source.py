@@ -139,6 +139,18 @@ def test_the_package_root_loads_no_module():
     assert done.stdout.split() == ["tamebars", "tamebars.complexes", "tamebars.field"]
 
 
+def test_the_benchmark_tracer_finds_every_call_site():
+    # perfbench/traced_cli.py rebinds layer functions by name in each module
+    # that calls them, and refuses to run when a name is gone or its sites
+    # hold different functions
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c",
+                           "import traced_cli; traced_cli.install(traced_cli.Recorder())"],
+                          cwd=README.parent / "perfbench", env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_readme_quick_start_runs():
     # the python block under "Quick start": it runs as written, and each
     # line commented ``# value : why`` evaluates to that value
