@@ -12,6 +12,13 @@ that are floating point by nature, such as configuration polynomials.
 
 Exit codes: 0 success, 1 internal error, 2 input error, 3 identity-check
 failure.
+
+A real `compute` runs no quiver, so this module imports the quiver layer
+and the stability experiment only in the subcommands that use them.  The
+quiver entry points that `decompose` calls are still names of this module,
+bound on first use by the PEP 562 `__getattr__`: the benchmark's tracer
+rebinds them here, and `cmd_decompose` fetches them through `__getattr__`
+so that it calls whatever the module holds.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import MAX_DIGITS, CocycleViolation, MalformedInput, _parse_fraction, load_document
+from .complexes import (MAX_DIGITS, CardinalityMismatch, CocycleViolation, ExperimentError,
+                        MalformedInput, RepresentationError, _parse_fraction, load_document)
 from .cutting import LevelNotCut, fiber, unroll_cover
 from .field import FieldError, PrimeField, field_from_spec
 from .homology import NotTame, betti_numbers, homology, homology_of, induced_map
@@ -45,17 +53,19 @@ from .invariants import (
     to_float,
 )
 from .matrix import Mat
-from .quiver import (
-    CircleRep,
-    RepresentationError,
-    decompose_circle,
-    decompose_zigzag,
-    line_rep,
-    slot_target,
-    verify_certificate,
-    window_slots,
-)
-from .stability import CardinalityMismatch, ExperimentError, stability_experiment
+
+_QUIVER = ("decompose_circle", "decompose_zigzag", "verify_certificate")
+
+
+def __getattr__(name: str):
+    """The quiver entry points in `_QUIVER`, imported on first use.  A name
+    already bound here, such as one the tracer rebound, is kept."""
+    if name not in _QUIVER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import quiver
+    for key in _QUIVER:
+        globals().setdefault(key, getattr(quiver, key))
+    return globals()[name]
 
 
 class MissingDegree(ValueError):
@@ -329,6 +339,8 @@ def rep_from_json(doc):
 
     Returns the representation and the shift s of a `line` window placed by
     `line_rep`, or None for the `cyclic` shape."""
+    from .quiver import CircleRep, line_rep, slot_target, window_slots
+
     if not isinstance(doc, dict):
         raise MalformedInput("representation document must be a JSON object")
     for key in ("field", "shape", "dims", "arrows"):
@@ -398,6 +410,7 @@ def rep_from_json(doc):
 
 
 def cmd_decompose(args) -> Tuple[int, str]:
+    decompose_circle, decompose_zigzag, verify_certificate = map(__getattr__, _QUIVER)
     rep, s = rep_from_json(_read_json(args.input))
     if s is None:
         bars, cells, cert = decompose_circle(rep)
@@ -555,6 +568,8 @@ def cmd_cover(args) -> Tuple[int, str]:
 
 
 def cmd_stability(args) -> Tuple[int, str]:
+    from .stability import stability_experiment
+
     loaded = _load(args.input, args.field)
     schedule = [_parse_fraction(tok) for tok in args.schedule.split(",") if tok.strip()]
     if not schedule:

@@ -34,6 +34,19 @@ class EmptyComplex(MalformedInput):
     """Raised when an operation needs at least one vertex."""
 
 
+class RepresentationError(ValueError):
+    """Malformed representation data (dimensions and matrix shapes)."""
+
+
+class CardinalityMismatch(ValueError):
+    """Raised when two configurations cannot be matched point for point."""
+
+
+class ExperimentError(ValueError):
+    """A perturbation experiment that cannot run as asked: a negative degree
+    or epsilon, no trials, or an epsilon with no collision-free draw."""
+
+
 class CocycleViolation(ValueError):
     """Raised when edge windings admit no linear lift on some triangle."""
 
@@ -215,7 +228,16 @@ def _parse_fraction(text) -> Fraction:
 
 
 def load_document(doc: dict) -> LoadedInput:
-    """Parse and validate one input document (already JSON-decoded)."""
+    """Parse and validate one input document (already JSON-decoded).  A
+    complex with no vertices is refused after every other check, with the
+    error that the computing subcommands' choice of levels raises."""
+    loaded = _parse_document(doc)
+    if not loaded.table.vertices:
+        raise EmptyComplex("complex has no vertices")
+    return loaded
+
+
+def _parse_document(doc: dict) -> LoadedInput:
     if not isinstance(doc, dict):
         raise MalformedInput("document must be a JSON object")
     for key in ("field", "target", "vertices", "simplices"):

@@ -45,7 +45,6 @@ from .complexes import CriticalData, SimplexTable, faces_with_signs
 from .cutting import CutComplex, SubcomplexHandle, fiber, slab
 from .field import Field, PrimeField
 from .matrix import Mat
-from .quiver import rep_from_lists
 
 Chain = Dict[int, object]
 
@@ -228,6 +227,8 @@ def _arrow(reg: HomologyBasis, crit: HomologyBasis, slab_h: HomologyBasis, where
 def assemble_rep(cc: CutComplex, crit: CriticalData, r: int, field: Field):
     """The degree-r representation of a cut map: fibers at vertices, arrows
     through the adjacent slabs."""
+    from .quiver import rep_from_lists  # loaded only where a quiver is built
+
     th = crit.criticals
     ts = crit.regulars
     m = crit.m

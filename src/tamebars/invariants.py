@@ -14,6 +14,13 @@ representations, which only the quiver pipeline builds).
 
 Circle-valued data uses turn units throughout: one turn is a full circle,
 so a bar wrapping k times has its right end shifted by k.
+
+A real map's `compute` loads neither the quiver layer nor the canonical
+one, so they are imported where the quiver pipeline runs.  Its two
+decompositions stay names of this module, bound on first use by the PEP
+562 `__getattr__`, because the benchmark's tracer rebinds them here;
+`quiver_invariants` fetches them through `__getattr__`, so it calls
+whatever the module holds.
 """
 
 from __future__ import annotations
@@ -26,14 +33,25 @@ from itertools import accumulate
 from math import ceil, floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .canonical import CanonicalFormError, Cell, cell_sort_key
-from .complexes import CircleMap, CriticalData, SimplexTable, critical_candidates
+from .complexes import (CircleMap, CriticalData, RepresentationError, SimplexTable,
+                        critical_candidates)
 from .cutting import CutComplex, cut_at_levels
 from .field import Field
 from .homology import assemble_rep, level_set_bars
 from .matrix import Mat, block_diag, stack
-from .quiver import (Bar, DecompositionError, RepresentationError, decompose_circle,
-                     decompose_zigzag)
+
+_QUIVER = ("decompose_circle", "decompose_zigzag")
+
+
+def __getattr__(name: str):
+    """The decompositions in `_QUIVER`, imported on first use.  A name
+    already bound here, such as one the tracer rebound, is kept."""
+    if name not in _QUIVER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import quiver
+    for key in _QUIVER:
+        globals().setdefault(key, getattr(quiver, key))
+    return globals()[name]
 
 
 class IndexOutOfRange(ValueError):
@@ -159,6 +177,10 @@ def quiver_invariants(table: SimplexTable, mapping, field: Field) -> InvariantBu
     """The quiver pipeline: choose levels, cut, assemble one representation
     per degree, decompose it with a verified certificate, and convert the
     summands into valued invariants."""
+    from .canonical import CanonicalFormError
+    from .quiver import DecompositionError
+
+    decompose_circle, decompose_zigzag = map(__getattr__, _QUIVER)
     crit = critical_candidates(table, mapping)
     cc = cut_at_levels(table, mapping, crit.criticals + crit.regulars)
     rmax = max(table.dim, 0)
@@ -275,6 +297,8 @@ def cover_formulas(bundle: InvariantBundle, r: int, a, b) -> Tuple[int, int, int
 def monodromy_assemble(field: Field, cells: Sequence[Cell]) -> Tuple[int, Mat]:
     """Block-diagonal model of the monodromy: one Jordan or companion block
     per cell, in canonical order."""
+    from .canonical import cell_sort_key
+
     ordered = sorted(cells, key=cell_sort_key)
     return (sum(c.dim() for c in ordered),
             block_diag(field, [c.block(field) for c in ordered]))

@@ -38,12 +38,9 @@ from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .canonical import Cell, cell_sort_key, primary_components
+from .complexes import RepresentationError
 from .field import Field
 from .matrix import Mat, block_diag, image, preimage, side_by_side, stack
-
-
-class RepresentationError(ValueError):
-    """Malformed representation data (dimensions and matrix shapes)."""
 
 
 class DecompositionError(RuntimeError):

@@ -15,21 +15,13 @@ import random
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .complexes import CircleMap, RealMap, SimplexTable
+from .complexes import (CardinalityMismatch, CircleMap, ExperimentError, RealMap,
+                        SimplexTable)
 from .field import QQ, Field
 from .invariants import (BeyondFloatRange, Configuration, compute_invariants, configuration,
                          to_float)
 
 Point = Tuple[Fraction, Fraction]
-
-
-class CardinalityMismatch(ValueError):
-    """Raised when two configurations cannot be matched point for point."""
-
-
-class ExperimentError(ValueError):
-    """A perturbation experiment that cannot run as asked: a negative degree
-    or epsilon, no trials, or an epsilon with no collision-free draw."""
 
 
 _GRID = 1 << 20

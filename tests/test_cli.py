@@ -114,6 +114,23 @@ def test_validate_broken_cocycle(tmp_path, capsys):
     assert doc["triangle"] == ["a", "b", "c"]
 
 
+@pytest.mark.parametrize("target, value", [("R", "0"), ("S1", {"angle": "0"})])
+def test_validate_refuses_a_complex_with_no_vertices(tmp_path, capsys, target, value):
+    # validate agrees with every computing subcommand, which needs a level
+    empty = {"field": "Q", "target": target, "vertices": [], "simplices": []}
+    refused = {"ok": False, "error": "EmptyComplex", "detail": "complex has no vertices"}
+    path = write(tmp_path, "empty.json", empty)
+    code, out, _ = run(capsys, "validate", path)
+    assert (code, json.loads(out)) == (2, refused)
+    code, out, err = run(capsys, "compute", path)
+    assert (code, out, json.loads(err)) == (2, "", refused)
+    # one vertex and no simplex is a point: it validates and computes
+    point = write(tmp_path, "point.json", dict(empty, vertices=[{"id": "a", "value": value}]))
+    for command in ("validate", "compute"):
+        code, out, err = run(capsys, command, point)
+        assert code == 0, err
+
+
 def test_validate_missing_key(tmp_path, capsys):
     code, out, _ = run(capsys, "validate",
                        write(tmp_path, "bad.json", {"field": "Q"}))

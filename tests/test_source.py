@@ -1,16 +1,23 @@
 """Checks on the package source itself."""
 
 import ast
+import builtins
+import json
 import os
 import re
 import subprocess
+import symtable
 import sys
+import types
 from pathlib import Path
 
 import tamebars
 
 SRC = Path(tamebars.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = README.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 
 def test_no_assert_statements():
@@ -49,6 +56,27 @@ def _imports(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 yield node.lineno, alias.asname or alias.name, node.module or ""
+
+
+def test_every_global_a_function_names_is_bound():
+    # a name imported inside one function is unbound in the others, and the
+    # NameError shows only on a branch that runs: every global that a
+    # function or class body references is bound at module level or is a
+    # builtin.  Annotations are strings, so a name used only there is free
+    known = set(dir(builtins)) | set(dir(types.ModuleType("m")))
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        top = symtable.symtable(path.read_text(encoding="utf-8"), str(path), "exec")
+        bound = {s.get_name() for s in top.get_symbols() if s.is_assigned() or s.is_imported()}
+        tables = top.get_children()
+        while tables:
+            table = tables.pop()
+            tables += table.get_children()
+            found += [f"{path.name} {table.get_name()} {s.get_name()}"
+                      for s in table.get_symbols()
+                      if s.is_global() and s.is_referenced()
+                      and s.get_name() not in bound | known]
+    assert sorted(found) == []
 
 
 def test_every_import_is_used():
@@ -137,6 +165,81 @@ def test_the_package_root_loads_no_module():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["tamebars", "tamebars.complexes", "tamebars.field"]
+
+
+REAL_DOC = {"field": "Q", "target": "R",
+            "vertices": [{"id": "a", "value": "0"}, {"id": "b", "value": "1"},
+                         {"id": "c", "value": "2"}],
+            "simplices": [["a", "b"], ["b", "c"], ["a", "c"]]}
+CIRCLE_DOC = {"field": "Q", "target": "S1",
+              "vertices": [{"id": "a", "value": {"angle": "0"}},
+                           {"id": "b", "value": {"angle": "1/3"}},
+                           {"id": "c", "value": {"angle": "2/3"}}],
+              "simplices": [["a", "b"], ["b", "c"], ["a", "c"]],
+              "windings": [{"edge": ["a", "c"], "w": -1}]}
+CYCLIC_REP = {"field": "Q", "shape": "cyclic", "m": 1, "dims": {"1": 1, "2": 1},
+              "arrows": [{"at": 1, "dir": 1, "matrix": [[2]]},
+                         {"at": 1, "dir": -1, "matrix": [[1]]}]}
+
+
+def _loaded_by(tmp_path, doc, *argv):
+    """The exit code of `cli.main` on the document, run in a fresh
+    interpreter, and the tamebars modules loaded when it returns."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    script = ("import sys\nfrom tamebars.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'tamebars'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", script, argv[0], str(path), *argv[1:],
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, *loaded = done.stdout.split()
+    return int(code), {m.removeprefix("tamebars.") for m in loaded}
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    # the quiver and canonical layers and the stability experiment load on
+    # first use; a fresh process with no bytecode cache compiles each
+    # module it loads
+    assert _loaded_by(tmp_path, REAL_DOC, "compute") == (0, {
+        "tamebars", "cli", "complexes", "cutting", "field", "homology",
+        "invariants", "matrix"})
+    for doc, argv in ((CIRCLE_DOC, ["compute", "--check"]), (CYCLIC_REP, ["decompose"])):
+        code, loaded = _loaded_by(tmp_path, doc, *argv)
+        assert code == 0 and "quiver" in loaded and "stability" not in loaded, argv
+    code, loaded = _loaded_by(tmp_path, REAL_DOC, "stability", "--schedule", "1/10",
+                              "--trials", "1", "--degree", "0")
+    assert code == 0 and "stability" in loaded
+
+
+def _spans(tmp_path, workload, *argv):
+    """The spans of the benchmark's traced run of the command line on the
+    first seed-0 document of a benchmark workload."""
+    doc, _ = make_inputs(WORKLOADS[workload], 0)[0]
+    path, spans = tmp_path / f"{workload}.json", tmp_path / f"{workload}.spans.json"
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "traced_cli.py", str(spans), "0", "--",
+                           *argv, str(path)],
+                          cwd=PERFBENCH, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(spans.read_text(encoding="utf-8"))["spans"]
+
+
+def test_the_benchmark_tracer_times_the_sites_it_rebinds(tmp_path):
+    # a function fetched past the name the tracer rebinds, by an import
+    # inside the caller, would run untimed and its span would be missing
+    spans = _spans(tmp_path, "torus-check-q", "compute", "--check")
+    assert {name for name, *_ in spans} >= {
+        "quiver.decompose", "quiver.verify_certificate", "cutting.cut_at_levels",
+        "cutting.unroll_cover", "homology.assemble_rep", "homology.betti_numbers",
+        "invariants.bundle_to_json", "invariants.canonical_check"}
+    spans = _spans(tmp_path, "planted-cells-q", "decompose")
+    parents = {(name, spans[parent][0] if parent is not None else None)
+               for name, _, _, parent in spans}
+    assert {("quiver.decompose", "cli.main"), ("quiver.verify_certificate", "cli.main")} <= parents
 
 
 def test_the_benchmark_tracer_finds_every_call_site():
