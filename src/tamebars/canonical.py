@@ -26,9 +26,8 @@ smallest subsets first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .field import QQ, Field, PrimeField, Scalar, _is_prime
 from .matrix import Mat, block_diag, side_by_side
@@ -303,8 +302,10 @@ def _splitters(field: PrimeField, f: Poly, basis: List[Poly]):
 class _Residues(PrimeField):
     """Z/mZ for a modulus m that need not be prime (only units are inverted)."""
 
-    def __post_init__(self):
-        pass
+    __slots__ = ()
+
+    def __new__(cls, m: int):
+        return tuple.__new__(cls, (m,))
 
 
 def _hensel_lift(field: PrimeField, z: List[int], factors: List[Poly], bound: int):
@@ -434,8 +435,7 @@ def companion(field: Field, p: Poly) -> Mat:
     return Mat(field, rows, d)
 
 
-@dataclass(frozen=True, order=True)
-class Cell:
+class Cell(NamedTuple):
     """A primary component: irreducible monic q and exponent k (block q^k)."""
 
     poly: Tuple[Scalar, ...]

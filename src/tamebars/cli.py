@@ -28,18 +28,16 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (MAX_DIGITS, CardinalityMismatch, CocycleViolation, ExperimentError,
                         MalformedInput, RepresentationError, _parse_fraction, load_document)
-from .cutting import LevelNotCut, fiber, unroll_cover
+from .cutting import fiber, unroll_cover
 from .field import FieldError, PrimeField, field_from_spec
 from .homology import NotTame, betti_numbers, homology, homology_of, induced_map
 from .invariants import (
     BeyondFloatRange,
-    IndexOutOfRange,
     bundle_to_json,
     canonical_check,
     cell_to_json,
@@ -90,8 +88,6 @@ _INPUT_ERRORS = (
     CocycleViolation,
     FieldError,
     RepresentationError,
-    LevelNotCut,
-    IndexOutOfRange,
     MissingDegree,
     UsageError,
     CardinalityMismatch,
@@ -418,7 +414,7 @@ def cmd_decompose(args) -> Tuple[int, str]:
     else:
         bars, cert = decompose_zigzag(rep)
         cells, summands = [], list(bars)
-        bars = [replace(b, i=b.i + s // 2, j=b.j + s // 2) for b in bars]  # window frame
+        bars = [b._replace(i=b.i + s // 2, j=b.j + s // 2) for b in bars]  # window frame
     out = {
         "field": rep.field.to_spec(),
         "shape": "cyclic" if s is None else "line",

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .field import Field, field_from_spec
 
@@ -100,15 +99,13 @@ def faces_with_signs(s: Simplex) -> List[Tuple[Simplex, int]]:
     return out
 
 
-@dataclass
-class RealMap:
+class RealMap(NamedTuple):
     """Exact vertex values, extended linearly over every simplex."""
 
     values: List[Fraction]
 
 
-@dataclass
-class CircleMap:
+class CircleMap(NamedTuple):
     """Vertex angles in turns plus integer edge windings.
 
     Angles live in [0, 1).  The winding of the ordered edge (u, v) with u < v
@@ -144,8 +141,7 @@ def validate_circle_map(table: SimplexTable, cmap: CircleMap) -> None:
             raise CocycleViolation(t)
 
 
-@dataclass
-class CriticalData:
+class CriticalData(NamedTuple):
     """Sorted candidate critical values and interleaved regular values.
 
     Real case: m criticals come with m+1 regulars t_0 < theta_1 < t_1 < ... <
@@ -185,8 +181,7 @@ def critical_candidates(table: SimplexTable, f) -> CriticalData:
     return CriticalData(crit, regs, False)
 
 
-@dataclass
-class LoadedInput:
+class LoadedInput(NamedTuple):
     """A parsed input document: field, target, complex, and map."""
 
     field: Field

@@ -29,10 +29,9 @@ of comparing every simplex against its ends.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import ceil, floor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .complexes import (CircleMap, MalformedInput, RealMap, Simplex, SimplexTable,
                         validate_circle_map)
@@ -172,34 +171,28 @@ class LevelIndex:
         return out
 
 
-@dataclass
 class CutComplex:
     """A refined complex in which every cut level's fiber is a subcomplex.
 
     ``ranks`` holds the level rank of each refined value (of its angle, on a
-    circle), as ``LevelIndex.rank`` defines it.
+    circle), as ``LevelIndex.rank`` defines it.  ``windings`` is the refined
+    winding cocycle, empty on the line.
     """
 
-    source: SimplexTable
-    table: SimplexTable
-    values: List[Fraction]
-    levels: List[Fraction]
-    circular: bool
-    ranks: List[int]
-    windings: Dict[Tuple[int, int], int] = dc_field(default_factory=dict)
-    index: LevelIndex = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.index = LevelIndex(self.levels, self.circular)
-        vrank, period = self.ranks, self.index.period
-        for i, s in enumerate(self.table.simplices):
-            if self.circular:
+    def __init__(self, source: SimplexTable, table: SimplexTable, values: List[Fraction],
+                 levels: List[Fraction], circular: bool, ranks: List[int],
+                 windings: Dict[Tuple[int, int], int]):
+        self.source, self.table, self.values, self.levels = source, table, values, levels
+        self.circular, self.ranks, self.windings = circular, ranks, windings
+        self.index = LevelIndex(levels, circular)
+        period = self.index.period
+        for i, s in enumerate(table.simplices):
+            if circular:
                 # ranks of the lift based at s[0]: a winding of w turns adds w periods
                 base = s[0]
-                self.index.add(i, [vrank[v] + period * self.windings.get((base, v), 0)
-                                   for v in s])
+                self.index.add(i, [ranks[v] + period * windings.get((base, v), 0) for v in s])
             else:
-                self.index.add(i, [vrank[v] for v in s])
+                self.index.add(i, [ranks[v] for v in s])
 
 
 def cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> CutComplex:
@@ -283,8 +276,7 @@ def cut_at_levels(table: SimplexTable, f, levels: Sequence[Fraction]) -> CutComp
     return CutComplex(table, SimplexTable(ids, pieces), values, classes, circular, ranks, windings)
 
 
-@dataclass
-class SubcomplexHandle:
+class SubcomplexHandle(NamedTuple):
     """A face-closed set of simplices of a cut complex."""
 
     cc: CutComplex

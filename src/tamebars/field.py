@@ -3,14 +3,14 @@
 Every computation in this package runs over one of these two field
 implementations.  Field elements are plain Python objects (`fractions.Fraction`
 for Q, `int` residues in ``[0, p)`` for GF(p)) and the field object carries the
-arithmetic, so matrices stay lightweight lists.
+arithmetic, so matrices stay lightweight lists.  A field object is a named
+tuple of its one parameter, so two fields compare, hash and print by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Union
+from typing import NamedTuple, Union
 
 Scalar = Union[Fraction, int]
 
@@ -48,13 +48,12 @@ def _is_prime(n: int) -> bool:
     return all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7))
 
 
-@dataclass(frozen=True)
-class Rationals:
+class Rationals(NamedTuple):
     """The field Q with `fractions.Fraction` elements."""
 
     name: str = "Q"
-    zero: ClassVar[Fraction] = Fraction(0)
-    one: ClassVar[Fraction] = Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
@@ -86,17 +85,19 @@ class Rationals:
         return "Q"
 
 
-@dataclass(frozen=True)
-class PrimeField:
+# a class body that subclasses NamedTuple may not define __new__, so the
+# modulus check sits on a subclass of the functional form
+class PrimeField(NamedTuple("_Modulus", [("p", int)])):
     """GF(p) for a prime p < 2**31, elements stored as ints in [0, p)."""
 
-    p: int
-    zero: ClassVar[int] = 0
-    one: ClassVar[int] = 1
+    __slots__ = ()
+    zero = 0
+    one = 1
 
-    def __post_init__(self):
-        if not (2 <= self.p < MAX_PRIME) or not _is_prime(self.p):
-            raise FieldError(f"modulus must be a prime below 2**31, got {self.p}")
+    def __new__(cls, p: int):
+        if not (2 <= p < MAX_PRIME) or not _is_prime(p):
+            raise FieldError(f"modulus must be a prime below 2**31, got {p}")
+        return super().__new__(cls, p)
 
     @property
     def name(self) -> str:

@@ -37,9 +37,8 @@ unit upper triangular and R reduced, checked exactly, proves the pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .complexes import CriticalData, SimplexTable, faces_with_signs
 from .cutting import CutComplex, SubcomplexHandle, fiber, slab
@@ -128,8 +127,7 @@ def _members_by_dim(table: SimplexTable, members: Optional[Sequence[int]]) -> Di
     return out
 
 
-@dataclass
-class HomologyBasis:
+class HomologyBasis(NamedTuple):
     """A basis of H_r of a subcomplex, with the structure used to read
     coordinates of arbitrary cycles in that basis."""
 
@@ -138,7 +136,7 @@ class HomologyBasis:
     field: Field
     r_cells: List[int]
     reps: List[Chain]
-    _structure: _Reducer
+    structure: _Reducer
 
     @property
     def dim(self) -> int:
@@ -148,7 +146,7 @@ class HomologyBasis:
         """Coordinates of a cycle of this subcomplex in the chosen basis, as
         field elements (Fractions over Q)."""
         F = self.field
-        res, tag = self._structure.reduce(cycle, {})
+        res, tag = self.structure.reduce(cycle, {})
         if res:
             raise InternalInconsistency("chain is not a cycle of the subcomplex")
         neg = F.neg if isinstance(F, PrimeField) else lambda x: Fraction(-x)

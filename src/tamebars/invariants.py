@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, floor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .complexes import (CircleMap, CriticalData, RepresentationError, SimplexTable,
                         critical_candidates)
@@ -70,8 +69,7 @@ class BeyondFloatRange(ValueError):
 # -- valued bars ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class ValuedBar:
+class ValuedBar(NamedTuple):
     """A bar with its ends resolved to critical values.
 
     For circle-valued maps `hi` is an absolute position on the line: the
@@ -122,8 +120,7 @@ def convert_bars(bars: Sequence[Bar], crit: CriticalData) -> List[ValuedBar]:
 # -- the bundle -----------------------------------------------------------------
 
 
-@dataclass
-class InvariantBundle:
+class InvariantBundle(NamedTuple):
     """Per-degree bars, Jordan cells, and the representations they came
     from, for one tame map.  Degrees absent from the dictionaries count as
     empty, so the formulas below accept any degree.  A real map's bundle
@@ -307,8 +304,7 @@ def monodromy_assemble(field: Field, cells: Sequence[Cell]) -> Tuple[int, Mat]:
 # -- configurations -------------------------------------------------------------
 
 
-@dataclass
-class Configuration:
+class Configuration(NamedTuple):
     """Planar record of the closed degree-r bars, as points (lo, hi) on or
     above the diagonal, and the open degree-(r-1) bars mirrored below it."""
 
@@ -373,8 +369,7 @@ def polynomial(config: Configuration) -> List[complex]:
 # -- canonical block matrix -------------------------------------------------------
 
 
-@dataclass
-class CanonicalData:
+class CanonicalData(NamedTuple):
     """The pairing matrix of one degree with its kernel and cokernel sizes."""
 
     matrix: Mat

@@ -33,9 +33,8 @@ primary components, giving the Jordan cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .canonical import Cell, cell_sort_key, primary_components
 from .complexes import RepresentationError
@@ -50,8 +49,7 @@ class DecompositionError(RuntimeError):
 # -- bars ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bar:
+class Bar(NamedTuple):
     """An interval summand.
 
     Ends are indices of critical values: the bar spans from the i-th to the
@@ -283,8 +281,7 @@ def summand_module(field: Field, s: Summand, rep: CircleRep) -> CircleRep:
 # -- certificates ---------------------------------------------------------------
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     """Invertible base changes conjugating the input to the canonical sum.
 
     `base_changes[x]` has the new basis as columns (input coordinates); the

@@ -5,8 +5,6 @@ Line windows lo..hi are placed on the cyclic shape by `line_rep`, which
 moves window position p to p - s; `placed` moves a window bar the same way.
 """
 
-from dataclasses import replace
-
 from tamebars.canonical import Cell, jordan_block
 from tamebars.field import QQ, PrimeField
 from tamebars.matrix import Mat, block_diag
@@ -39,7 +37,7 @@ def line_shell(field, lo, hi):
 
 def placed(bar, s):
     """A bar of a window placed with shift s, as a bar of the cyclic shape."""
-    return replace(bar, i=bar.i - s // 2, j=bar.j - s // 2)
+    return bar._replace(i=bar.i - s // 2, j=bar.j - s // 2)
 
 
 def interval_module(field, bar, lo, hi):

@@ -17,7 +17,7 @@ from rep_fixtures import conjugated, direct_sum, line_shell
 from test_reachability import CIRCLE
 from tamebars import cli
 from tamebars.cli import main
-from tamebars.cutting import CUT_LIMIT
+from tamebars.cutting import CUT_LIMIT, LevelNotCut
 from tamebars.field import field_from_spec
 from tamebars.matrix import Mat
 from tamebars.quiver import bar_from_support, line_slots, summand_module
@@ -1044,6 +1044,18 @@ def test_decomposition_error_names_its_degree(tmp_path, capsys, monkeypatch):
     assert (code, out, len(calls)) == (1, "", 2)
     assert json.loads(err) == {"ok": False, "error": "DecompositionError",
                                "detail": "degree 1: certificate verification failed"}
+
+
+def test_an_uncut_level_is_a_bug_not_bad_input(tmp_path, capsys, monkeypatch):
+    # --check asks only for fibers at levels the same call cut, so no input
+    # reaches LevelNotCut: it exits 1 like any broken invariant
+    def uncut(cc, level):
+        raise LevelNotCut(f"level {level} was not cut")
+
+    monkeypatch.setattr(cli, "fiber", uncut)
+    code, out, err = run(capsys, "compute", write(tmp_path, "doc.json", WRAP_DOC), "--check")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "LevelNotCut"
 
 
 def test_chain_that_does_not_lift_is_a_decomposition_error(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kernel_oracles import trial_division_is_prime
+from tamebars.canonical import _Residues
 from tamebars.field import (GF2, MAX_PRIME, QQ, FieldError, PrimeField, _is_prime,
                             _strong_probable_prime, field_from_spec)
 
@@ -56,6 +57,24 @@ def test_prime_field_rejects_composite_and_huge():
         PrimeField(2**31 + 11)
     with pytest.raises(FieldError):
         PrimeField(1)
+
+
+def test_fields_compare_hash_and_print_by_value():
+    # a representation checks `M.field != field`, and test ids print fields
+    f5, g5 = PrimeField(5), field_from_spec({"Fp": 5})
+    assert f5 == g5 and f5 is not g5 and hash(f5) == hash(g5)
+    assert f5 != PrimeField(7) and f5 != QQ and QQ == field_from_spec("Q")
+    assert {f5: "five"}[g5] == "five" and {QQ: "q"}[field_from_spec("Q")] == "q"
+    assert repr(f5) == "PrimeField(p=5)" and str(f5) == "PrimeField(p=5)"
+    assert repr(QQ) == "Rationals(name='Q')"
+    assert (f5.zero, f5.one, QQ.zero, QQ.one) == (0, 1, Fraction(0), Fraction(1))
+
+
+def test_residues_take_any_modulus_and_prime_fields_do_not():
+    ring = _Residues(9)
+    assert ring.p == 9 and ring.from_int(-1) == 8 and repr(ring) == "_Residues(p=9)"
+    with pytest.raises(FieldError, match="modulus must be a prime below 2\\*\\*31, got 9"):
+        PrimeField(9)
 
 
 def test_field_from_spec_round_trip():

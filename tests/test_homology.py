@@ -260,7 +260,7 @@ def chain_items(basis):
     return (basis.r_cells,
             [list(z.items()) for z in basis.reps],
             [(low, list(col.items()), list(tag.items()))
-             for low, (col, tag) in basis._structure.by_low.items()])
+             for low, (col, tag) in basis.structure.by_low.items()])
 
 
 def assert_same_basis(got, want):
@@ -321,7 +321,7 @@ def test_the_cut_torus_reduces_on_ints_and_reads_out_fractions():
     for members in cut_handles(cc, crit):
         for r in range(3):
             basis = homology_of(cc.table, members, r, QQ)
-            stored = [v for col, tag in basis._structure.by_low.values()
+            stored = [v for col, tag in basis.structure.by_low.values()
                       for v in (*col.values(), *tag.values())]
             stored += [v for z in basis.reps for v in z.values()]
             assert {type(v) for v in stored} <= {int}

@@ -184,12 +184,14 @@ CYCLIC_REP = {"field": "Q", "shape": "cyclic", "m": 1, "dims": {"1": 1, "2": 1},
 
 def _loaded_by(tmp_path, doc, *argv):
     """The exit code of `cli.main` on the document, run in a fresh
-    interpreter, and the tamebars modules loaded when it returns."""
+    interpreter, and the tamebars modules loaded when it returns, with
+    `dataclasses` and `inspect` if either is loaded."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     script = ("import sys\nfrom tamebars.cli import main\n"
               "code = main(sys.argv[1:])\n"
-              "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'tamebars'))")
+              "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'tamebars'\n"
+              "                    or m in ('dataclasses', 'inspect')))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run([sys.executable, "-c", script, argv[0], str(path), *argv[1:],
                            "--out", str(tmp_path / "out")],
@@ -212,6 +214,23 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     code, loaded = _loaded_by(tmp_path, REAL_DOC, "stability", "--schedule", "1/10",
                               "--trials", "1", "--degree", "0")
     assert code == 0 and "stability" in loaded
+
+
+def test_no_subcommand_loads_dataclasses(tmp_path):
+    # records are named tuples: `dataclasses` imports `inspect`, `ast`, `dis`
+    # and `tokenize`, and compiles the methods of each class at start-up
+    for doc, argv in ((REAL_DOC, ["compute"]), (CIRCLE_DOC, ["compute", "--check"]),
+                      (CYCLIC_REP, ["decompose"]),
+                      (REAL_DOC, ["stability", "--schedule", "1/10", "--trials", "1",
+                                  "--degree", "0"])):
+        code, loaded = _loaded_by(tmp_path, doc, *argv)
+        assert code == 0 and not loaded & {"dataclasses", "inspect"}, argv
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line, _, module in _imports(tree)
+                  if module.split(".")[0] == "dataclasses"]
+    assert found == []
 
 
 def _spans(tmp_path, workload, *argv):
